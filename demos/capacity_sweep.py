@@ -33,7 +33,7 @@ def main():
     print(f"{'v_bar':>8} {'deaths':>10} {'eradicated':>11} {'doses':>10}")
     for v_bar in (150.0, 300.0, 600.0, 1200.0, 2400.0):
         cfg = dataclasses.replace(base, v_bar=v_bar)
-        run = vaxmpc.run_closed_loop(state0, cfg, params)
+        run = vaxmpc.run_policy_loop(state0, cfg, params, "mpc")
         m = vaxmpc.compute_metrics(run)
         eradicated = m.eradication_day if m.eradication_day else "-"
         print(f"{v_bar:>8.0f} {m.deaths_total:>10.3f} {str(eradicated):>11} "

@@ -62,7 +62,7 @@ def main():
           f"(slack {solution.terminal_slack:.2e})\n")
 
     # The closed loop applies only each day's first planned dose vector
-    run = vaxmpc.run_closed_loop(state0, cfg, params)
+    run = vaxmpc.run_policy_loop(state0, cfg, params, "mpc")
     metrics = vaxmpc.compute_metrics(run)
     eradicated = (
         f"eradicated on day {metrics.eradication_day}"

@@ -12,9 +12,7 @@ Subpackage map:
 """
 
 from .certificates import (
-    BoundAudit,
     CertificateParams,
-    CheckReport,
     audit_death_bound,
     check_eta_bound,
     check_invariance,
@@ -23,69 +21,26 @@ from .certificates import (
     epsilon_valid,
     in_terminal_set,
 )
-from .errors import (
-    ContractViolation,
-    SolverFailure,
-    ValidationError,
-    VaxmpcError,
-)
 from .model import (
     EpidemicState,
     ModelParams,
-    Trajectory,
     initial_state,
     new_infections,
     rollout,
     step,
     validate_control,
 )
-from .mpc import (
-    MpcConfig,
-    OcpProblem,
-    OcpSolution,
-    build_ocp,
-    run_closed_loop,
-    run_policy_loop,
-    solve_ocp,
-)
-from .results import DayRecord, ScenarioResult
-from .scenario import (
-    ComparisonReport,
-    ScenarioConfig,
-    ScenarioMetrics,
-    compare,
-    compute_metrics,
-    config_from_dict,
-    get_preset,
-    load_config,
-    load_contact_matrix,
-    run_scenario,
-    write_run,
-)
-from .strategies import apply_policy, national_allocate, no_vaccination
+from .mpc import MpcConfig, build_ocp, run_policy_loop, solve_ocp
+from .scenario import compare, compute_metrics
+from .strategies import national_allocate, no_vaccination
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundAudit",
     "CertificateParams",
-    "CheckReport",
-    "ComparisonReport",
-    "ContractViolation",
-    "DayRecord",
     "EpidemicState",
     "ModelParams",
     "MpcConfig",
-    "OcpProblem",
-    "OcpSolution",
-    "ScenarioConfig",
-    "ScenarioMetrics",
-    "ScenarioResult",
-    "SolverFailure",
-    "Trajectory",
-    "ValidationError",
-    "VaxmpcError",
-    "apply_policy",
     "audit_death_bound",
     "build_ocp",
     "check_eta_bound",
@@ -94,22 +49,15 @@ __all__ = [
     "compare",
     "compute_eta",
     "compute_metrics",
-    "config_from_dict",
     "epsilon_valid",
-    "get_preset",
     "in_terminal_set",
     "initial_state",
-    "load_config",
-    "load_contact_matrix",
     "national_allocate",
     "new_infections",
     "no_vaccination",
     "rollout",
-    "run_closed_loop",
     "run_policy_loop",
-    "run_scenario",
     "solve_ocp",
     "step",
     "validate_control",
-    "write_run",
 ]

@@ -40,10 +40,6 @@ from .results import ScenarioResult
 #: Absolute tolerance below which an infected vector counts as disease-free.
 XSTAR_ATOL = 1e-12
 
-#: Default daily vaccination capacity used when a check needs admissible
-#: controls but the caller does not say otherwise (the Wallonia figure).
-DEFAULT_V_BAR = 55191.0
-
 #: Relative slack absorbing float accumulation in the decrease inequalities.
 LYAPUNOV_RTOL = 1e-9
 
@@ -150,14 +146,13 @@ def compute_eta(params: ModelParams) -> float:
 class CertificateParams:
     """The epsilon-dependent matrices of the terminal-set construction.
 
-    ``lam_mat`` stores the diagonal of diag(gamma_d * lam); ``gamma_vec`` the
-    per-group thresholds; ``ct_lam`` the full constraint matrix C' Lam whose
-    row j gives constraint j's coefficients.
+    ``gamma_vec`` holds the per-group thresholds and ``ct_lam`` the full
+    constraint matrix C' diag(gamma_d * lam), whose row j gives constraint
+    j's coefficients.
     """
 
     epsilon: float
     eta: float
-    lam_mat: np.ndarray
     gamma_vec: np.ndarray
     ct_lam: np.ndarray
 
@@ -169,13 +164,11 @@ class CertificateParams:
                 f"epsilon={epsilon} outside (0, {upper}), the valid range for "
                 "these recovery/death rates"
             )
-        lam_mat = params.gamma_d * params.lam
         gamma_vec = params.gamma_d * (params.gamma_r + params.gamma_d - epsilon)
-        ct_lam = params.contact.T * lam_mat[None, :]
+        ct_lam = params.contact.T * (params.gamma_d * params.lam)[None, :]
         return cls(
             epsilon=float(epsilon),
             eta=compute_eta(params),
-            lam_mat=lam_mat,
             gamma_vec=gamma_vec,
             ct_lam=ct_lam,
         )
@@ -289,7 +282,8 @@ def check_invariance(
     params: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    v_bar: float = DEFAULT_V_BAR,
+    *,
+    v_bar: float,
 ) -> CheckReport:
     """Sampled check that X_f is invariant under every admissible input.
 
@@ -325,7 +319,8 @@ def check_lyapunov_decrease(
     params: ModelParams,
     samples: int = 10_000,
     rng_seed: int = 0,
-    v_bar: float = DEFAULT_V_BAR,
+    *,
+    v_bar: float,
 ) -> CheckReport:
     """Sampled check of the one-step decrease inequalities inside X_f.
 
@@ -380,7 +375,8 @@ def check_eta_bound(
     rollouts: int = 100,
     days: int = 140,
     rng_seed: int = 0,
-    v_bar: float = DEFAULT_V_BAR,
+    *,
+    v_bar: float,
     i0_fraction: float = 0.02,
 ) -> CheckReport:
     """Check gamma_d' I(n+1) <= eta * gamma_d' I(n) along random rollouts.

@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import certificates, scenario
+from . import certificates, scenario, strategies
 from .errors import SolverFailure, ValidationError, VaxmpcError
 
 
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one policy's closed loop")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--policy", choices=("none", "national", "mpc"), default=None)
+    sim.add_argument("--policy", choices=strategies.POLICIES, default=None)
     sim.add_argument("--out", required=True)
 
     cmp_cmd = sub.add_parser("compare", help="compare finished run directories")
@@ -91,10 +91,6 @@ def _cmd_certify(args) -> int:
     config = scenario.load_config(args.config)
     seed = args.cert_seed if args.cert_seed is not None else (args.seed or 0)
     params = config.build_params()
-    if not certificates.epsilon_valid(config.mpc.epsilon, params):
-        raise ValidationError(
-            f"epsilon={config.mpc.epsilon} is not valid for these rates"
-        )
     cert = certificates.CertificateParams.from_model(params, config.mpc.epsilon)
     reports = [
         certificates.check_invariance(

@@ -304,6 +304,20 @@ class Trajectory:
     def total_deaths(self, t: int) -> float:
         return float(self.d[t].sum())
 
+    @classmethod
+    def from_states(cls, states: list[EpidemicState]) -> "Trajectory":
+        """Stack consecutive states, the first being the start of the run."""
+        n_steps, n = len(states) - 1, states[0].n_a
+        applied = np.array([state.applied_u for state in states[1:]])
+        return cls(
+            s=np.array([state.s for state in states]),
+            i=np.array([state.i for state in states]),
+            r=np.array([state.r for state in states]),
+            d=np.array([state.d for state in states]),
+            applied_u=applied.reshape(n_steps, n),
+            start_time_step=states[0].time_step,
+        )
+
 
 def rollout(
     state0: EpidemicState,
@@ -312,26 +326,15 @@ def rollout(
 ) -> Trajectory:
     """Iterate :func:`step` over a (T, n_a) array of daily controls."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
-    n_steps = controls.shape[0]
     n = params.n_a
     if controls.shape[1] != n:
         raise ContractViolation(
             f"controls: expected shape (T, {n}), got {controls.shape}"
         )
-    s = np.empty((n_steps + 1, n))
-    i = np.empty((n_steps + 1, n))
-    r = np.empty((n_steps + 1, n))
-    d = np.empty((n_steps + 1, n))
-    applied = np.empty((n_steps, n))
-    state = state0
-    s[0], i[0], r[0], d[0] = state.s, state.i, state.r, state.d
-    for t in range(n_steps):
+    states = [state0]
+    for t, u in enumerate(controls):
         try:
-            state = step(state, controls[t], params)
+            states.append(step(states[-1], u, params))
         except (ValidationError, ContractViolation) as exc:
             raise type(exc)(f"rollout step {t}: {exc}") from exc
-        s[t + 1], i[t + 1], r[t + 1], d[t + 1] = state.s, state.i, state.r, state.d
-        applied[t] = state.applied_u
-    return Trajectory(
-        s=s, i=i, r=r, d=d, applied_u=applied, start_time_step=state0.time_step
-    )
+    return Trajectory.from_states(states)

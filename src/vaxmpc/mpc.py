@@ -41,8 +41,8 @@ class MpcConfig:
     """Controller, loop and solver settings.
 
     ``eradication_threshold`` may be a scalar (applied to every group) or a
-    per-group vector; vaccination stops for good once every group's infected
-    count is at or below it.  Days are one-based: the outbreak starts on day
+    per-group vector; it sets the eradication latch of
+    :func:`run_policy_loop`.  Days are one-based: the outbreak starts on day
     1 and vaccination is allowed from ``vaccination_start_day`` on.
     """
 
@@ -168,15 +168,27 @@ def build_ocp(
     )
 
 
-def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
-    """Roll the reduced dynamics over the horizon (same step as the plant)."""
-    n = problem.n_a
-    big_n = problem.horizon
+def _rollout(
+    problem: OcpProblem, controls: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The horizon's S and I paths, shape (N+1, n_a), and the applied doses.
+
+    This is the planner's only pass over the dynamics; it steps with the
+    plant's :func:`si_step`, so prediction equals plant stepping bitwise.
+    """
+    big_n, n = problem.horizon, problem.n_a
     s = np.empty((big_n + 1, n))
     i = np.empty((big_n + 1, n))
+    u_eff = np.empty((big_n, n))
     s[0], i[0] = problem.s0, problem.i0
     for t in range(big_n):
-        s[t + 1], i[t + 1], _ = si_step(s[t], i[t], controls[t], problem.params)
+        s[t + 1], i[t + 1], u_eff[t] = si_step(s[t], i[t], controls[t], problem.params)
+    return s, i, u_eff
+
+
+def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
+    """Roll the reduced dynamics over the horizon (same step as the plant)."""
+    s, i, _ = _rollout(problem, controls)
     return SiTrajectory(s=s, i=i)
 
 
@@ -216,11 +228,12 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
     return out
 
 
-def _objective(problem: OcpProblem, controls: np.ndarray) -> tuple[float, SiTrajectory]:
+def _objective(problem: OcpProblem, controls: np.ndarray) -> float:
+    """Plan cost plus the weighted terminal slack."""
     predicted = predict(problem, controls)
     value = plan_cost(problem, predicted)
     value += problem.effective_weight * terminal_slack(problem, predicted)
-    return value, predicted
+    return value
 
 
 def _objective_and_gradient(
@@ -229,8 +242,9 @@ def _objective_and_gradient(
     """Single-shooting objective with the adjoint-propagated gradient.
 
     The clamp u_eff = min(u, max(0, S - new_infections)) is handled by
-    active-set bookkeeping: where the clamp binds, the control has no local
-    effect and its gradient entry is zero.
+    active-set bookkeeping read off the rollout: room is left exactly where
+    S' > 0, or S' == 0 with doses applied.  Where the clamp binds, the
+    control has no local effect and its gradient entry is zero.
     """
     params = problem.params
     n, big_n = problem.n_a, problem.horizon
@@ -238,39 +252,28 @@ def _objective_and_gradient(
     removal = params.gamma_r + params.gamma_d
     gd = params.gamma_d
 
-    s = np.empty((big_n + 1, n))
-    i = np.empty((big_n + 1, n))
-    rate = np.empty((big_n, n))  # marginal infection rate lam * (C @ I)
-    free_u = np.empty((big_n, n), dtype=bool)  # u_eff == u and room left
-    s_pinned = np.empty((big_n, n), dtype=bool)  # clamp emptied the group
-    s[0], i[0] = problem.s0, problem.i0
-    for t in range(big_n):
-        c = contact @ i[t]
-        new_inf = lam * s[t] * c
-        room = np.maximum(0.0, s[t] - new_inf)
-        u_eff = np.minimum(controls[t], room)
-        s[t + 1] = s[t] - new_inf - u_eff
-        i[t + 1] = i[t] + new_inf - removal * i[t]
-        rate[t] = lam * c
-        free_u[t] = (controls[t] <= room) & (room > 0)
-        s_pinned[t] = (controls[t] > room) & (room > 0)
-
-    value = float((i[:big_n] @ gd).sum()) + float(gd @ i[big_n]) / problem.epsilon
-    i_end_mass = float(np.abs(i[big_n]).sum())
-    overshoot = problem.ct_lam @ s[big_n] - problem.gamma_vec
-    slack_vec = np.maximum(0.0, overshoot)
+    s, i, u_eff = _rollout(problem, controls)
+    predicted = SiTrajectory(s=s, i=i)
+    slack = terminal_slack(problem, predicted)
     weight = problem.effective_weight
+    value = plan_cost(problem, predicted)
+    value += weight * slack
+
+    room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
+    free_u = room & (u_eff == controls)  # u_eff == u and room left
+    s_pinned = room & (u_eff != controls)  # clamp emptied the group
     p_s = np.zeros(n)
-    if i_end_mass > XSTAR_ATOL and slack_vec.any():
-        value += weight * float(slack_vec.sum())
+    if slack > 0:
+        overshoot = problem.ct_lam @ s[big_n] - problem.gamma_vec
         p_s = weight * (problem.ct_lam.T @ (overshoot > 0).astype(float))
     p_i = gd / problem.epsilon
 
     grad = np.empty((big_n, n))
     for t in range(big_n - 1, -1, -1):
+        rate = lam * (contact @ i[t])  # marginal infection rate
         grad[t] = np.where(free_u[t], -p_s, 0.0)
         keep = ~s_pinned[t]
-        p_s_next = np.where(keep, (1.0 - rate[t]) * p_s, 0.0) + rate[t] * p_i
+        p_s_next = np.where(keep, (1.0 - rate) * p_s, 0.0) + rate * p_i
         flow = lam * s[t] * (p_i - keep * p_s)
         p_i = gd + (1.0 - removal) * p_i + contact.T @ flow
         p_s = p_s_next
@@ -298,7 +301,7 @@ def _descend(
             displacement = float(np.linalg.norm(trial - controls))
             if displacement == 0.0:
                 break
-            trial_value, _ = _objective(problem, trial)
+            trial_value = _objective(problem, trial)
             if not np.isfinite(trial_value):
                 raise SolverFailure("non-finite objective during line search")
             if trial_value <= value - _ARMIJO_C / step_len * displacement**2:
@@ -394,25 +397,27 @@ def _policy_control(
     params: ModelParams,
     warm: np.ndarray | None,
 ):
-    """One day's control and diagnostics for the active (ungated) policy."""
+    """One day's control and diagnostics for the active (ungated) policy.
+
+    ``policy`` is one of :data:`strategies.POLICIES`; anything but ``none``
+    and ``national`` is the predictive controller.
+    """
     n = params.n_a
     if policy == "none":
         return strategies.no_vaccination(state), None, warm
     if policy == "national":
         return strategies.national_allocate(state, cfg.v_bar), None, warm
-    if policy == "mpc":
-        problem = build_ocp(state, cfg, params)
-        solution = solve_ocp(problem, warm_start=warm)
-        next_warm = np.vstack([solution.controls[1:], np.zeros((1, n))])
-        record = DayRecord(
-            day=state.day,
-            v_n0=solution.optimal_value,
-            feasible=solution.feasible,
-            terminal_slack=solution.terminal_slack,
-            iterations=solution.iterations,
-        )
-        return solution.controls[0], record, next_warm
-    raise ValidationError(f"unknown policy {policy!r}")
+    problem = build_ocp(state, cfg, params)
+    solution = solve_ocp(problem, warm_start=warm)
+    next_warm = np.vstack([solution.controls[1:], np.zeros((1, n))])
+    record = DayRecord(
+        day=state.day,
+        v_n0=solution.optimal_value,
+        feasible=solution.feasible,
+        terminal_slack=solution.terminal_slack,
+        iterations=solution.iterations,
+    )
+    return solution.controls[0], record, next_warm
 
 
 def run_policy_loop(
@@ -424,9 +429,10 @@ def run_policy_loop(
     """Simulate the closed loop for any policy with shared gate semantics.
 
     Every policy sees the same start-day gate and the same eradication
-    latch: no vaccination before ``vaccination_start_day``, and once every
-    group's infected count falls to the threshold on a vaccination day, all
-    later controls are zero.  The predictive policy warm-starts each solve
+    latch: no vaccination before ``vaccination_start_day``, and from the
+    first vaccination day on which every group's infected count is at or
+    below the threshold (the run's ``latch_day``, also its eradication day),
+    all controls are zero.  The predictive policy warm-starts each solve
     with the previous plan shifted by one day and padded with zeros.
     """
     if policy not in strategies.POLICIES:
@@ -440,25 +446,18 @@ def run_policy_loop(
     n = params.n_a
     n_days = cfg.strategy_horizon
     i_e = cfg.eradication_vector(n)
-    s = np.empty((n_days + 1, n))
-    i = np.empty((n_days + 1, n))
-    r = np.empty((n_days + 1, n))
-    d = np.empty((n_days + 1, n))
-    applied = np.empty((n_days, n))
     controls = np.zeros((n_days, n))
     records: list[DayRecord] = []
-    state = state0
-    s[0], i[0], r[0], d[0] = state.s, state.i, state.r, state.d
+    states = [state0]
     warm = None
-    latched = False
     latch_day = None
     for t in range(n_days):
+        state = states[-1]
         day = state.day
         u = np.zeros(n)
         record = DayRecord(day=day)
-        if day >= cfg.vaccination_start_day and not latched:
+        if day >= cfg.vaccination_start_day and latch_day is None:
             if bool(np.all(state.i <= i_e)):
-                latched = True
                 latch_day = day
             else:
                 try:
@@ -469,29 +468,17 @@ def run_policy_loop(
                     raise SolverFailure(f"day {day}: {exc}") from exc
                 if solve_record is not None:
                     record = solve_record
-        state = step(state, u, params)
+        states.append(step(state, u, params))
         controls[t] = u
-        s[t + 1], i[t + 1], r[t + 1], d[t + 1] = state.s, state.i, state.r, state.d
-        applied[t] = state.applied_u
         records.append(record)
-    trajectory = Trajectory(
-        s=s, i=i, r=r, d=d, applied_u=applied, start_time_step=state0.time_step
-    )
     return ScenarioResult(
         policy=policy,
-        trajectory=trajectory,
+        trajectory=Trajectory.from_states(states),
         controls=controls,
         params=params,
         v_bar=cfg.v_bar,
         vaccination_start_day=cfg.vaccination_start_day,
-        eradication_threshold=i_e,
         day_records=records,
         latch_day=latch_day,
     )
 
-
-def run_closed_loop(
-    state0: EpidemicState, cfg: MpcConfig, params: ModelParams
-) -> ScenarioResult:
-    """Receding-horizon vaccination run (the predictive policy)."""
-    return run_policy_loop(state0, cfg, params, policy="mpc")

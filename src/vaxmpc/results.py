@@ -42,7 +42,9 @@ class ScenarioResult:
 
     ``controls`` are the commanded daily vaccinations; the clamped values
     actually applied are on ``trajectory.applied_u``.  ``day_records`` has one
-    entry per simulated day, in order.
+    entry per simulated day, in order.  ``latch_day`` is the day the
+    eradication latch closed, which is the run's eradication day (None if it
+    never closed).
     """
 
     policy: str
@@ -51,7 +53,6 @@ class ScenarioResult:
     params: ModelParams
     v_bar: float
     vaccination_start_day: int
-    eradication_threshold: np.ndarray
     day_records: list[DayRecord] = field(default_factory=list)
     latch_day: int | None = None
 

@@ -33,6 +33,7 @@ from . import mpc as mpc_mod
 from .errors import ContractViolation, ValidationError
 from .model import EpidemicState, ModelParams, initial_state
 from .results import ScenarioResult
+from .strategies import POLICIES
 
 BUILTIN_MATRIX = "builtin:synthetic-6x6"
 
@@ -269,9 +270,9 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     )
     policy = merged.get("policy", "none")
     _require(
-        policy in ("none", "national", "mpc"),
+        policy in POLICIES,
         "policy",
-        f"must be one of none|national|mpc, got {policy!r}",
+        f"must be one of {'|'.join(POLICIES)}, got {policy!r}",
     )
 
     mpc_raw = dict(merged.get("mpc", {}))
@@ -400,45 +401,33 @@ class ScenarioMetrics:
     vaccines_used: float
 
     def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "deaths_total": self.deaths_total,
-            "deaths_since_vax": self.deaths_since_vax,
-            "cumulative_incidence": self.cumulative_incidence,
-            "eradication_day": self.eradication_day,
-            "vaccines_used": self.vaccines_used,
-        }
+        return asdict(self)
 
 
-def compute_metrics(run: ScenarioResult, cfg=None) -> ScenarioMetrics:
+def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
     """Summary metrics at the end of the strategy horizon.
 
-    Deaths are read off day ``N_v`` (the horizon's last decision day);
-    cumulative incidence counts every new infection over the run plus the
-    initial seeding; eradication day is the first vaccination-era day with
-    every group's infected count strictly below the threshold.
+    Deaths are read off day ``N_v`` (the horizon's last decision day) and
+    split at the vaccination start day, or at the run's first day if it
+    starts later; cumulative incidence counts every new infection over the
+    run plus the initial seeding.  The eradication day is read from the
+    latch: ``run.latch_day``, the first vaccination-era day with every
+    group's infected count at or below the threshold.
     """
     traj = run.trajectory
     params = run.params
     n_days = traj.n_steps
-    start_day = run.vaccination_start_day
-    i_e = run.eradication_threshold
     deaths_total = float(traj.d[n_days - 1].sum())
-    start_idx = min(max(start_day - 1, 0), n_days)
-    deaths_at_start = float(traj.d[start_idx].sum())
+    start_idx = run.vaccination_start_day - 1 - traj.start_time_step
+    deaths_at_start = float(traj.d[min(max(start_idx, 0), n_days)].sum())
     new_inf = (params.lam * traj.s[:n_days]) * (traj.i[:n_days] @ params.contact.T)
     cumulative = float(new_inf.sum()) + float(traj.i[0].sum())
-    eradication_day = None
-    for day in range(start_day, n_days + 1):
-        if bool(np.all(traj.i[day - 1] < i_e)):
-            eradication_day = day
-            break
     return ScenarioMetrics(
         policy=run.policy,
         deaths_total=deaths_total,
         deaths_since_vax=deaths_total - deaths_at_start,
         cumulative_incidence=cumulative,
-        eradication_day=eradication_day,
+        eradication_day=run.latch_day,
         vaccines_used=float(traj.applied_u.sum()),
     )
 
@@ -519,9 +508,7 @@ def _improvement(base, other):
     return (base - other) / base
 
 
-def compare(
-    runs: list[ScenarioResult], fingerprints: list[str] | None = None
-) -> ComparisonReport:
+def compare(runs: list[ScenarioResult]) -> ComparisonReport:
     """Build a comparison of runs that share model, start state and budget."""
     if not runs:
         raise ContractViolation("compare needs at least one run")
@@ -539,8 +526,6 @@ def compare(
         )
         if not same:
             raise ContractViolation("runs to compare use different scenario inputs")
-    if fingerprints and len(set(fingerprints)) > 1:
-        raise ContractViolation("runs to compare carry different fingerprints")
     metrics = [compute_metrics(run) for run in runs]
     start_day = first.vaccination_start_day
     return _report_from_metrics(metrics, start_day)
@@ -644,15 +629,5 @@ def compare_run_dirs(run_dirs: list[str | Path]) -> ComparisonReport:
     start_days = {p["vaccination_start_day"] for p in payloads}
     if len(start_days) != 1:
         raise ContractViolation("runs disagree on the vaccination start day")
-    metrics = [
-        ScenarioMetrics(
-            policy=p["metrics"]["policy"],
-            deaths_total=p["metrics"]["deaths_total"],
-            deaths_since_vax=p["metrics"]["deaths_since_vax"],
-            cumulative_incidence=p["metrics"]["cumulative_incidence"],
-            eradication_day=p["metrics"]["eradication_day"],
-            vaccines_used=p["metrics"]["vaccines_used"],
-        )
-        for p in payloads
-    ]
+    metrics = [ScenarioMetrics(**p["metrics"]) for p in payloads]
     return _report_from_metrics(metrics, start_days.pop())

@@ -1,16 +1,18 @@
 """Baseline vaccination policies behind the same interface as the controller.
 
-Age groups are ordered youngest to oldest, as in the scenario presets; the
-national policy walks that order backwards.
+The closed loop (:func:`vaxmpc.mpc.run_policy_loop`) dispatches on the names
+in :data:`POLICIES` and applies the start-day gate and eradication latch to
+every policy alike.  Age groups are ordered youngest to oldest, as in the
+scenario presets; the national policy walks that order backwards.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
 from .model import EpidemicState
 
+#: Every policy name a scenario or the closed loop accepts.
 POLICIES = ("none", "national", "mpc")
 
 
@@ -37,30 +39,3 @@ def national_allocate(state: EpidemicState, v_bar: float) -> np.ndarray:
             remaining -= dose
     return u
 
-
-def apply_policy(
-    policy: str,
-    state: EpidemicState,
-    cfg,
-    params,
-) -> np.ndarray:
-    """Uniform single-day dispatch with shared gate semantics.
-
-    All policies see the same rules: zero before the vaccination start day
-    and zero once every group's infected count is at or below the
-    eradication threshold.  ``cfg`` is an :class:`vaxmpc.mpc.MpcConfig`.
-    """
-    if policy not in POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}")
-    if state.day < cfg.vaccination_start_day:
-        return np.zeros(state.n_a)
-    if bool(np.all(state.i <= cfg.eradication_vector(state.n_a))):
-        return np.zeros(state.n_a)
-    if policy == "none":
-        return no_vaccination(state)
-    if policy == "national":
-        return national_allocate(state, cfg.v_bar)
-    from . import mpc  # deferred: mpc imports this module at load time
-
-    problem = mpc.build_ocp(state, cfg, params)
-    return mpc.solve_ocp(problem).controls[0]

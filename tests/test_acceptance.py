@@ -153,7 +153,7 @@ def test_criterion_5_solver_matches_grid_oracle():
 
 
 def test_criterion_6_death_bound_audit(desk_params, desk_state0, desk_cfg):
-    run = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+    run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
     solved = [rec for rec in run.day_records if rec.v_n0 is not None]
     all_feasible = bool(solved) and all(rec.feasible for rec in solved)
     audit = vaxmpc.audit_death_bound(run)

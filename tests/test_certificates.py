@@ -99,7 +99,7 @@ class TestComputeEta:
 
     def test_bound_holds_on_random_rollouts(self, preset_params):
         report = vaxmpc.check_eta_bound(
-            preset_params, rollouts=20, days=60, rng_seed=3
+            preset_params, rollouts=20, days=60, rng_seed=3, v_bar=55191.0
         )
         assert report.passed
         assert report.n_samples == 20 * 60
@@ -143,7 +143,7 @@ class TestInvariance:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         report = vaxmpc.check_invariance(
-            cert, preset_params, samples=2000, rng_seed=11
+            cert, preset_params, samples=2000, rng_seed=11, v_bar=55191.0
         )
         assert report.passed
         assert report.n_samples == 2000
@@ -157,7 +157,9 @@ class TestInvariance:
 
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        report = vaxmpc.check_invariance(cert, preset_params, samples=50, rng_seed=2)
+        report = vaxmpc.check_invariance(
+            cert, preset_params, samples=50, rng_seed=2, v_bar=55191.0
+        )
         payload = json.loads(report.to_json())
         assert set(payload) >= {"n_samples", "n_violations", "worst_margin", "seed"}
         assert payload["seed"] == 2
@@ -167,7 +169,7 @@ class TestLyapunovDecrease:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         report = vaxmpc.check_lyapunov_decrease(
-            cert, preset_params, samples=2000, rng_seed=4
+            cert, preset_params, samples=2000, rng_seed=4, v_bar=55191.0
         )
         assert report.passed
 
@@ -213,7 +215,7 @@ class TestDeathBoundAudit:
     def test_desk_scale_loop_has_no_violations(
         self, desk_params, desk_state0, desk_cfg
     ):
-        run = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
         solved = [rec for rec in run.day_records if rec.v_n0 is not None]
         assert solved and all(rec.feasible for rec in solved)
         audit = vaxmpc.audit_death_bound(run)
@@ -225,7 +227,7 @@ class TestDeathBoundAudit:
 
     def test_trivially_eradicated_run(self, desk_params, desk_cfg):
         state = vaxmpc.initial_state(desk_params, np.zeros(2))
-        run = vaxmpc.run_closed_loop(state, desk_cfg, desk_params)
+        run = vaxmpc.run_policy_loop(state, desk_cfg, desk_params)
         # below-threshold start latches immediately: no solves to audit
         assert run.latch_day == 1
         assert not any(rec.v_n0 is not None for rec in run.day_records)

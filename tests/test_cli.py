@@ -159,6 +159,15 @@ class TestCertify:
         assert len(payload["checks"]) == 3
         assert all(c["n_violations"] == 0 for c in payload["checks"])
 
+    def test_bad_epsilon_exits_one(self, desk_config_path, tmp_path, capsys):
+        config = json.loads(desk_config_path.read_text())
+        config["mpc"]["epsilon"] = 0.9  # above min(gamma_r + gamma_d) = 0.32
+        bad = tmp_path / "bad_epsilon.json"
+        bad.write_text(json.dumps(config))
+        code = cli.main(["--quiet", "certify", "--config", str(bad), "--samples", "50"])
+        assert code == 1
+        assert "epsilon" in capsys.readouterr().err
+
     def test_violations_exit_three(self, desk_config_path, monkeypatch):
         failing = CheckReport(
             name="terminal_set_invariance",

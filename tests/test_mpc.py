@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,8 @@ import vaxmpc
 from vaxmpc.errors import ValidationError
 from vaxmpc.mpc import (
     OcpSolution,
+    _objective,
+    _objective_and_gradient,
     build_ocp,
     plan_cost,
     predict,
@@ -146,6 +149,106 @@ class TestBuildOcp:
             assert np.array_equal(pred.i[t + 1], i)
 
 
+def gradient_problems(preset_config, preset_params, preset_state0):
+    """Seeded desk instances and the preset's day 61, in both terminal modes."""
+    day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+    instances = [random_desk_instance(seed) for seed in range(20)]
+    instances.append((preset_params, day61, preset_config.mpc))
+    for params, state, cfg in instances:
+        for mode in ("penalty", "hard"):
+            cfg_mode = dataclasses.replace(cfg, terminal_mode=mode)
+            yield build_ocp(state, cfg_mode, params)
+
+
+def random_plans(problem, rng, count):
+    """Admissible plans from nearly idle up to capacity-saturating, then one
+    plan per group that spends most of the capacity on it, so the clamp
+    binds and the group empties."""
+    shape = (problem.horizon, problem.n_a)
+    for k in range(count):
+        scale = (0.01, 0.05, 0.5, 2.0)[k % 4]
+        yield project_capacity(rng.uniform(0.0, scale, shape) * problem.v_bar, problem.v_bar)
+    for k in range(problem.n_a):
+        plan = rng.uniform(0.0, 0.1, shape)
+        plan[:, k] = 1.0
+        yield project_capacity(plan * problem.v_bar, problem.v_bar)
+
+
+def kink_distances(problem, controls):
+    """How far the clamp and the terminal hinge are from switching."""
+    pred = predict(problem, controls)
+    params = problem.params
+    s, i = pred.s[:-1], pred.i[:-1]
+    room = s - params.lam * s * (i @ params.contact.T)
+    live = s > 0  # an emptied group stays empty under small changes
+    clamp = min(
+        np.min(np.abs(room[live]), initial=np.inf),
+        np.min(np.abs(controls - room)),
+    )
+    overshoot = problem.ct_lam @ pred.s[-1] - problem.gamma_vec
+    return clamp, float(np.min(np.abs(overshoot)))
+
+
+def binding_mask(problem, controls):
+    """Where the plant applies fewer doses than planned."""
+    s, i = problem.s0, problem.i0
+    binding = np.zeros(controls.shape, dtype=bool)
+    for t in range(problem.horizon):
+        s, i, applied = si_step(s, i, controls[t], problem.params)
+        binding[t] = applied < controls[t]
+    return binding
+
+
+class TestObjectiveGradient:
+    def test_value_equals_objective_bitwise(
+        self, preset_config, preset_params, preset_state0
+    ):
+        rng = np.random.default_rng(0)
+        for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            for controls in random_plans(problem, rng, 8):
+                value, _ = _objective_and_gradient(problem, controls)
+                assert value == _objective(problem, controls)
+
+    def test_matches_central_differences_away_from_kinks(
+        self, preset_config, preset_params, preset_state0
+    ):
+        rng = np.random.default_rng(1)
+        checked = []
+        for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            h = 1e-4 * problem.v_bar
+            count = 2 if problem.n_a == 6 else 6
+            for controls in random_plans(problem, rng, count):
+                clamp, hinge = kink_distances(problem, controls)
+                if clamp < 100 * h or hinge < 1e-3 * np.min(problem.gamma_vec):
+                    continue
+                _, grad = _objective_and_gradient(problem, controls)
+                central = np.empty_like(grad)
+                for idx in np.ndindex(*grad.shape):
+                    bump = np.zeros_like(controls)
+                    bump[idx] = h
+                    central[idx] = (
+                        _objective(problem, controls + bump)
+                        - _objective(problem, controls - bump)
+                    ) / (2 * h)
+                scale = np.max(np.abs(grad))
+                assert np.max(np.abs(central - grad)) <= 1e-6 * scale
+                checked.append((problem.n_a, binding_mask(problem, controls).any()))
+        assert len(checked) >= 100
+        assert sum(n_a == 6 for n_a, _ in checked) >= 4  # the preset, both modes
+        assert sum(binds for _, binds in checked) >= 10
+
+    def test_zero_where_clamp_binds(self, preset_config, preset_params, preset_state0):
+        rng = np.random.default_rng(2)
+        binding_total = 0
+        for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            for controls in random_plans(problem, rng, 4):
+                binding = binding_mask(problem, controls)
+                _, grad = _objective_and_gradient(problem, controls)
+                assert np.all(grad[binding] == 0.0)
+                binding_total += int(binding.sum())
+        assert binding_total > 0
+
+
 class TestSolveOcp:
     def test_disease_free_start_returns_zero_plan(self, desk_params):
         state = vaxmpc.initial_state(desk_params, np.zeros(2))
@@ -249,7 +352,7 @@ class TestClosedLoop:
             horizon=4, v_bar=500.0, eradication_threshold=1.0,
             vaccination_start_day=1, strategy_horizon=10,
         )
-        run = vaxmpc.run_closed_loop(state0, cfg, desk_params)
+        run = vaxmpc.run_policy_loop(state0, cfg, desk_params)
         reference = vaxmpc.rollout(state0, np.zeros((10, 2)), desk_params)
         assert np.array_equal(run.trajectory.s, reference.s)
         assert np.array_equal(run.trajectory.d, reference.d)
@@ -262,7 +365,7 @@ class TestClosedLoop:
             vaccination_start_day=1, strategy_horizon=25,
             terminal_mode="hard", rng_seed=0,
         )
-        run = vaxmpc.run_closed_loop(desk_state0, cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params)
         assert run.latch_day is not None
         latch_t = run.latch_day - 1
         assert not run.controls[latch_t:].any()
@@ -273,7 +376,7 @@ class TestClosedLoop:
         )
 
     def test_descent_along_feasible_steps(self, desk_params, desk_state0, desk_cfg):
-        run = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
         recs = [rec for rec in run.day_records if rec.v_n0 is not None]
         for prev, nxt in zip(recs, recs[1:]):
             if prev.feasible and nxt.day == prev.day + 1:
@@ -290,13 +393,13 @@ class TestClosedLoop:
         assert terminal_slack(next_problem, predict(next_problem, shifted)) == 0.0
 
     def test_applied_controls_admissible(self, desk_params, desk_state0, desk_cfg):
-        run = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
         assert np.all(run.applied >= 0)
         assert np.all(run.applied.sum(axis=1) <= desk_cfg.v_bar * (1 + 1e-12))
 
     def test_bitwise_reproducible(self, desk_params, desk_state0, desk_cfg):
-        first = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
-        second = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+        first = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+        second = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
         assert np.array_equal(first.trajectory.d, second.trajectory.d)
         assert np.array_equal(first.controls, second.controls)
 
@@ -305,7 +408,7 @@ class TestClosedLoop:
             horizon=4, v_bar=500.0, vaccination_start_day=50, strategy_horizon=10
         )
         with pytest.raises(ValidationError):
-            vaxmpc.run_closed_loop(desk_state0, cfg, desk_params)
+            vaxmpc.run_policy_loop(desk_state0, cfg, desk_params)
 
     def test_unknown_policy_rejected(self, desk_params, desk_state0, desk_cfg):
         with pytest.raises(ValidationError):

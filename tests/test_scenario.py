@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -177,7 +178,6 @@ def synthetic_run(d_day61, d_day140, policy="national"):
         params=params,
         v_bar=55191.0,
         vaccination_start_day=61,
-        eradication_threshold=np.array([1.0]),
     )
 
 
@@ -218,6 +218,27 @@ class TestMetrics:
         assert metrics.deaths_total == pytest.approx(
             metrics.deaths_since_vax + deaths_at_start, rel=1e-12
         )
+
+    def test_late_start_reads_the_same_days(self, desk_params, desk_state0):
+        # a run started on day 11 of another run's path covers the same days
+        # from then on, so every day-based metric must agree
+        cfg = vaxmpc.MpcConfig(
+            horizon=3, v_bar=400.0, eradication_threshold=1.0,
+            vaccination_start_day=15, strategy_horizon=60,
+        )
+        full = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "national")
+        late_cfg = dataclasses.replace(cfg, strategy_horizon=50)
+        late = vaxmpc.run_policy_loop(
+            full.trajectory.state(10), late_cfg, desk_params, "national"
+        )
+        assert np.array_equal(late.trajectory.d, full.trajectory.d[10:])
+        assert late.latch_day == full.latch_day is not None
+        m_full = vaxmpc.compute_metrics(full)
+        m_late = vaxmpc.compute_metrics(late)
+        assert m_late.eradication_day == m_full.eradication_day == full.latch_day
+        assert m_late.deaths_total == m_full.deaths_total
+        assert m_late.deaths_since_vax == m_full.deaths_since_vax
+        assert m_late.vaccines_used == m_full.vaccines_used
 
     def test_cumulative_incidence_counts_seeding(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
@@ -311,7 +332,7 @@ class TestWriters:
     def test_diagnostics_written_for_predictive_runs(
         self, desk_params, desk_state0, desk_cfg, tmp_path
     ):
-        run = vaxmpc.run_closed_loop(desk_state0, desk_cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
         write_run(run, tmp_path)
         lines = (tmp_path / "diagnostics.jsonl").read_text().strip().splitlines()
         assert len(lines) == run.n_days

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -60,47 +62,61 @@ class TestNationalAllocate:
 
 
 class TestApplyPolicy:
+    """Each policy as the closed loop applies it: one dispatch, one gate."""
+
     def test_gated_before_start_day(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
-            horizon=4, v_bar=500.0, vaccination_start_day=10, strategy_horizon=20
+            horizon=4, v_bar=500.0, vaccination_start_day=10, strategy_horizon=12
         )
         for policy in ("none", "national", "mpc"):
-            u = vaxmpc.apply_policy(policy, desk_state0, cfg, desk_params)
-            assert not u.any()
+            run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, policy)
+            assert not run.controls[:9].any()  # days 1-9
+            assert all(rec.v_n0 is None for rec in run.day_records[:9])
+            assert run.controls[9].any() == (policy != "none")  # day 10
 
     def test_zero_at_eradicated_state(self, desk_params):
-        state = make_state(desk_params.population, i=[0.5, 0.5])
+        state = vaxmpc.initial_state(desk_params, np.array([0.5, 0.5]))
         cfg = vaxmpc.MpcConfig(
             horizon=4, v_bar=500.0, eradication_threshold=1.0,
             vaccination_start_day=1, strategy_horizon=20,
         )
         for policy in ("none", "national", "mpc"):
-            u = vaxmpc.apply_policy(policy, state, cfg, desk_params)
-            assert not u.any()
+            run = vaxmpc.run_policy_loop(state, cfg, desk_params, policy)
+            assert run.latch_day == 1
+            assert not run.controls.any()
 
     def test_none_policy_is_zero(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
             horizon=4, v_bar=500.0, vaccination_start_day=1, strategy_horizon=20
         )
-        assert not vaxmpc.apply_policy("none", desk_state0, cfg, desk_params).any()
+        run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "none")
+        assert not run.controls.any()
 
     def test_national_dispatch(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
             horizon=4, v_bar=500.0, vaccination_start_day=1, strategy_horizon=20
         )
-        u = vaxmpc.apply_policy("national", desk_state0, cfg, desk_params)
+        run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "national")
         assert np.array_equal(
-            u, vaxmpc.national_allocate(desk_state0, 500.0)
+            run.controls[0], vaxmpc.national_allocate(desk_state0, 500.0)
         )
+        last = run.n_days if run.latch_day is None else run.latch_day - 1
+        for t in range(last):
+            state = run.trajectory.state(t)
+            assert np.array_equal(
+                run.controls[t], vaxmpc.national_allocate(state, 500.0)
+            )
 
     def test_mpc_dispatch_returns_first_plan_day(self, desk_params, desk_state0, desk_cfg):
-        u = vaxmpc.apply_policy("mpc", desk_state0, desk_cfg, desk_params)
-        problem = vaxmpc.build_ocp(desk_state0, desk_cfg, desk_params)
-        assert np.array_equal(u, vaxmpc.solve_ocp(problem).controls[0])
+        cfg = dataclasses.replace(desk_cfg, strategy_horizon=1)
+        run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "mpc")
+        solution = vaxmpc.solve_ocp(vaxmpc.build_ocp(desk_state0, cfg, desk_params))
+        assert np.array_equal(run.controls[0], solution.controls[0])
+        assert run.day_records[0].v_n0 == solution.optimal_value
 
     def test_unknown_policy_rejected(self, desk_params, desk_state0, desk_cfg):
         with pytest.raises(ValidationError):
-            vaxmpc.apply_policy("oldest", desk_state0, desk_cfg, desk_params)
+            vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "oldest")
 
 
 class TestPolicyOrdering:
