@@ -18,7 +18,7 @@ def main():
     params = config.build_params()
     epsilon = config.mpc.epsilon
 
-    upper = float(np.min(params.gamma_r + params.gamma_d))
+    upper = float(np.min(params.removal))
     print(f"decay margin epsilon={epsilon}, valid range (0, {upper:.10f}): "
           f"{vaxmpc.epsilon_valid(epsilon, params)}")
 

@@ -114,7 +114,7 @@ class BoundAudit:
 
 def epsilon_valid(epsilon: float, params: ModelParams) -> bool:
     """True iff 0 < epsilon < min_k (gamma_r_k + gamma_d_k), strictly."""
-    upper = float(np.min(params.gamma_r + params.gamma_d))
+    upper = float(np.min(params.removal))
     return 0.0 < epsilon < upper
 
 
@@ -131,7 +131,7 @@ def compute_eta(params: ModelParams) -> float:
     growth = (
         np.eye(n)
         + (params.population * params.lam)[:, None] * params.contact
-        - np.diag(params.gamma_r + params.gamma_d)
+        - np.diag(params.removal)
     )
     weighted = params.gamma_d @ growth
     positive = params.gamma_d > 0
@@ -159,12 +159,12 @@ class CertificateParams:
     @classmethod
     def from_model(cls, params: ModelParams, epsilon: float) -> "CertificateParams":
         if not epsilon_valid(epsilon, params):
-            upper = float(np.min(params.gamma_r + params.gamma_d))
+            upper = float(np.min(params.removal))
             raise ValidationError(
                 f"epsilon={epsilon} outside (0, {upper}), the valid range for "
                 "these recovery/death rates"
             )
-        gamma_vec = params.gamma_d * (params.gamma_r + params.gamma_d - epsilon)
+        gamma_vec = params.gamma_d * (params.removal - epsilon)
         ct_lam = params.contact.T * (params.gamma_d * params.lam)[None, :]
         return cls(
             epsilon=float(epsilon),
@@ -172,6 +172,11 @@ class CertificateParams:
             gamma_vec=gamma_vec,
             ct_lam=ct_lam,
         )
+
+
+def disease_free(i: np.ndarray) -> bool:
+    """True iff every |I_k| <= XSTAR_ATOL: the state counts as X* = {I = 0}."""
+    return float(np.max(np.abs(i))) <= XSTAR_ATOL
 
 
 def in_terminal_set(
@@ -186,7 +191,7 @@ def in_terminal_set(
     """
     if params is not None and state.n_a != params.n_a:
         raise ContractViolation("state and params disagree on group count")
-    if float(np.max(np.abs(state.i))) <= XSTAR_ATOL:
+    if disease_free(state.i):
         return True
     return bool(np.all(cert.ct_lam @ state.s <= cert.gamma_vec))
 
@@ -194,8 +199,8 @@ def in_terminal_set(
 def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> float:
     """Signed membership margin: >= 0 inside X_f, < 0 outside."""
     linear = float(np.min(cert.gamma_vec - cert.ct_lam @ s))
-    disease_free = XSTAR_ATOL - float(np.max(np.abs(i)))
-    return max(linear, disease_free)
+    free = XSTAR_ATOL - float(np.max(np.abs(i)))  # >= 0 iff disease_free(i)
+    return max(linear, free)
 
 
 def susceptible_box(cert: CertificateParams, params: ModelParams) -> np.ndarray:
@@ -301,8 +306,7 @@ def check_invariance(
         margin = _terminal_margin(s1, i1, cert)
         worst = min(worst, margin)
         if not (
-            float(np.max(np.abs(i1))) <= XSTAR_ATOL
-            or bool(np.all(cert.ct_lam @ s1 <= cert.gamma_vec))
+            disease_free(i1) or bool(np.all(cert.ct_lam @ s1 <= cert.gamma_vec))
         ):
             violations += 1
     return CheckReport(

@@ -26,7 +26,7 @@ All functions are pure; states and parameters are immutable value objects.
 from __future__ import annotations
 
 import warnings
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -67,6 +67,8 @@ class ModelParams:
     contact : (n_a, n_a) array
         Normalized contact rates; entry (k, j) is the per-person per-day rate
         at which one member of group k meets members of group j.
+    removal : (n_a,) array
+        Daily removal rate gamma_r + gamma_d, computed once at construction.
     """
 
     lam: np.ndarray
@@ -75,6 +77,7 @@ class ModelParams:
     population: np.ndarray
     contact: np.ndarray
     validate: InitVar[bool] = True
+    removal: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, validate: bool):
         for name in ("lam", "gamma_r", "gamma_d", "population"):
@@ -82,6 +85,7 @@ class ModelParams:
         object.__setattr__(self, "contact", _freeze(self.contact))
         if validate:
             self._validate()
+        object.__setattr__(self, "removal", _freeze(self.gamma_r + self.gamma_d))
 
     @property
     def n_a(self) -> int:
@@ -200,13 +204,16 @@ def si_step(
     """Advance the (S, I) block one day; returns (s_next, i_next, u_applied).
 
     This is the single implementation of the reduced dynamics shared by the
-    full model step and by the controller's prediction rollout, so predicted
-    and realized trajectories agree bitwise.
+    full model step, the controller's prediction rollout and the sampled
+    certificates, so predicted and realized trajectories agree bitwise.  The
+    removal rate gamma_r + gamma_d is read precomputed from
+    ``params.removal``.
     """
     new_inf = params.lam * s * (params.contact @ i)
-    u_eff = np.minimum(u, np.maximum(0.0, s - new_inf))
-    s_next = s - new_inf - u_eff
-    i_next = i + new_inf - (params.gamma_r + params.gamma_d) * i
+    room = s - new_inf
+    u_eff = np.minimum(u, np.maximum(0.0, room))
+    s_next = room - u_eff
+    i_next = i + new_inf - params.removal * i
     return s_next, i_next, u_eff
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import strategies
-from .certificates import XSTAR_ATOL, CertificateParams, epsilon_valid
+from .certificates import CertificateParams, disease_free, epsilon_valid
 from .errors import ContractViolation, SolverFailure, ValidationError
 from .model import EpidemicState, ModelParams, Trajectory, si_step, step
 from .results import DayRecord, ScenarioResult
@@ -76,7 +76,7 @@ class MpcConfig:
         if self.max_iterations < 1 or self.n_restarts < 0:
             raise ValidationError("bad solver iteration settings")
         if params is not None and not epsilon_valid(self.epsilon, params):
-            upper = float(np.min(params.gamma_r + params.gamma_d))
+            upper = float(np.min(params.removal))
             raise ValidationError(
                 f"epsilon={self.epsilon} outside (0, {upper}) for these rates"
             )
@@ -90,10 +90,12 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class SiTrajectory:
-    """Predicted susceptible/infected paths, shape (N+1, n_a) each."""
+    """Predicted susceptible/infected paths, shape (N+1, n_a) each, and the
+    doses the clamp let through on each day, shape (N, n_a)."""
 
     s: np.ndarray
     i: np.ndarray
+    u: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -168,13 +170,13 @@ def build_ocp(
     )
 
 
-def _rollout(
-    problem: OcpProblem, controls: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The horizon's S and I paths, shape (N+1, n_a), and the applied doses.
+def _rollout(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
+    """The horizon's S and I paths and the applied doses.
 
     This is the planner's only pass over the dynamics; it steps with the
     plant's :func:`si_step`, so prediction equals plant stepping bitwise.
+    A descent's start point is rolled out here directly, so that
+    :func:`predict` runs once per line-search trial and once per solution.
     """
     big_n, n = problem.horizon, problem.n_a
     s = np.empty((big_n + 1, n))
@@ -183,13 +185,12 @@ def _rollout(
     s[0], i[0] = problem.s0, problem.i0
     for t in range(big_n):
         s[t + 1], i[t + 1], u_eff[t] = si_step(s[t], i[t], controls[t], problem.params)
-    return s, i, u_eff
+    return SiTrajectory(s=s, i=i, u=u_eff)
 
 
 def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
     """Roll the reduced dynamics over the horizon (same step as the plant)."""
-    s, i, _ = _rollout(problem, controls)
-    return SiTrajectory(s=s, i=i)
+    return _rollout(problem, controls)
 
 
 def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
@@ -202,8 +203,7 @@ def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
 
 def terminal_slack(problem: OcpProblem, predicted: SiTrajectory) -> float:
     """Total violation of the terminal-set constraint at the horizon end."""
-    i_end = predicted.i[problem.horizon]
-    if float(np.abs(i_end).sum()) <= XSTAR_ATOL:
+    if disease_free(predicted.i[problem.horizon]):
         return 0.0
     overshoot = problem.ct_lam @ predicted.s[problem.horizon] - problem.gamma_vec
     return float(np.maximum(0.0, overshoot).sum())
@@ -228,32 +228,44 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
     return out
 
 
-def _objective(problem: OcpProblem, controls: np.ndarray) -> float:
-    """Plan cost plus the weighted terminal slack."""
-    predicted = predict(problem, controls)
+def _penalized_value(problem: OcpProblem, predicted: SiTrajectory) -> float:
+    """Plan cost plus the weighted terminal slack of a predicted path."""
     value = plan_cost(problem, predicted)
     value += problem.effective_weight * terminal_slack(problem, predicted)
     return value
 
 
+def _objective(problem: OcpProblem, controls: np.ndarray) -> float:
+    """Plan cost plus the weighted terminal slack."""
+    return _penalized_value(problem, predict(problem, controls))
+
+
 def _objective_and_gradient(
-    problem: OcpProblem, controls: np.ndarray
+    problem: OcpProblem,
+    controls: np.ndarray,
+    predicted: SiTrajectory | None = None,
 ) -> tuple[float, np.ndarray]:
     """Single-shooting objective with the adjoint-propagated gradient.
 
-    The clamp u_eff = min(u, max(0, S - new_infections)) is handled by
-    active-set bookkeeping read off the rollout: room is left exactly where
-    S' > 0, or S' == 0 with doses applied.  Where the clamp binds, the
-    control has no local effect and its gradient entry is zero.
+    The backward pass runs on ``predicted``, the rollout of ``controls``:
+    in the descent that is the path the line search already computed for
+    the accepted trial, and only a descent's start point is rolled out
+    here.  The clamp u_eff = min(u, max(0, S - new_infections)) is handled
+    by active-set bookkeeping read off that path: room is left exactly
+    where S' > 0, or S' == 0 with doses applied.  Where the clamp binds,
+    the control has no local effect and its gradient entry is zero.
+
+    Everything that does not depend on the adjoints is formed before the
+    backward loop, with the same per-row arithmetic, so the result is
+    bitwise the same as stepping it inside the loop.
     """
     params = problem.params
     n, big_n = problem.n_a, problem.horizon
-    lam, contact = params.lam, params.contact
-    removal = params.gamma_r + params.gamma_d
-    gd = params.gamma_d
+    lam, gd = params.lam, params.gamma_d
 
-    s, i, u_eff = _rollout(problem, controls)
-    predicted = SiTrajectory(s=s, i=i)
+    if predicted is None:
+        predicted = _rollout(problem, controls)
+    s, i, u_eff = predicted.s, predicted.i, predicted.u
     slack = terminal_slack(problem, predicted)
     weight = problem.effective_weight
     value = plan_cost(problem, predicted)
@@ -261,29 +273,38 @@ def _objective_and_gradient(
 
     room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
     free_u = room & (u_eff == controls)  # u_eff == u and room left
-    s_pinned = room & (u_eff != controls)  # clamp emptied the group
+    keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
+    # marginal infection rate, one matvec per day as in si_step
+    rate = lam * np.array([params.contact @ i[t] for t in range(big_n)])
+    hold = 1.0 - rate
+    lam_s = lam * s[:big_n]
+    decay = 1.0 - params.removal
+    contact_t = params.contact.T
     p_s = np.zeros(n)
     if slack > 0:
         overshoot = problem.ct_lam @ s[big_n] - problem.gamma_vec
         p_s = weight * (problem.ct_lam.T @ (overshoot > 0).astype(float))
     p_i = gd / problem.epsilon
 
-    grad = np.empty((big_n, n))
+    p_s_path = np.empty((big_n, n))
     for t in range(big_n - 1, -1, -1):
-        rate = lam * (contact @ i[t])  # marginal infection rate
-        grad[t] = np.where(free_u[t], -p_s, 0.0)
-        keep = ~s_pinned[t]
-        p_s_next = np.where(keep, (1.0 - rate) * p_s, 0.0) + rate * p_i
-        flow = lam * s[t] * (p_i - keep * p_s)
-        p_i = gd + (1.0 - removal) * p_i + contact.T @ flow
+        p_s_path[t] = p_s
+        p_s_next = np.where(keep[t], hold[t] * p_s, 0.0) + rate[t] * p_i
+        flow = lam_s[t] * (p_i - keep[t] * p_s)
+        p_i = gd + decay * p_i + contact_t @ flow
         p_s = p_s_next
-    return value, grad
+    return value, np.where(free_u, -p_s_path, 0.0)
 
 
 def _descend(
     problem: OcpProblem, start: np.ndarray
 ) -> tuple[np.ndarray, float, int]:
-    """Projected-gradient descent from one start; returns (U, value, iters)."""
+    """Projected-gradient descent from one start; returns (U, value, iters).
+
+    Only the start point is rolled out for the gradient; every later
+    gradient runs its backward pass on the rollout the line search made of
+    the accepted trial.
+    """
     v_bar = problem.v_bar
     controls = project_capacity(start, v_bar)
     value, grad = _objective_and_gradient(problem, controls)
@@ -301,7 +322,8 @@ def _descend(
             displacement = float(np.linalg.norm(trial - controls))
             if displacement == 0.0:
                 break
-            trial_value = _objective(problem, trial)
+            trial_path = predict(problem, trial)
+            trial_value = _penalized_value(problem, trial_path)
             if not np.isfinite(trial_value):
                 raise SolverFailure("non-finite objective during line search")
             if trial_value <= value - _ARMIJO_C / step_len * displacement**2:
@@ -312,7 +334,7 @@ def _descend(
             break
         drop = value - trial_value
         controls, value = trial, trial_value
-        value, grad = _objective_and_gradient(problem, controls)
+        value, grad = _objective_and_gradient(problem, controls, trial_path)
         if displacement <= problem.step_tolerance * (1.0 + float(np.linalg.norm(controls))):
             break
         if drop <= problem.cost_tolerance * (1.0 + abs(value)):

@@ -15,7 +15,9 @@ class DayRecord:
 
     ``v_n0`` is the optimal value of the finite-horizon problem solved that
     day (None when no solve ran: before the start day, after the eradication
-    latch, or for non-predictive policies).
+    latch, or for non-predictive policies).  ``iterations`` is the solver's
+    descent iteration count summed over its starts, also None without a
+    solve.
     """
 
     day: int
@@ -30,6 +32,7 @@ class DayRecord:
             "V_N0": self.v_n0,
             "feasible": self.feasible,
             "terminal_slack": self.terminal_slack,
+            "iterations": self.iterations,
         }
         if applied_u is not None:
             rec["applied_u"] = [float(x) for x in applied_u]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -5,11 +6,14 @@ import numpy as np
 import pytest
 
 import vaxmpc
+from vaxmpc import mpc
 from vaxmpc.errors import ValidationError
 from vaxmpc.mpc import (
     OcpSolution,
+    SiTrajectory,
     _objective,
     _objective_and_gradient,
+    _start_points,
     build_ocp,
     plan_cost,
     predict,
@@ -247,6 +251,94 @@ class TestObjectiveGradient:
                 assert np.all(grad[binding] == 0.0)
                 binding_total += int(binding.sum())
         assert binding_total > 0
+
+    def test_trial_path_gives_fresh_rollout_bits(
+        self, preset_config, preset_params, preset_state0
+    ):
+        """The descent hands the line search's path to the backward pass;
+        value and gradient must be the bits a fresh rollout gives."""
+        rng = np.random.default_rng(3)
+        negative_zeros = binding = 0
+        for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            for controls in random_plans(problem, rng, 4):
+                _, grad = _objective_and_gradient(problem, controls)
+                step_len = problem.v_bar / max(np.max(np.abs(grad)), 1e-300)
+                trial = project_capacity(controls - 0.1 * step_len * grad, problem.v_bar)
+                fresh_value, fresh_grad = _objective_and_gradient(problem, trial)
+                value, grad = _objective_and_gradient(
+                    problem, trial, predict(problem, trial)
+                )
+                assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
+                assert grad.tobytes() == fresh_grad.tobytes()
+                negative_zeros += int(np.sum((grad == 0) & np.signbit(grad)))
+                binding += int(binding_mask(problem, trial).sum())
+        assert negative_zeros > 0
+        assert binding > 0
+
+
+def counting(monkeypatch, names):
+    """Count calls to the named ``vaxmpc.mpc`` functions."""
+    calls = collections.Counter()
+    for name in names:
+        inner = getattr(mpc, name)
+
+        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(mpc, name, wrapper)
+    return calls
+
+
+class TestPresetSolverPath:
+    def test_day_61_cold_and_day_62_warm_pinned(
+        self, preset_config, preset_params, preset_state0, monkeypatch
+    ):
+        """Iteration counts, optimal values and call counts of the preset's
+        first two solves at seed 0, as run by the closed loop."""
+        cfg = preset_config.mpc
+        assert cfg.rng_seed == 0
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problem = build_ocp(day61, cfg, preset_params)
+        n_starts = len(_start_points(problem, None))
+        calls = counting(monkeypatch, ("predict", "project_capacity", "_rollout"))
+        first = solve_ocp(problem)
+        assert first.iterations == 1158
+        assert first.optimal_value == 1910.920153766089
+        assert calls["predict"] == 2385
+        assert calls["project_capacity"] == 2395
+        # one rollout per line-search trial (through predict) plus one per
+        # descent start: the gradient never re-rolls an accepted trial
+        assert calls["_rollout"] == calls["predict"] + n_starts
+
+        day62 = vaxmpc.step(day61, first.controls[0], preset_params)
+        warm = np.vstack([first.controls[1:], np.zeros((1, 6))])
+        second = solve_ocp(build_ocp(day62, cfg, preset_params), warm_start=warm)
+        assert second.iterations == 1582
+        assert second.optimal_value == 1757.1939843251089
+
+
+class TestTerminalSlack:
+    def test_disease_free_rule_matches_certificates(self, preset_config, preset_params):
+        """Every |I_k| <= 1e-12 is disease-free for the planner as for the
+        certificates, though the six together sum past 1e-12."""
+        pop = preset_params.population
+        zeros = np.zeros(6)
+        cert = vaxmpc.CertificateParams.from_model(preset_params, preset_config.mpc.epsilon)
+        problem = build_ocp(
+            vaxmpc.initial_state(preset_params, zeros), preset_config.mpc, preset_params
+        )
+        big_n = problem.horizon
+        for i_end, inside in ((np.full(6, 5e-13), True), (np.full(6, 2e-12), False)):
+            state = vaxmpc.EpidemicState(s=pop - 3e-12, i=i_end, r=zeros, d=zeros)
+            assert not np.all(cert.ct_lam @ state.s <= cert.gamma_vec)
+            path = SiTrajectory(
+                s=np.tile(state.s, (big_n + 1, 1)),
+                i=np.tile(state.i, (big_n + 1, 1)),
+                u=np.zeros((big_n, 6)),
+            )
+            assert vaxmpc.in_terminal_set(state, cert, preset_params) is inside
+            assert (terminal_slack(problem, path) == 0.0) is inside
 
 
 class TestSolveOcp:

@@ -337,4 +337,9 @@ class TestWriters:
         lines = (tmp_path / "diagnostics.jsonl").read_text().strip().splitlines()
         assert len(lines) == run.n_days
         first = json.loads(lines[0])
-        assert {"day", "V_N0", "feasible", "terminal_slack", "applied_u"} <= set(first)
+        assert {
+            "day", "V_N0", "feasible", "terminal_slack", "iterations", "applied_u"
+        } <= set(first)
+        for line, rec in zip(lines, run.day_records):
+            assert json.loads(line)["iterations"] == rec.iterations
+        assert first["iterations"] > 0
