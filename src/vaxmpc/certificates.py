@@ -29,7 +29,7 @@ distance to the disease-free set measured as ||I||_1 throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,57 +65,43 @@ class CheckReport:
         return self.n_violations == 0
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "n_violations": self.n_violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
 @dataclass(frozen=True)
-class BoundAudit:
+class BoundAudit(CheckReport):
     """Outcome of auditing a closed-loop run against its optimal values.
 
-    ``n_samples`` counts audited days.  Margins are relative to the recorded
-    optimal value; negative means violated.
+    ``n_samples`` counts audited days and ``n_violations`` is the sum of the
+    two counts below.  Margins are relative to the recorded optimal value;
+    negative means violated.
     """
 
-    name: str
-    n_samples: int
-    n_violations: int
-    worst_margin: float
-    seed: int | None
     n_bound_violations: int
     n_descent_violations: int
 
-    @property
-    def passed(self) -> bool:
-        return self.n_violations == 0
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_samples": self.n_samples,
-            "n_violations": self.n_violations,
-            "worst_margin": self.worst_margin,
-            "seed": self.seed,
-            "n_bound_violations": self.n_bound_violations,
-            "n_descent_violations": self.n_descent_violations,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+def validate_epsilon(epsilon: float, params: ModelParams) -> None:
+    """Raise :class:`ValidationError` unless
+    0 < epsilon < min_k (gamma_r_k + gamma_d_k), strictly."""
+    upper = float(np.min(params.removal))
+    if not 0.0 < epsilon < upper:
+        raise ValidationError(
+            f"epsilon={epsilon} outside (0, {upper}), the valid range for "
+            "these recovery/death rates"
+        )
 
 
 def epsilon_valid(epsilon: float, params: ModelParams) -> bool:
-    """True iff 0 < epsilon < min_k (gamma_r_k + gamma_d_k), strictly."""
-    upper = float(np.min(params.removal))
-    return 0.0 < epsilon < upper
+    """True iff :func:`validate_epsilon` accepts epsilon."""
+    try:
+        validate_epsilon(epsilon, params)
+    except ValidationError:
+        return False
+    return True
 
 
 def compute_eta(params: ModelParams) -> float:
@@ -158,12 +144,7 @@ class CertificateParams:
 
     @classmethod
     def from_model(cls, params: ModelParams, epsilon: float) -> "CertificateParams":
-        if not epsilon_valid(epsilon, params):
-            upper = float(np.min(params.removal))
-            raise ValidationError(
-                f"epsilon={epsilon} outside (0, {upper}), the valid range for "
-                "these recovery/death rates"
-            )
+        validate_epsilon(epsilon, params)
         gamma_vec = params.gamma_d * (params.removal - epsilon)
         ct_lam = params.contact.T * (params.gamma_d * params.lam)[None, :]
         return cls(
@@ -293,8 +274,9 @@ def check_invariance(
     """Sampled check that X_f is invariant under every admissible input.
 
     Draws random states in X_f (including boundary points) and random
-    admissible controls, steps each pair once, and tests membership of the
-    successor with exact comparisons.
+    admissible controls, steps each pair once, and counts a violation
+    where the successor's :func:`_terminal_margin` is negative: outside X_f
+    by the same exact comparisons as :func:`in_terminal_set`.
     """
     rng = np.random.default_rng(rng_seed)
     s, i, r, d = sample_terminal_states(cert, params, samples, rng)
@@ -305,9 +287,7 @@ def check_invariance(
         s1, i1, _ = si_step(s[k], i[k], u[k], params)
         margin = _terminal_margin(s1, i1, cert)
         worst = min(worst, margin)
-        if not (
-            disease_free(i1) or bool(np.all(cert.ct_lam @ s1 <= cert.gamma_vec))
-        ):
+        if margin < 0:
             violations += 1
     return CheckReport(
         name="terminal_set_invariance",

@@ -24,39 +24,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import strategies
-from .certificates import CertificateParams, disease_free, epsilon_valid
+from .certificates import CertificateParams, disease_free, validate_epsilon
 from .errors import ContractViolation, SolverFailure, ValidationError
 from .model import EpidemicState, ModelParams, Trajectory, si_step, step
 from .results import DayRecord, ScenarioResult
+
+#: Weight of the terminal hinge penalty in penalty mode.
+PENALTY_WEIGHT = 1e6
 
 #: Penalty weight used to emulate the hard terminal constraint.
 HARD_MODE_WEIGHT = 1e9
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
+_MAX_ITERATIONS = 150
+_STEP_TOLERANCE = 1e-8
+_COST_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
 class MpcConfig:
-    """Controller, loop and solver settings.
+    """The controller's settings: the day's problem, the loop and the starts.
 
-    ``eradication_threshold`` may be a scalar (applied to every group) or a
-    per-group vector; it sets the eradication latch of
-    :func:`run_policy_loop`.  Days are one-based: the outbreak starts on day
-    1 and vaccination is allowed from ``vaccination_start_day`` on.
+    ``horizon``, ``epsilon``, ``v_bar`` and ``terminal_mode`` fix each day's
+    planning problem; ``eradication_threshold`` is one positive number, the
+    infected count every group must be at or below for the eradication
+    latch of :func:`run_policy_loop`.  Days are one-based: the outbreak
+    starts on day 1 and vaccination is allowed from
+    ``vaccination_start_day`` on.  ``rng_seed`` and ``n_restarts`` set the
+    solver's seeded random starts; its tolerances and iteration cap are
+    module constants.
     """
 
     horizon: int = 40
     epsilon: float = 0.1
     v_bar: float = 55191.0
-    eradication_threshold: float | tuple | np.ndarray = 1.0
+    eradication_threshold: float = 1.0
     strategy_horizon: int = 140
     vaccination_start_day: int = 61
-    max_iterations: int = 150
-    step_tolerance: float = 1e-8
-    cost_tolerance: float = 1e-10
     terminal_mode: str = "penalty"
-    penalty_weight: float = 1e6
     rng_seed: int = 0
     n_restarts: int = 3
 
@@ -65,27 +71,19 @@ class MpcConfig:
             raise ValidationError("horizon must be a positive number of days")
         if self.v_bar <= 0:
             raise ValidationError("v_bar must be positive")
-        if np.any(np.asarray(self.eradication_threshold, dtype=float) <= 0):
-            raise ValidationError("eradication_threshold must be positive")
+        threshold = self.eradication_threshold
+        if not isinstance(threshold, (int, float)) or threshold <= 0:
+            raise ValidationError("eradication_threshold must be a positive number")
         if self.strategy_horizon < 1:
             raise ValidationError("strategy_horizon must be positive")
         if self.vaccination_start_day < 0:
             raise ValidationError("vaccination_start_day must be nonnegative")
         if self.terminal_mode not in ("hard", "penalty"):
             raise ValidationError("terminal_mode must be 'hard' or 'penalty'")
-        if self.max_iterations < 1 or self.n_restarts < 0:
-            raise ValidationError("bad solver iteration settings")
-        if params is not None and not epsilon_valid(self.epsilon, params):
-            upper = float(np.min(params.removal))
-            raise ValidationError(
-                f"epsilon={self.epsilon} outside (0, {upper}) for these rates"
-            )
-
-    def eradication_vector(self, n_a: int) -> np.ndarray:
-        vec = np.broadcast_to(
-            np.asarray(self.eradication_threshold, dtype=float), (n_a,)
-        ).copy()
-        return vec
+        if self.n_restarts < 0:
+            raise ValidationError("n_restarts must be nonnegative")
+        if params is not None:
+            validate_epsilon(self.epsilon, params)
 
 
 @dataclass(frozen=True)
@@ -100,23 +98,14 @@ class SiTrajectory:
 
 @dataclass(frozen=True)
 class OcpProblem:
-    """One day's finite-horizon problem, self-contained and solver-ready."""
+    """One day's finite-horizon problem: the start state, the model, the
+    controller's settings and the terminal set they fix."""
 
     s0: np.ndarray
     i0: np.ndarray
     params: ModelParams
-    horizon: int
-    v_bar: float
-    epsilon: float
-    terminal_mode: str
-    penalty_weight: float
-    ct_lam: np.ndarray
-    gamma_vec: np.ndarray
-    max_iterations: int
-    step_tolerance: float
-    cost_tolerance: float
-    rng_seed: int
-    n_restarts: int
+    cfg: MpcConfig
+    cert: CertificateParams
 
     @property
     def n_a(self) -> int:
@@ -124,13 +113,11 @@ class OcpProblem:
 
     @property
     def n_decision_vars(self) -> int:
-        return self.horizon * self.n_a
+        return self.cfg.horizon * self.n_a
 
     @property
     def effective_weight(self) -> float:
-        if self.terminal_mode == "hard":
-            return max(self.penalty_weight, HARD_MODE_WEIGHT)
-        return self.penalty_weight
+        return HARD_MODE_WEIGHT if self.cfg.terminal_mode == "hard" else PENALTY_WEIGHT
 
 
 @dataclass(frozen=True)
@@ -146,27 +133,20 @@ class OcpSolution:
 def build_ocp(
     state: EpidemicState, cfg: MpcConfig, params: ModelParams
 ) -> OcpProblem:
-    """Assemble the day's planning problem from the current state."""
-    cfg.validate(params)
+    """Assemble the day's planning problem from the current state.
+
+    Epsilon is checked against the rates once, by the terminal-set
+    construction.
+    """
+    cfg.validate()
     if state.n_a != params.n_a:
         raise ContractViolation("state and params disagree on group count")
-    cert = CertificateParams.from_model(params, cfg.epsilon)
     return OcpProblem(
         s0=state.s.copy(),
         i0=state.i.copy(),
         params=params,
-        horizon=cfg.horizon,
-        v_bar=cfg.v_bar,
-        epsilon=cfg.epsilon,
-        terminal_mode=cfg.terminal_mode,
-        penalty_weight=cfg.penalty_weight,
-        ct_lam=cert.ct_lam,
-        gamma_vec=cert.gamma_vec,
-        max_iterations=cfg.max_iterations,
-        step_tolerance=cfg.step_tolerance,
-        cost_tolerance=cfg.cost_tolerance,
-        rng_seed=cfg.rng_seed,
-        n_restarts=cfg.n_restarts,
+        cfg=cfg,
+        cert=CertificateParams.from_model(params, cfg.epsilon),
     )
 
 
@@ -178,7 +158,7 @@ def _rollout(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
     A descent's start point is rolled out here directly, so that
     :func:`predict` runs once per line-search trial and once per solution.
     """
-    big_n, n = problem.horizon, problem.n_a
+    big_n, n = problem.cfg.horizon, problem.n_a
     s = np.empty((big_n + 1, n))
     i = np.empty((big_n + 1, n))
     u_eff = np.empty((big_n, n))
@@ -195,17 +175,18 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
 
 def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
     """Predicted deaths over the horizon plus the terminal cost."""
-    gd = problem.params.gamma_d
-    running = float((predicted.i[: problem.horizon] @ gd).sum())
-    terminal = float(gd @ predicted.i[problem.horizon]) / problem.epsilon
+    gd, big_n = problem.params.gamma_d, problem.cfg.horizon
+    running = float((predicted.i[:big_n] @ gd).sum())
+    terminal = float(gd @ predicted.i[big_n]) / problem.cfg.epsilon
     return running + terminal
 
 
 def terminal_slack(problem: OcpProblem, predicted: SiTrajectory) -> float:
     """Total violation of the terminal-set constraint at the horizon end."""
-    if disease_free(predicted.i[problem.horizon]):
+    big_n, cert = problem.cfg.horizon, problem.cert
+    if disease_free(predicted.i[big_n]):
         return 0.0
-    overshoot = problem.ct_lam @ predicted.s[problem.horizon] - problem.gamma_vec
+    overshoot = cert.ct_lam @ predicted.s[big_n] - cert.gamma_vec
     return float(np.maximum(0.0, overshoot).sum())
 
 
@@ -235,41 +216,27 @@ def _penalized_value(problem: OcpProblem, predicted: SiTrajectory) -> float:
     return value
 
 
-def _objective(problem: OcpProblem, controls: np.ndarray) -> float:
-    """Plan cost plus the weighted terminal slack."""
-    return _penalized_value(problem, predict(problem, controls))
-
-
-def _objective_and_gradient(
-    problem: OcpProblem,
-    controls: np.ndarray,
-    predicted: SiTrajectory | None = None,
-) -> tuple[float, np.ndarray]:
-    """Single-shooting objective with the adjoint-propagated gradient.
+def _gradient(
+    problem: OcpProblem, controls: np.ndarray, predicted: SiTrajectory
+) -> np.ndarray:
+    """Adjoint-propagated gradient of :func:`_penalized_value`.
 
     The backward pass runs on ``predicted``, the rollout of ``controls``:
     in the descent that is the path the line search already computed for
-    the accepted trial, and only a descent's start point is rolled out
-    here.  The clamp u_eff = min(u, max(0, S - new_infections)) is handled
-    by active-set bookkeeping read off that path: room is left exactly
-    where S' > 0, or S' == 0 with doses applied.  Where the clamp binds,
+    the accepted trial, or the rollout of a descent's start point.  The
+    clamp u_eff = min(u, max(0, S - new_infections)) is handled by
+    active-set bookkeeping read off that path: room is left exactly where
+    S' > 0, or S' == 0 with doses applied.  Where the clamp binds,
     the control has no local effect and its gradient entry is zero.
 
     Everything that does not depend on the adjoints is formed before the
     backward loop, with the same per-row arithmetic, so the result is
     bitwise the same as stepping it inside the loop.
     """
-    params = problem.params
-    n, big_n = problem.n_a, problem.horizon
+    params, cert = problem.params, problem.cert
+    n, big_n = problem.n_a, problem.cfg.horizon
     lam, gd = params.lam, params.gamma_d
-
-    if predicted is None:
-        predicted = _rollout(problem, controls)
     s, i, u_eff = predicted.s, predicted.i, predicted.u
-    slack = terminal_slack(problem, predicted)
-    weight = problem.effective_weight
-    value = plan_cost(problem, predicted)
-    value += weight * slack
 
     room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
     free_u = room & (u_eff == controls)  # u_eff == u and room left
@@ -281,10 +248,10 @@ def _objective_and_gradient(
     decay = 1.0 - params.removal
     contact_t = params.contact.T
     p_s = np.zeros(n)
-    if slack > 0:
-        overshoot = problem.ct_lam @ s[big_n] - problem.gamma_vec
-        p_s = weight * (problem.ct_lam.T @ (overshoot > 0).astype(float))
-    p_i = gd / problem.epsilon
+    if terminal_slack(problem, predicted) > 0:
+        overshoot = cert.ct_lam @ s[big_n] - cert.gamma_vec
+        p_s = problem.effective_weight * (cert.ct_lam.T @ (overshoot > 0).astype(float))
+    p_i = gd / problem.cfg.epsilon
 
     p_s_path = np.empty((big_n, n))
     for t in range(big_n - 1, -1, -1):
@@ -293,7 +260,7 @@ def _objective_and_gradient(
         flow = lam_s[t] * (p_i - keep[t] * p_s)
         p_i = gd + decay * p_i + contact_t @ flow
         p_s = p_s_next
-    return value, np.where(free_u, -p_s_path, 0.0)
+    return np.where(free_u, -p_s_path, 0.0)
 
 
 def _descend(
@@ -301,20 +268,21 @@ def _descend(
 ) -> tuple[np.ndarray, float, int]:
     """Projected-gradient descent from one start; returns (U, value, iters).
 
-    Only the start point is rolled out for the gradient; every later
-    gradient runs its backward pass on the rollout the line search made of
-    the accepted trial.
+    The start point is rolled out once; every later value and gradient
+    comes from the rollout the line search made of the accepted trial.
     """
-    v_bar = problem.v_bar
+    v_bar = problem.cfg.v_bar
     controls = project_capacity(start, v_bar)
-    value, grad = _objective_and_gradient(problem, controls)
+    path = _rollout(problem, controls)
+    value = _penalized_value(problem, path)
     if not np.isfinite(value):
         raise SolverFailure(f"non-finite objective {value} at the start point")
+    grad = _gradient(problem, controls, path)
     scale = np.max(np.abs(grad))
     step_len = v_bar / scale if scale > 0 else 1.0
     iterations = 0
     stalls = 0
-    for _ in range(problem.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         iterations += 1
         moved = False
         for _ in range(_MAX_BACKTRACKS):
@@ -334,10 +302,10 @@ def _descend(
             break
         drop = value - trial_value
         controls, value = trial, trial_value
-        value, grad = _objective_and_gradient(problem, controls, trial_path)
-        if displacement <= problem.step_tolerance * (1.0 + float(np.linalg.norm(controls))):
+        grad = _gradient(problem, controls, trial_path)
+        if displacement <= _STEP_TOLERANCE * (1.0 + float(np.linalg.norm(controls))):
             break
-        if drop <= problem.cost_tolerance * (1.0 + abs(value)):
+        if drop <= _COST_TOLERANCE * (1.0 + abs(value)):
             stalls += 1
             if stalls >= 3:
                 break
@@ -356,7 +324,7 @@ _PATTERN_START_LIMIT = 64
 def _start_points(
     problem: OcpProblem, warm_start: np.ndarray | None
 ) -> list[np.ndarray]:
-    n, big_n, v_bar = problem.n_a, problem.horizon, problem.v_bar
+    n, big_n, v_bar = problem.n_a, problem.cfg.horizon, problem.cfg.v_bar
     starts: list[np.ndarray] = []
     if warm_start is not None:
         warm = np.asarray(warm_start, dtype=float)
@@ -377,8 +345,8 @@ def _start_points(
             if all(c == combo[0] for c in combo):
                 continue  # constant patterns are already in the start list
             starts.append(np.array([day_choices[c] for c in combo]))
-    rng = np.random.default_rng(problem.rng_seed)
-    for _ in range(problem.n_restarts):
+    rng = np.random.default_rng(problem.cfg.rng_seed)
+    for _ in range(problem.cfg.n_restarts):
         starts.append(rng.uniform(0.0, v_bar, size=(big_n, n)))
     return starts
 
@@ -467,7 +435,6 @@ def run_policy_loop(
         )
     n = params.n_a
     n_days = cfg.strategy_horizon
-    i_e = cfg.eradication_vector(n)
     controls = np.zeros((n_days, n))
     records: list[DayRecord] = []
     states = [state0]
@@ -479,7 +446,7 @@ def run_policy_loop(
         u = np.zeros(n)
         record = DayRecord(day=day)
         if day >= cfg.vaccination_start_day and latch_day is None:
-            if bool(np.all(state.i <= i_e)):
+            if bool(np.all(state.i <= cfg.eradication_threshold)):
                 latch_day = day
             else:
                 try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,21 +93,7 @@ WALLONIA_2020 = {
 
 PRESETS = {"wallonia-2020": WALLONIA_2020}
 
-_MPC_FIELDS = {
-    "horizon",
-    "epsilon",
-    "v_bar",
-    "eradication_threshold",
-    "strategy_horizon",
-    "vaccination_start_day",
-    "max_iterations",
-    "step_tolerance",
-    "cost_tolerance",
-    "terminal_mode",
-    "penalty_weight",
-    "rng_seed",
-    "n_restarts",
-}
+_MPC_FIELDS = {f.name for f in fields(mpc_mod.MpcConfig)}
 
 
 @dataclass(frozen=True)
@@ -147,10 +133,6 @@ class ScenarioConfig:
             "policy": self.policy,
             "mpc": asdict(self.mpc),
         }
-        if isinstance(out["mpc"]["eradication_threshold"], np.ndarray):
-            out["mpc"]["eradication_threshold"] = list(
-                out["mpc"]["eradication_threshold"]
-            )
         if self.age_groups:
             out["age_groups"] = list(self.age_groups)
         if self.output_dir:
@@ -191,10 +173,8 @@ class ScenarioConfig:
                 "v_bar": self.mpc.v_bar,
                 "vaccination_start_day": self.mpc.vaccination_start_day,
                 "strategy_horizon": self.mpc.strategy_horizon,
-                "eradication_threshold": np.broadcast_to(
-                    np.asarray(self.mpc.eradication_threshold, dtype=float),
-                    (self.n_a,),
-                ).tolist(),
+                "eradication_threshold": [float(self.mpc.eradication_threshold)]
+                * self.n_a,
             },
             sort_keys=True,
         )
@@ -278,13 +258,13 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     mpc_raw = dict(merged.get("mpc", {}))
     for key in mpc_raw:
         _require(key in _MPC_FIELDS, f"mpc.{key}", "unknown controller field")
-    if isinstance(mpc_raw.get("eradication_threshold"), list):
-        mpc_raw["eradication_threshold"] = tuple(mpc_raw["eradication_threshold"])
     try:
         mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
         mpc_cfg.validate()
     except TypeError as exc:
         raise ValidationError(f"mpc: {exc}") from exc
+    except ValidationError as exc:  # its messages start with the field name
+        raise ValidationError(f"mpc.{exc}") from exc
 
     age_groups = merged.get("age_groups")
     if age_groups is not None:
@@ -619,8 +599,18 @@ def load_metrics(run_dir: str | Path) -> dict:
 
 
 def compare_run_dirs(run_dirs: list[str | Path]) -> ComparisonReport:
-    """Comparison report from saved run directories (fingerprints must match)."""
+    """Comparison report from saved run directories.
+
+    Two or more directories must each carry the same scenario fingerprint;
+    one without a fingerprint cannot be shown to share the others' inputs.
+    """
     payloads = [load_metrics(d) for d in run_dirs]
+    if len(payloads) > 1:
+        for run_dir, payload in zip(run_dirs, payloads):
+            if "fingerprint" not in payload:
+                raise ContractViolation(
+                    f"{run_dir}: metrics.json has no scenario fingerprint"
+                )
     prints = {p.get("fingerprint") for p in payloads}
     if len(prints) > 1:
         raise ContractViolation(

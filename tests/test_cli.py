@@ -88,6 +88,17 @@ class TestSimulate:
         bad.write_text(json.dumps({"preset": "wallonia-2020", "policy": "magic"}))
         assert cli.main(["simulate", "--config", str(bad), "--out", "x"]) == 1
 
+    def test_per_group_threshold_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(
+            json.dumps(
+                {"preset": "wallonia-2020", "mpc": {"eradication_threshold": [1.0, 2.0]}}
+            )
+        )
+        code = cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_solver_failure_exits_two(self, desk_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("numerical blow-up")

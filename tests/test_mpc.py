@@ -11,8 +11,9 @@ from vaxmpc.errors import ValidationError
 from vaxmpc.mpc import (
     OcpSolution,
     SiTrajectory,
-    _objective,
-    _objective_and_gradient,
+    _gradient,
+    _penalized_value,
+    _rollout,
     _start_points,
     build_ocp,
     plan_cost,
@@ -32,13 +33,13 @@ def grid_search(problem, levels=11):
     Independent of the solver path: rolls the reduced dynamics with its own
     vectorized arithmetic and returns (best penalized value, best sequence).
     """
-    n_a, horizon = problem.n_a, problem.horizon
+    n_a, horizon = problem.n_a, problem.cfg.horizon
     lam, contact = problem.params.lam, problem.params.contact
     removal = problem.params.gamma_r + problem.params.gamma_d
     gd = problem.params.gamma_d
     step_controls = np.array(
         [
-            problem.v_bar * np.array(combo) / (levels - 1)
+            problem.cfg.v_bar * np.array(combo) / (levels - 1)
             for combo in itertools.product(range(levels), repeat=n_a)
             if sum(combo) <= levels - 1
         ]
@@ -57,9 +58,9 @@ def grid_search(problem, levels=11):
         u_eff = np.minimum(u, np.maximum(0.0, s - new_inf))
         s = s - new_inf - u_eff
         i = i + new_inf - removal[None, :] * i
-    cost += (i @ gd) / problem.epsilon
+    cost += (i @ gd) / problem.cfg.epsilon
     slack = np.maximum(
-        0.0, s @ problem.ct_lam.T - problem.gamma_vec[None, :]
+        0.0, s @ problem.cert.ct_lam.T - problem.cert.gamma_vec[None, :]
     ).sum(axis=1)
     slack[np.abs(i).sum(axis=1) <= 1e-12] = 0.0
     total = cost + problem.effective_weight * slack
@@ -168,14 +169,14 @@ def random_plans(problem, rng, count):
     """Admissible plans from nearly idle up to capacity-saturating, then one
     plan per group that spends most of the capacity on it, so the clamp
     binds and the group empties."""
-    shape = (problem.horizon, problem.n_a)
+    shape, v_bar = (problem.cfg.horizon, problem.n_a), problem.cfg.v_bar
     for k in range(count):
         scale = (0.01, 0.05, 0.5, 2.0)[k % 4]
-        yield project_capacity(rng.uniform(0.0, scale, shape) * problem.v_bar, problem.v_bar)
+        yield project_capacity(rng.uniform(0.0, scale, shape) * v_bar, v_bar)
     for k in range(problem.n_a):
         plan = rng.uniform(0.0, 0.1, shape)
         plan[:, k] = 1.0
-        yield project_capacity(plan * problem.v_bar, problem.v_bar)
+        yield project_capacity(plan * v_bar, v_bar)
 
 
 def kink_distances(problem, controls):
@@ -189,7 +190,7 @@ def kink_distances(problem, controls):
         np.min(np.abs(room[live]), initial=np.inf),
         np.min(np.abs(controls - room)),
     )
-    overshoot = problem.ct_lam @ pred.s[-1] - problem.gamma_vec
+    overshoot = problem.cert.ct_lam @ pred.s[-1] - problem.cert.gamma_vec
     return clamp, float(np.min(np.abs(overshoot)))
 
 
@@ -197,42 +198,41 @@ def binding_mask(problem, controls):
     """Where the plant applies fewer doses than planned."""
     s, i = problem.s0, problem.i0
     binding = np.zeros(controls.shape, dtype=bool)
-    for t in range(problem.horizon):
+    for t in range(problem.cfg.horizon):
         s, i, applied = si_step(s, i, controls[t], problem.params)
         binding[t] = applied < controls[t]
     return binding
 
 
-class TestObjectiveGradient:
-    def test_value_equals_objective_bitwise(
-        self, preset_config, preset_params, preset_state0
-    ):
-        rng = np.random.default_rng(0)
-        for problem in gradient_problems(preset_config, preset_params, preset_state0):
-            for controls in random_plans(problem, rng, 8):
-                value, _ = _objective_and_gradient(problem, controls)
-                assert value == _objective(problem, controls)
+def gradient(problem, controls):
+    return _gradient(problem, controls, predict(problem, controls))
 
+
+def objective(problem, controls):
+    return _penalized_value(problem, predict(problem, controls))
+
+
+class TestObjectiveGradient:
     def test_matches_central_differences_away_from_kinks(
         self, preset_config, preset_params, preset_state0
     ):
         rng = np.random.default_rng(1)
         checked = []
         for problem in gradient_problems(preset_config, preset_params, preset_state0):
-            h = 1e-4 * problem.v_bar
+            h = 1e-4 * problem.cfg.v_bar
             count = 2 if problem.n_a == 6 else 6
             for controls in random_plans(problem, rng, count):
                 clamp, hinge = kink_distances(problem, controls)
-                if clamp < 100 * h or hinge < 1e-3 * np.min(problem.gamma_vec):
+                if clamp < 100 * h or hinge < 1e-3 * np.min(problem.cert.gamma_vec):
                     continue
-                _, grad = _objective_and_gradient(problem, controls)
+                grad = gradient(problem, controls)
                 central = np.empty_like(grad)
                 for idx in np.ndindex(*grad.shape):
                     bump = np.zeros_like(controls)
                     bump[idx] = h
                     central[idx] = (
-                        _objective(problem, controls + bump)
-                        - _objective(problem, controls - bump)
+                        objective(problem, controls + bump)
+                        - objective(problem, controls - bump)
                     ) / (2 * h)
                 scale = np.max(np.abs(grad))
                 assert np.max(np.abs(central - grad)) <= 1e-6 * scale
@@ -247,7 +247,7 @@ class TestObjectiveGradient:
         for problem in gradient_problems(preset_config, preset_params, preset_state0):
             for controls in random_plans(problem, rng, 4):
                 binding = binding_mask(problem, controls)
-                _, grad = _objective_and_gradient(problem, controls)
+                grad = gradient(problem, controls)
                 assert np.all(grad[binding] == 0.0)
                 binding_total += int(binding.sum())
         assert binding_total > 0
@@ -256,19 +256,17 @@ class TestObjectiveGradient:
         self, preset_config, preset_params, preset_state0
     ):
         """The descent hands the line search's path to the backward pass;
-        value and gradient must be the bits a fresh rollout gives."""
+        the gradient must be the bits a fresh rollout gives."""
         rng = np.random.default_rng(3)
         negative_zeros = binding = 0
         for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            v_bar = problem.cfg.v_bar
             for controls in random_plans(problem, rng, 4):
-                _, grad = _objective_and_gradient(problem, controls)
-                step_len = problem.v_bar / max(np.max(np.abs(grad)), 1e-300)
-                trial = project_capacity(controls - 0.1 * step_len * grad, problem.v_bar)
-                fresh_value, fresh_grad = _objective_and_gradient(problem, trial)
-                value, grad = _objective_and_gradient(
-                    problem, trial, predict(problem, trial)
-                )
-                assert np.float64(value).tobytes() == np.float64(fresh_value).tobytes()
+                grad = gradient(problem, controls)
+                step_len = v_bar / max(np.max(np.abs(grad)), 1e-300)
+                trial = project_capacity(controls - 0.1 * step_len * grad, v_bar)
+                fresh_grad = _gradient(problem, trial, _rollout(problem, trial))
+                grad = _gradient(problem, trial, predict(problem, trial))
                 assert grad.tobytes() == fresh_grad.tobytes()
                 negative_zeros += int(np.sum((grad == 0) & np.signbit(grad)))
                 binding += int(binding_mask(problem, trial).sum())
@@ -328,7 +326,7 @@ class TestTerminalSlack:
         problem = build_ocp(
             vaxmpc.initial_state(preset_params, zeros), preset_config.mpc, preset_params
         )
-        big_n = problem.horizon
+        big_n = problem.cfg.horizon
         for i_end, inside in ((np.full(6, 5e-13), True), (np.full(6, 2e-12), False)):
             state = vaxmpc.EpidemicState(s=pop - 3e-12, i=i_end, r=zeros, d=zeros)
             assert not np.all(cert.ct_lam @ state.s <= cert.gamma_vec)
@@ -515,7 +513,7 @@ class TestMpcConfigValidation:
             {"v_bar": 0.0},
             {"eradication_threshold": 0.0},
             {"terminal_mode": "soft"},
-            {"max_iterations": 0},
+            {"n_restarts": -1},
         ],
     )
     def test_bad_settings_rejected(self, kwargs):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from vaxmpc.scenario import (
 DEATHS_DAY_61 = 1271.71162129538
 DEATHS_DAY_140_NATIONAL = 2183.25718934918
 DEATHS_DAY_140_MPC = 2123.11862987758
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestPreset:
@@ -110,6 +114,21 @@ class TestConfig:
         )
         assert config.mpc.rng_seed == 9
         assert config.mpc.horizon == 40  # untouched preset value
+
+    def test_per_group_threshold_rejected(self):
+        with pytest.raises(ValidationError, match="mpc.eradication_threshold"):
+            config_from_dict(
+                {"preset": "wallonia-2020", "mpc": {"eradication_threshold": [1.0, 2.0]}}
+            )
+
+    def test_readme_configs_load_and_schema_lists_every_field(self):
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+        configs = [json.loads(block) for block in blocks]
+        for data in configs:
+            config_from_dict(data)
+        (schema,) = [data for data in configs if "model" in data]
+        fields = {f.name for f in dataclasses.fields(vaxmpc.MpcConfig)}
+        assert set(schema["mpc"]) == fields
 
 
 class TestContactMatrixLoading:
@@ -328,6 +347,30 @@ class TestWriters:
         write_run(desk_run, tmp_path / "b", fingerprint="two")
         with pytest.raises(ContractViolation):
             compare_run_dirs([tmp_path / "a", tmp_path / "b"])
+
+    def test_compare_run_dirs_requires_fingerprints(
+        self, desk_run, desk_params, desk_state0, tmp_path
+    ):
+        other = vaxmpc.ModelParams(
+            lam=np.array([0.07, 0.08]),
+            gamma_r=desk_params.gamma_r,
+            gamma_d=desk_params.gamma_d,
+            population=desk_params.population,
+            contact=desk_params.contact,
+        )
+        cfg = vaxmpc.MpcConfig(
+            horizon=3, v_bar=400.0, vaccination_start_day=1, strategy_horizon=12
+        )
+        none_run = vaxmpc.run_policy_loop(
+            vaxmpc.initial_state(other, desk_state0.i), cfg, other, "none"
+        )
+        with pytest.raises(ContractViolation):
+            vaxmpc.compare([desk_run, none_run])
+        write_run(desk_run, tmp_path / "a")
+        write_run(none_run, tmp_path / "b")
+        with pytest.raises(ContractViolation, match="fingerprint"):
+            compare_run_dirs([tmp_path / "a", tmp_path / "b"])
+        assert compare_run_dirs([tmp_path / "a"]).metrics[0].policy == "national"
 
     def test_diagnostics_written_for_predictive_runs(
         self, desk_params, desk_state0, desk_cfg, tmp_path
