@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .model import EpidemicState, ModelParams, si_step
+from .model import EpidemicState, ModelParams, matvec_rows, si_step
 from .results import ScenarioResult
 
 #: Absolute tolerance below which an infected vector counts as disease-free.
@@ -172,16 +172,21 @@ def in_terminal_set(
     """
     if params is not None and state.n_a != params.n_a:
         raise ContractViolation("state and params disagree on group count")
-    if disease_free(state.i):
-        return True
-    return bool(np.all(cert.ct_lam @ state.s <= cert.gamma_vec))
+    return bool(_terminal_margin(state.s, state.i, cert) >= 0)
 
 
-def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> float:
-    """Signed membership margin: >= 0 inside X_f, < 0 outside."""
-    linear = float(np.min(cert.gamma_vec - cert.ct_lam @ s))
-    free = XSTAR_ATOL - float(np.max(np.abs(i)))  # >= 0 iff disease_free(i)
-    return max(linear, free)
+def _constraint_margin(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
+    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma.
+    The one membership product, shared by the sampler and the X_f test."""
+    load = matvec_rows(cert.ct_lam, s)
+    # in place: the sampler passes batches of up to 2M candidate rows
+    return np.min(np.subtract(cert.gamma_vec, load, out=load), axis=-1)
+
+
+def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> np.ndarray:
+    """Signed membership margin per row: >= 0 inside X_f, < 0 outside."""
+    free = XSTAR_ATOL - np.max(np.abs(i), axis=-1)  # >= 0 iff disease_free(i)
+    return np.maximum(_constraint_margin(s, cert), free)
 
 
 def susceptible_box(cert: CertificateParams, params: ModelParams) -> np.ndarray:
@@ -221,7 +226,7 @@ def sample_terminal_states(
         if accepted.shape[0] >= n:
             break
         cand = rng.uniform(0.0, 1.0, size=(batch, n_a)) * box
-        ok = np.all(cand @ cert.ct_lam.T <= cert.gamma_vec, axis=1)
+        ok = _constraint_margin(cand, cert) >= 0
         accepted = np.concatenate([accepted, cand[ok]], axis=0)
         rate = max(ok.mean(), 1e-4)
         batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
@@ -232,7 +237,7 @@ def sample_terminal_states(
     n_boundary = int(round(boundary_fraction * n))
     if n_boundary:
         sb = s[:n_boundary].copy()
-        load = sb @ cert.ct_lam.T
+        load = matvec_rows(cert.ct_lam, sb)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_constraint = np.where(load > 0, cert.gamma_vec[None, :] / load, np.inf).min(axis=1)
             t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
@@ -241,7 +246,7 @@ def sample_terminal_states(
         sb = sb * t[:, None]
         # float rounding can push a scaled point a hair outside; nudge back
         for _ in range(4):
-            bad = ~np.all(sb @ cert.ct_lam.T <= cert.gamma_vec, axis=1)
+            bad = _constraint_margin(sb, cert) < 0
             if not bad.any():
                 break
             sb[bad] *= 1.0 - 1e-14
@@ -281,19 +286,13 @@ def check_invariance(
     rng = np.random.default_rng(rng_seed)
     s, i, r, d = sample_terminal_states(cert, params, samples, rng)
     u = _sample_controls(samples, params.n_a, v_bar, rng)
-    violations = 0
-    worst = np.inf
-    for k in range(samples):
-        s1, i1, _ = si_step(s[k], i[k], u[k], params)
-        margin = _terminal_margin(s1, i1, cert)
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+    s1, i1, _ = si_step(s, i, u, params)
+    margin = _terminal_margin(s1, i1, cert)
     return CheckReport(
         name="terminal_set_invariance",
         n_samples=samples,
-        n_violations=violations,
-        worst_margin=float(worst),
+        n_violations=int(np.count_nonzero(margin < 0)),
+        worst_margin=float(margin.min(initial=np.inf)),
         seed=rng_seed,
     )
 
@@ -314,8 +313,8 @@ def check_lyapunov_decrease(
 
     and the terminal-cost analogue V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n),
     both with relative slack 1e-9.  Also re-steps each state with a random
-    admissible input and asserts the infected successor is bitwise identical,
-    confirming the decrease condition does not depend on the input.
+    admissible input, with margin -inf unless the infected successor is
+    bitwise identical: the decrease condition must not depend on the input.
     """
     rng = np.random.default_rng(rng_seed)
     s, i, r, d = sample_terminal_states(cert, params, samples, rng)
@@ -326,30 +325,23 @@ def check_lyapunov_decrease(
     u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
     gd = params.gamma_d
     eps = cert.epsilon
-    violations = 0
-    worst = np.inf
-    for k in range(samples):
-        cost_now = float(gd @ i[k])
-        s1, i1, _ = si_step(s[k], i[k], np.zeros(params.n_a), params)
-        cost_next = float(gd @ i1)
-        # one-step decrease with margin epsilon
-        margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / cost_now
-        # terminal-cost decrease: (1/eps)(cost_next - cost_now) <= -cost_now
-        vf_now = cost_now / eps
-        vf_next = cost_next / eps
-        margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / vf_now
-        margin = min(margin_dec, margin_vf)
-        _, i1_u, _ = si_step(s[k], i[k], u_rand[k], params)
-        if not np.array_equal(i1, i1_u):
-            margin = min(margin, -np.inf)
-        worst = min(worst, margin)
-        if margin < 0:
-            violations += 1
+    cost_now = matvec_rows(gd, i)
+    _, i1, _ = si_step(s, i, np.zeros_like(s), params)
+    cost_next = matvec_rows(gd, i1)
+    # one-step decrease with margin epsilon
+    margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / cost_now
+    # terminal-cost decrease: (1/eps)(cost_next - cost_now) <= -cost_now
+    vf_now = cost_now / eps
+    vf_next = cost_next / eps
+    margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / vf_now
+    margin = np.minimum(margin_dec, margin_vf)
+    _, i1_u, _ = si_step(s, i, u_rand, params)
+    margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
     return CheckReport(
         name="lyapunov_decrease",
         n_samples=samples,
-        n_violations=violations,
-        worst_margin=float(worst),
+        n_violations=int(np.count_nonzero(margin < 0)),
+        worst_margin=float(margin.min(initial=np.inf)),
         seed=rng_seed,
     )
 
@@ -382,9 +374,9 @@ def check_eta_bound(
         i = i0
         for _day in range(days):
             u = _sample_controls(1, n_a, v_bar, rng)[0]
-            cost_now = float(gd @ i)
+            cost_now = float(matvec_rows(gd, i))
             s, i, _ = si_step(s, i, u, params)
-            cost_next = float(gd @ i)
+            cost_next = float(matvec_rows(gd, i))
             bound = eta * cost_now
             margin = (bound * (1.0 + ETA_RTOL) - cost_next) / max(bound, 1e-300)
             worst = min(worst, margin)

@@ -21,6 +21,7 @@ equations (dS = -infections - u, dI = infections - (gr + gd) I,
 dR = gr I + u, dD = gd I); the continuous form is documented here for
 reference but never integrated, and the step size is fixed at one day.
 All functions are pure; states and parameters are immutable value objects.
+The (S, I) dynamics take (..., n_a) batches; each row's bits match it alone.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class ModelParams:
         # Worst-case (I = P) infection pressure; beyond 1 the Euler step can
         # drive S negative.  Warn rather than reject: the dynamics stay
         # conservative either way.
-        pressure = self.lam * (self.contact @ self.population)
+        pressure = self.lam * matvec_rows(self.contact, self.population)
         if np.any(pressure > 1):
             worst = int(np.argmax(pressure))
             warnings.warn(
@@ -198,6 +199,21 @@ def validate_control(u: np.ndarray, n_a: int, v_bar: float | None = None) -> np.
     return u
 
 
+def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a`` (m, n) or (n,) times each row of ``x`` (..., n), over any batch axes.
+
+    A row's result is bitwise the same alone or in a batch of any shape:
+    each row goes to the same gemv (or dot), where a gemm such as
+    ``x @ a.T`` may sum some rows in another order.
+    """
+    return (a @ x[..., None])[..., 0]
+
+
+def new_infections(s: np.ndarray, i: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Daily new infections lam_k * S_k * sum_j C_kj I_j, per row of (S, I)."""
+    return params.lam * s * matvec_rows(params.contact, i)
+
+
 def si_step(
     s: np.ndarray, i: np.ndarray, u: np.ndarray, params: ModelParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,9 +223,9 @@ def si_step(
     full model step, the controller's prediction rollout and the sampled
     certificates, so predicted and realized trajectories agree bitwise.  The
     removal rate gamma_r + gamma_d is read precomputed from
-    ``params.removal``.
+    ``params.removal``.  Inputs may carry leading batch axes.
     """
-    new_inf = params.lam * s * (params.contact @ i)
+    new_inf = new_infections(s, i, params)
     room = s - new_inf
     u_eff = np.minimum(u, np.maximum(0.0, room))
     s_next = room - u_eff
@@ -264,15 +280,6 @@ def initial_state(params: ModelParams, i0: np.ndarray) -> EpidemicState:
         raise ValidationError("i0 must satisfy 0 <= i0_k <= P_k")
     zeros = np.zeros(params.n_a)
     return EpidemicState(s=params.population - i0, i=i0, r=zeros, d=zeros, time_step=0)
-
-
-def new_infections(state: EpidemicState, params: ModelParams) -> np.ndarray:
-    """Daily new infections per group, lam_k * S_k * sum_j C_kj I_j."""
-    if state.n_a != params.n_a:
-        raise ContractViolation(
-            f"state has {state.n_a} groups, params has {params.n_a}"
-        )
-    return params.lam * state.s * (params.contact @ state.i)
 
 
 @dataclass(frozen=True)

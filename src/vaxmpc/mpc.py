@@ -19,14 +19,16 @@ bitwise-identical solutions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import strategies
 from .certificates import CertificateParams, disease_free, validate_epsilon
 from .errors import ContractViolation, SolverFailure, ValidationError
-from .model import EpidemicState, ModelParams, Trajectory, si_step, step
+from .model import EpidemicState, ModelParams, Trajectory, matvec_rows, si_step, step
 from .results import DayRecord, ScenarioResult
 
 #: Weight of the terminal hinge penalty in penalty mode.
@@ -67,12 +69,18 @@ class MpcConfig:
     n_restarts: int = 3
 
     def validate(self, params: ModelParams | None = None) -> None:
+        for fld in fields(self):  # the annotations are the settings' types
+            value = getattr(self, fld.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if fld.type == "int" and not (number and isinstance(value, numbers.Integral)):
+                raise ValidationError(f"{fld.name} must be an integer")
+            if fld.type == "float" and not (number and math.isfinite(value)):
+                raise ValidationError(f"{fld.name} must be a finite number")
         if self.horizon < 1:
             raise ValidationError("horizon must be a positive number of days")
         if self.v_bar <= 0:
             raise ValidationError("v_bar must be positive")
-        threshold = self.eradication_threshold
-        if not isinstance(threshold, (int, float)) or threshold <= 0:
+        if self.eradication_threshold <= 0:
             raise ValidationError("eradication_threshold must be a positive number")
         if self.strategy_horizon < 1:
             raise ValidationError("strategy_horizon must be positive")
@@ -82,6 +90,8 @@ class MpcConfig:
             raise ValidationError("terminal_mode must be 'hard' or 'penalty'")
         if self.n_restarts < 0:
             raise ValidationError("n_restarts must be nonnegative")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be nonnegative")
         if params is not None:
             validate_epsilon(self.epsilon, params)
 
@@ -176,8 +186,9 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
 def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
     """Predicted deaths over the horizon plus the terminal cost."""
     gd, big_n = problem.params.gamma_d, problem.cfg.horizon
+    # one gemv, not per-row dots, keeps the bits of V_N0 in the diagnostics
     running = float((predicted.i[:big_n] @ gd).sum())
-    terminal = float(gd @ predicted.i[big_n]) / problem.cfg.epsilon
+    terminal = float(matvec_rows(gd, predicted.i[big_n])) / problem.cfg.epsilon
     return running + terminal
 
 
@@ -186,7 +197,7 @@ def terminal_slack(problem: OcpProblem, predicted: SiTrajectory) -> float:
     big_n, cert = problem.cfg.horizon, problem.cert
     if disease_free(predicted.i[big_n]):
         return 0.0
-    overshoot = cert.ct_lam @ predicted.s[big_n] - cert.gamma_vec
+    overshoot = matvec_rows(cert.ct_lam, predicted.s[big_n]) - cert.gamma_vec
     return float(np.maximum(0.0, overshoot).sum())
 
 
@@ -241,15 +252,14 @@ def _gradient(
     room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
     free_u = room & (u_eff == controls)  # u_eff == u and room left
     keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
-    # marginal infection rate, one matvec per day as in si_step
-    rate = lam * np.array([params.contact @ i[t] for t in range(big_n)])
+    rate = lam * matvec_rows(params.contact, i[:big_n])  # as in si_step
     hold = 1.0 - rate
     lam_s = lam * s[:big_n]
     decay = 1.0 - params.removal
     contact_t = params.contact.T
     p_s = np.zeros(n)
     if terminal_slack(problem, predicted) > 0:
-        overshoot = cert.ct_lam @ s[big_n] - cert.gamma_vec
+        overshoot = matvec_rows(cert.ct_lam, s[big_n]) - cert.gamma_vec
         p_s = problem.effective_weight * (cert.ct_lam.T @ (overshoot > 0).astype(float))
     p_i = gd / problem.cfg.epsilon
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, Trajectory
+from .model import ModelParams, Trajectory, matvec_rows
 
 
 @dataclass(frozen=True)
@@ -69,4 +69,4 @@ class ScenarioResult:
 
     def daily_deaths(self) -> np.ndarray:
         """Stage cost per state index: gamma_d' I(t) for t = 0..T."""
-        return self.trajectory.i @ self.params.gamma_d
+        return matvec_rows(self.params.gamma_d, self.trajectory.i)

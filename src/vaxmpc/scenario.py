@@ -31,7 +31,7 @@ import numpy as np
 
 from . import mpc as mpc_mod
 from .errors import ContractViolation, ValidationError
-from .model import EpidemicState, ModelParams, initial_state
+from .model import EpidemicState, ModelParams, initial_state, new_infections
 from .results import ScenarioResult
 from .strategies import POLICIES
 
@@ -395,12 +395,11 @@ def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
     group's infected count at or below the threshold.
     """
     traj = run.trajectory
-    params = run.params
     n_days = traj.n_steps
     deaths_total = float(traj.d[n_days - 1].sum())
     start_idx = run.vaccination_start_day - 1 - traj.start_time_step
     deaths_at_start = float(traj.d[min(max(start_idx, 0), n_days)].sum())
-    new_inf = (params.lam * traj.s[:n_days]) * (traj.i[:n_days] @ params.contact.T)
+    new_inf = new_infections(traj.s[:n_days], traj.i[:n_days], run.params)
     cumulative = float(new_inf.sum()) + float(traj.i[0].sum())
     return ScenarioMetrics(
         policy=run.policy,

@@ -5,11 +5,15 @@ import pytest
 
 import vaxmpc
 from vaxmpc.certificates import (
+    LYAPUNOV_RTOL,
+    XSTAR_ATOL,
     CertificateParams,
+    _sample_controls,
     sample_terminal_states,
     susceptible_box,
 )
 from vaxmpc.errors import ContractViolation, ValidationError
+from vaxmpc.model import si_step
 
 #: min_k (gamma_r_k + gamma_d_k) for the preset rates, attained by group 3
 #: (45-64): 0.5707245171 + 0.0232746601.
@@ -110,8 +114,9 @@ class TestSampling:
         cert = CertificateParams.from_model(preset_params, 0.1)
         rng = np.random.default_rng(0)
         s, i, r, d = sample_terminal_states(cert, preset_params, 500, rng)
-        loads = s @ cert.ct_lam.T
-        assert np.all(loads <= cert.gamma_vec)
+        for row in zip(s, i, r, d):
+            state = vaxmpc.EpidemicState(*row)
+            assert vaxmpc.in_terminal_set(state, cert, preset_params)
         assert np.all(s >= 0) and np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
         assert np.allclose(
             s + i + r + d, preset_params.population, rtol=1e-12, atol=0
@@ -123,7 +128,9 @@ class TestSampling:
         s, _, _, _ = sample_terminal_states(
             cert, preset_params, 200, rng, boundary_fraction=0.5
         )
-        margins = np.min(cert.gamma_vec - s[:100] @ cert.ct_lam.T, axis=1)
+        margins = np.array(
+            [np.min(cert.gamma_vec - cert.ct_lam @ row) for row in s[:100]]
+        )
         assert np.all(margins >= 0)
         # most scaled points touch the constraint up to rounding; the rest
         # hit the population box first, which also bounds the scaling
@@ -137,6 +144,69 @@ class TestSampling:
             corner = np.zeros(6)
             corner[k] = box[k]
             assert np.all(cert.ct_lam @ corner <= cert.gamma_vec * (1 + 1e-12))
+
+
+def reference_invariance(cert, params, samples, rng_seed, v_bar):
+    """Per-sample loop over the invariance check, one si_step per state."""
+    rng = np.random.default_rng(rng_seed)
+    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    u = _sample_controls(samples, params.n_a, v_bar, rng)
+    violations, worst = 0, np.inf
+    for k in range(samples):
+        s1, i1, _ = si_step(s[k], i[k], u[k], params)
+        linear = float(np.min(cert.gamma_vec - cert.ct_lam @ s1))
+        margin = max(linear, XSTAR_ATOL - float(np.max(np.abs(i1))))
+        worst = min(worst, margin)
+        violations += margin < 0
+    return violations, worst
+
+
+def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
+    """Per-sample loop over the decrease check, one si_step pair per state."""
+    rng = np.random.default_rng(rng_seed)
+    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    zero_rows = i.sum(axis=1) <= 0.0
+    i[zero_rows] = 0.5 * (params.population - s[zero_rows])
+    u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
+    gd, eps = params.gamma_d, cert.epsilon
+    violations, worst = 0, np.inf
+    for k in range(samples):
+        cost_now = float(gd @ i[k])
+        _, i1, _ = si_step(s[k], i[k], np.zeros(params.n_a), params)
+        cost_next = float(gd @ i1)
+        margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / cost_now
+        vf_now, vf_next = cost_now / eps, cost_next / eps
+        margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / vf_now
+        margin = min(margin_dec, margin_vf)
+        _, i1_u, _ = si_step(s[k], i[k], u_rand[k], params)
+        if not np.array_equal(i1, i1_u):
+            margin = -np.inf
+        worst = min(worst, margin)
+        violations += margin < 0
+    return violations, worst
+
+
+class TestBatchedChecks:
+    """The batched checks report exactly what a per-sample loop reports."""
+
+    @pytest.mark.parametrize("instance", ["preset", "desk"])
+    def test_reports_equal_per_sample_loops(self, instance, request):
+        params = request.getfixturevalue(f"{instance}_params")
+        v_bar = 55191.0 if instance == "preset" else 1200.0
+        cert = CertificateParams.from_model(params, 0.1)
+        for seed in (0, 5):
+            inv = vaxmpc.check_invariance(
+                cert, params, samples=3000, rng_seed=seed, v_bar=v_bar
+            )
+            assert (inv.n_violations, inv.worst_margin) == reference_invariance(
+                cert, params, 3000, seed, v_bar
+            )
+            lyap = vaxmpc.check_lyapunov_decrease(
+                cert, params, samples=3000, rng_seed=seed, v_bar=v_bar
+            )
+            assert (lyap.n_violations, lyap.worst_margin) == reference_lyapunov(
+                cert, params, 3000, seed, v_bar
+            )
 
 
 class TestInvariance:

@@ -99,6 +99,21 @@ class TestSimulate:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 2.5), ("rng_seed", "x"), ("rng_seed", -1), ("v_bar", True)],
+    )
+    def test_mistyped_controller_setting_exits_one(
+        self, desk_config_path, tmp_path, capsys, field, value
+    ):
+        config = json.loads(desk_config_path.read_text())
+        config["mpc"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = str(tmp_path / "run")
+        assert cli.main(["simulate", "--config", str(bad), "--out", out]) == 1
+        assert f"error: mpc.{field}" in capsys.readouterr().err
+
     def test_solver_failure_exits_two(self, desk_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("numerical blow-up")
@@ -178,6 +193,35 @@ class TestCertify:
         code = cli.main(["--quiet", "certify", "--config", str(bad), "--samples", "50"])
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
+
+    def test_seed_0_report_pinned(self, tmp_path):
+        config = tmp_path / "preset.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020"}))
+        report_path = tmp_path / "cert.json"
+        code = cli.main(
+            [
+                "--quiet",
+                "certify",
+                "--config",
+                str(config),
+                "--samples",
+                "20000",
+                "--seed",
+                "0",
+                "--out",
+                str(report_path),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(report_path.read_text())
+        assert payload["eta"] == 14.413148224395638
+        worst = {c["name"]: c["worst_margin"] for c in payload["checks"]}
+        assert worst == {
+            "terminal_set_invariance": 2.727342023304695e-05,
+            "lyapunov_decrease": 0.24786236257687136,
+            "growth_factor_bound": 0.9049147692490684,
+        }
+        assert all(c["n_violations"] == 0 for c in payload["checks"])
 
     def test_violations_exit_three(self, desk_config_path, monkeypatch):
         failing = CheckReport(

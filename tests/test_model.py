@@ -3,6 +3,7 @@ import pytest
 
 import vaxmpc
 from vaxmpc.errors import ContractViolation, ValidationError
+from vaxmpc.model import matvec_rows, si_step
 
 
 def eq2_oracle(s, i, r, d, u, lam, gamma_r, gamma_d, contact):
@@ -167,7 +168,7 @@ class TestRollout:
 class TestNewInfections:
     def test_no_infected_no_infections(self, desk_params):
         state = vaxmpc.initial_state(desk_params, np.zeros(2))
-        assert not vaxmpc.new_infections(state, desk_params).any()
+        assert not vaxmpc.new_infections(state.s, state.i, desk_params).any()
 
     def test_zero_transmission(self, desk_params):
         params = vaxmpc.ModelParams(
@@ -178,7 +179,7 @@ class TestNewInfections:
             contact=desk_params.contact,
         )
         state = vaxmpc.initial_state(params, np.array([5.0, 5.0]))
-        assert not vaxmpc.new_infections(state, params).any()
+        assert not vaxmpc.new_infections(state.s, state.i, params).any()
 
     def test_two_group_hand_computation(self):
         lam = [0.1, 0.2]
@@ -198,7 +199,7 @@ class TestNewInfections:
             r=np.array([46.0, 64.0]),
             d=np.zeros(2),
         )
-        got = vaxmpc.new_infections(state, params)
+        got = vaxmpc.new_infections(state.s, state.i, params)
         expect_0 = 0.1 * 50.0 * (0.003 * 4.0 + 0.001 * 6.0)
         expect_1 = 0.2 * 30.0 * (0.002 * 4.0 + 0.004 * 6.0)
         assert got[0] == pytest.approx(expect_0, rel=1e-12)
@@ -279,6 +280,35 @@ class TestStepProperties:
             state = vaxmpc.initial_state(params, np.zeros(params.n_a))
             u = rng.uniform(0, 1, params.n_a) * params.population * 0.5
             assert not vaxmpc.step(state, u, params).i.any()
+
+
+class TestBatchInvariance:
+    """A row's dynamics are bitwise the same alone or in a batch."""
+
+    def test_batched_step_equals_per_row_step(self):
+        rng = np.random.default_rng(2024)
+        for n_a in range(1, 17):
+            params = _random_valid_params(rng, n_a)
+            for shape in [(1, n_a), (2, n_a), (7, n_a), (64, n_a), (3, 40, n_a)]:
+                s = rng.uniform(0, 1, shape) * params.population
+                i = rng.uniform(0, 1, shape) * (params.population - s)
+                u = rng.uniform(0, 1, shape) * params.population * 0.2
+                batched = si_step(s, i, u, params)
+                rows = [
+                    si_step(s[idx], i[idx], u[idx], params)
+                    for idx in np.ndindex(shape[:-1])
+                ]
+                for k, out in enumerate(batched):
+                    alone = np.array([row[k] for row in rows]).reshape(shape)
+                    assert out.tobytes() == alone.tobytes()
+
+    def test_weighted_sum_equals_per_row_dot(self):
+        rng = np.random.default_rng(77)
+        for n_a in range(1, 17):
+            gd = rng.uniform(1e-4, 0.2, n_a)
+            x = rng.uniform(0, 1e5, (64, n_a))
+            alone = np.array([gd @ row for row in x])
+            assert matvec_rows(gd, x).tobytes() == alone.tobytes()
 
 
 class TestModelParamsValidation:

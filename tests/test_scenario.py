@@ -121,6 +121,26 @@ class TestConfig:
                 {"preset": "wallonia-2020", "mpc": {"eradication_threshold": [1.0, 2.0]}}
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("horizon", 2.5),
+            ("horizon", True),
+            ("strategy_horizon", 62.0),
+            ("vaccination_start_day", 61.5),
+            ("n_restarts", 1.5),
+            ("rng_seed", "x"),
+            ("rng_seed", -1),
+            ("epsilon", "0.1"),
+            ("epsilon", float("nan")),
+            ("v_bar", True),
+            ("eradication_threshold", float("inf")),
+        ],
+    )
+    def test_mistyped_controller_setting_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"mpc.{field}"):
+            config_from_dict({"preset": "wallonia-2020", "mpc": {field: value}})
+
     def test_readme_configs_load_and_schema_lists_every_field(self):
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         configs = [json.loads(block) for block in blocks]
@@ -258,6 +278,21 @@ class TestMetrics:
         assert m_late.deaths_total == m_full.deaths_total
         assert m_late.deaths_since_vax == m_full.deaths_since_vax
         assert m_late.vaccines_used == m_full.vaccines_used
+
+    def test_cumulative_incidence_equals_plant_infections(
+        self, preset_config, preset_params, preset_state0
+    ):
+        cfg = dataclasses.replace(preset_config.mpc, v_bar=30000.0)
+        run = vaxmpc.run_policy_loop(preset_state0, cfg, preset_params, "national")
+        traj = run.trajectory
+        daily = np.array(
+            [
+                vaxmpc.new_infections(traj.s[t], traj.i[t], preset_params)
+                for t in range(traj.n_steps)
+            ]
+        )
+        expected = float(daily.sum()) + float(preset_state0.i.sum())
+        assert vaxmpc.compute_metrics(run).cumulative_incidence == expected
 
     def test_cumulative_incidence_counts_seeding(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
