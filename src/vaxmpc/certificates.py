@@ -49,6 +49,10 @@ ETA_RTOL = 1e-12
 #: Relative tolerance of the death-toll bound audit.
 BOUND_RTOL = 1e-6
 
+#: Upper end, as a share of each group, of the growth-bound check's
+#: uniformly drawn initial infections.
+ETA_I0_FRACTION = 0.02
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -353,12 +357,11 @@ def check_eta_bound(
     rng_seed: int = 0,
     *,
     v_bar: float,
-    i0_fraction: float = 0.02,
 ) -> CheckReport:
     """Check gamma_d' I(n+1) <= eta * gamma_d' I(n) along random rollouts.
 
     Each rollout starts from random infections (uniform up to
-    ``i0_fraction`` of each group) and applies random admissible controls
+    :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
     """
     rng = np.random.default_rng(rng_seed)
@@ -369,7 +372,7 @@ def check_eta_bound(
     worst = np.inf
     checked = 0
     for _ in range(rollouts):
-        i0 = rng.uniform(0.0, i0_fraction, size=n_a) * params.population
+        i0 = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
         s = params.population - i0
         i = i0
         for _day in range(days):
@@ -392,12 +395,12 @@ def check_eta_bound(
     )
 
 
-def audit_death_bound(run: ScenarioResult, rtol: float = BOUND_RTOL) -> BoundAudit:
+def audit_death_bound(run: ScenarioResult) -> BoundAudit:
     """Audit a predictive run: future deaths never exceed the optimal value.
 
     For every day with a recorded optimal value V, checks that the deaths
     realized from that day until eradication stay below V (relative
-    tolerance ``rtol``), and that V is non-increasing across consecutive
+    tolerance :data:`BOUND_RTOL`), and that V is non-increasing across consecutive
     solved days whenever the earlier day was feasible with zero terminal
     slack.  The tail stops at the eradication latch because that is where
     the controller stops being applied (the guarantee covers the
@@ -436,7 +439,7 @@ def audit_death_bound(run: ScenarioResult, rtol: float = BOUND_RTOL) -> BoundAud
         if not 0 <= t <= n_steps:
             raise ContractViolation(f"record day {rec.day} outside the trajectory")
         v = rec.v_n0
-        margin = (v * (1.0 + rtol) - tail[t]) / max(v, 1e-300)
+        margin = (v * (1.0 + BOUND_RTOL) - tail[t]) / max(v, 1e-300)
         worst = min(worst, margin)
         if margin < 0:
             bound_violations += 1
@@ -445,7 +448,7 @@ def audit_death_bound(run: ScenarioResult, rtol: float = BOUND_RTOL) -> BoundAud
         nxt = by_day.get(rec.day + 1)
         if nxt is None or not rec.feasible:
             continue
-        margin = (rec.v_n0 * (1.0 + rtol) - nxt.v_n0) / max(rec.v_n0, 1e-300)
+        margin = (rec.v_n0 * (1.0 + BOUND_RTOL) - nxt.v_n0) / max(rec.v_n0, 1e-300)
         worst = min(worst, margin)
         if margin < 0:
             descent_violations += 1

@@ -70,7 +70,7 @@ def _with_seed(config: scenario.ScenarioConfig, seed: int | None):
 def _cmd_simulate(args) -> int:
     config = _with_seed(scenario.load_config(args.config), args.seed)
     run = scenario.run_scenario(config, policy=args.policy)
-    metrics = scenario.write_run(run, args.out, fingerprint=config.fingerprint())
+    metrics = scenario.write_run(run, args.out)
     _say(args, f"policy={run.policy} -> {args.out}")
     _say(args, json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
     return 0
@@ -159,7 +159,7 @@ def _cmd_sweep(args) -> int:
         )
         run = scenario.run_scenario(config)
         run_dir = out_root / f"{'.'.join(keys)}={value}"
-        metrics = scenario.write_run(run, run_dir, fingerprint=config.fingerprint())
+        metrics = scenario.write_run(run, run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})
         _say(args, f"{'.'.join(keys)}={value} -> {run_dir}")
     (out_root / "sweep.json").write_text(

@@ -237,8 +237,6 @@ def step(
     state: EpidemicState,
     u: np.ndarray,
     params: ModelParams,
-    *,
-    validate: bool = True,
 ) -> EpidemicState:
     """Advance the full state one day under vaccination ``u``.
 
@@ -251,14 +249,12 @@ def step(
         raise ContractViolation(
             f"state has {state.n_a} groups, params has {params.n_a}"
         )
-    u = np.asarray(u, dtype=float)
-    if validate:
-        for name in ("s", "i", "r", "d"):
-            vec = getattr(state, name)
-            _check_vector(vec, params.n_a, name)
-            if np.any(vec < 0):
-                raise ValidationError(f"{name}: negative compartment")
-        validate_control(u, params.n_a)
+    for name in ("s", "i", "r", "d"):
+        vec = getattr(state, name)
+        _check_vector(vec, params.n_a, name)
+        if np.any(vec < 0):
+            raise ValidationError(f"{name}: negative compartment")
+    u = validate_control(u, params.n_a)
     s_next, i_next, u_eff = si_step(state.s, state.i, u, params)
     r_next = state.r + params.gamma_r * state.i + u_eff
     d_next = state.d + params.gamma_d * state.i

@@ -475,8 +475,7 @@ def run_policy_loop(
         trajectory=Trajectory.from_states(states),
         controls=controls,
         params=params,
-        v_bar=cfg.v_bar,
-        vaccination_start_day=cfg.vaccination_start_day,
+        cfg=cfg,
         day_records=records,
         latch_day=latch_day,
     )

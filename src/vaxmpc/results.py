@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import ModelParams, Trajectory, matvec_rows
+from .model import EpidemicState, ModelParams, Trajectory, matvec_rows
+
+if TYPE_CHECKING:
+    from .mpc import MpcConfig
+
+
+def scenario_fingerprint(
+    params: ModelParams, state0: EpidemicState, cfg: MpcConfig
+) -> str:
+    """Digest of everything two comparable runs must share.
+
+    It covers the built model (rates, populations and the loaded, normalised
+    contact matrix), the first state and its time step, and the settings
+    that fix the comparison's budget and reading: ``v_bar``,
+    ``vaccination_start_day``, ``strategy_horizon`` and
+    ``eradication_threshold``.  Everything is hashed as float64 bits, so a
+    capacity of 40000 and one of 40000.0 are the same scenario.
+    """
+    settings = [state0.time_step, cfg.v_bar, cfg.vaccination_start_day]
+    settings += [cfg.strategy_horizon, cfg.eradication_threshold]
+    values = np.concatenate(
+        [params.lam, params.gamma_r, params.gamma_d, params.population]
+        + [params.contact.ravel(), state0.s, state0.i, state0.r, state0.d, settings]
+    )
+    return hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -26,36 +52,35 @@ class DayRecord:
     terminal_slack: float | None = None
     iterations: int | None = None
 
-    def to_dict(self, applied_u: np.ndarray | None = None) -> dict:
-        rec = {
+    def to_dict(self, applied_u: np.ndarray) -> dict:
+        return {
             "day": self.day,
             "V_N0": self.v_n0,
             "feasible": self.feasible,
             "terminal_slack": self.terminal_slack,
             "iterations": self.iterations,
+            "applied_u": [float(x) for x in applied_u],
         }
-        if applied_u is not None:
-            rec["applied_u"] = [float(x) for x in applied_u]
-        return rec
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
     """Everything produced by one closed-loop run.
 
+    ``cfg`` is the controller configuration the run was simulated under.
     ``controls`` are the commanded daily vaccinations; the clamped values
     actually applied are on ``trajectory.applied_u``.  ``day_records`` has one
     entry per simulated day, in order.  ``latch_day`` is the day the
     eradication latch closed, which is the run's eradication day (None if it
-    never closed).
+    never closed).  ``fingerprint`` is the :func:`scenario_fingerprint` of
+    the run's inputs; runs are comparable exactly when theirs are equal.
     """
 
     policy: str
     trajectory: Trajectory
     controls: np.ndarray
     params: ModelParams
-    v_bar: float
-    vaccination_start_day: int
+    cfg: MpcConfig
     day_records: list[DayRecord] = field(default_factory=list)
     latch_day: int | None = None
 
@@ -64,8 +89,8 @@ class ScenarioResult:
         return self.trajectory.n_steps
 
     @property
-    def applied(self) -> np.ndarray:
-        return self.trajectory.applied_u
+    def fingerprint(self) -> str:
+        return scenario_fingerprint(self.params, self.trajectory.state(0), self.cfg)
 
     def daily_deaths(self) -> np.ndarray:
         """Stage cost per state index: gamma_d' I(t) for t = 0..T."""

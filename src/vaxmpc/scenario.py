@@ -16,8 +16,9 @@ one-day infection pressure stays below one.  It is a stand-in constructed
 for reproducible tests, not survey data.
 
 Outputs per run: ``trajectory.csv`` (day, group, S, I, R, D, applied_u),
-``metrics.json`` and, for predictive runs, ``diagnostics.jsonl`` with one
-record per day.  All writers are deterministic byte for byte.
+``metrics.json`` (with the run's scenario fingerprint) and, for predictive
+runs, ``diagnostics.jsonl`` with one record per day.  All writers are
+deterministic byte for byte.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from . import mpc as mpc_mod
 from .errors import ContractViolation, ValidationError
 from .model import EpidemicState, ModelParams, initial_state, new_infections
-from .results import ScenarioResult
+from .results import ScenarioResult, scenario_fingerprint
 from .strategies import POLICIES
 
 BUILTIN_MATRIX = "builtin:synthetic-6x6"
@@ -111,12 +112,7 @@ class ScenarioConfig:
     policy: str
     mpc: mpc_mod.MpcConfig
     age_groups: tuple | None = None
-    output_dir: str | None = None
     base_dir: str | None = None
-
-    @property
-    def n_a(self) -> int:
-        return len(self.lam)
 
     def to_dict(self) -> dict:
         out = {
@@ -135,8 +131,6 @@ class ScenarioConfig:
         }
         if self.age_groups:
             out["age_groups"] = list(self.age_groups)
-        if self.output_dir:
-            out["output_dir"] = self.output_dir
         return out
 
     def to_json(self) -> str:
@@ -161,24 +155,9 @@ class ScenarioConfig:
         return initial_state(params, np.asarray(self.i0, dtype=float))
 
     def fingerprint(self) -> str:
-        """Digest of everything two comparable runs must share."""
-        import hashlib
-
-        payload = json.dumps(
-            {
-                "model": self.to_dict()["model"],
-                "i0": list(self.i0),
-                "contact_matrix_path": self.contact_matrix_path,
-                "contact_matrix_is_raw": self.contact_matrix_is_raw,
-                "v_bar": self.mpc.v_bar,
-                "vaccination_start_day": self.mpc.vaccination_start_day,
-                "strategy_horizon": self.mpc.strategy_horizon,
-                "eradication_threshold": [float(self.mpc.eradication_threshold)]
-                * self.n_a,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """The :func:`scenario_fingerprint` its runs carry."""
+        params = self.build_params()
+        return scenario_fingerprint(params, self.build_initial_state(params), self.mpc)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -189,7 +168,10 @@ def _require(condition: bool, path: str, message: str) -> None:
 def _vector(raw, n: int | None, path: str) -> tuple:
     _require(isinstance(raw, (list, tuple)), path, "expected a list of numbers")
     _require(
-        all(isinstance(x, (int, float)) and np.isfinite(x) for x in raw),
+        all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
+            for x in raw
+        ),
         path,
         "entries must be finite numbers",
     )
@@ -225,7 +207,6 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         "contact_matrix_is_raw",
         "policy",
         "mpc",
-        "output_dir",
     }
     for key in merged:
         _require(key in known, key, "unknown configuration field")
@@ -248,6 +229,8 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         "contact_matrix_path",
         "missing contact matrix path",
     )
+    is_raw = merged.get("contact_matrix_is_raw", False)
+    _require(isinstance(is_raw, bool), "contact_matrix_is_raw", "must be true or false")
     policy = merged.get("policy", "none")
     _require(
         policy in POLICIES,
@@ -283,11 +266,10 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         population=population,
         i0=i0,
         contact_matrix_path=matrix_path,
-        contact_matrix_is_raw=bool(merged.get("contact_matrix_is_raw", False)),
+        contact_matrix_is_raw=is_raw,
         policy=policy,
         mpc=mpc_cfg,
         age_groups=age_groups,
-        output_dir=merged.get("output_dir"),
         base_dir=base_dir,
     )
 
@@ -397,7 +379,7 @@ def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
     traj = run.trajectory
     n_days = traj.n_steps
     deaths_total = float(traj.d[n_days - 1].sum())
-    start_idx = run.vaccination_start_day - 1 - traj.start_time_step
+    start_idx = run.cfg.vaccination_start_day - 1 - traj.start_time_step
     deaths_at_start = float(traj.d[min(max(start_idx, 0), n_days)].sum())
     new_inf = new_infections(traj.s[:n_days], traj.i[:n_days], run.params)
     cumulative = float(new_inf.sum()) + float(traj.i[0].sum())
@@ -488,26 +470,18 @@ def _improvement(base, other):
 
 
 def compare(runs: list[ScenarioResult]) -> ComparisonReport:
-    """Build a comparison of runs that share model, start state and budget."""
+    """Build a comparison of runs that share one scenario fingerprint.
+
+    Equal fingerprints mean the same model, start state, budget, start day,
+    horizon and eradication threshold (see :func:`scenario_fingerprint`);
+    ``vaxmpc compare`` applies the same rule to run directories.
+    """
     if not runs:
         raise ContractViolation("compare needs at least one run")
-    first = runs[0]
-    for other in runs[1:]:
-        same = (
-            np.array_equal(first.params.population, other.params.population)
-            and np.array_equal(first.params.lam, other.params.lam)
-            and np.array_equal(first.params.gamma_r, other.params.gamma_r)
-            and np.array_equal(first.params.gamma_d, other.params.gamma_d)
-            and np.array_equal(first.params.contact, other.params.contact)
-            and np.array_equal(first.trajectory.s[0], other.trajectory.s[0])
-            and np.array_equal(first.trajectory.i[0], other.trajectory.i[0])
-            and first.vaccination_start_day == other.vaccination_start_day
-        )
-        if not same:
-            raise ContractViolation("runs to compare use different scenario inputs")
+    if len({run.fingerprint for run in runs}) > 1:
+        raise ContractViolation("runs to compare use different scenario inputs")
     metrics = [compute_metrics(run) for run in runs]
-    start_day = first.vaccination_start_day
-    return _report_from_metrics(metrics, start_day)
+    return _report_from_metrics(metrics, runs[0].cfg.vaccination_start_day)
 
 
 def _report_from_metrics(
@@ -548,7 +522,14 @@ def write_run(
     out_dir: str | Path,
     fingerprint: str | None = None,
 ) -> ScenarioMetrics:
-    """Write trajectory.csv, metrics.json and (for MPC) diagnostics.jsonl."""
+    """Write trajectory.csv, metrics.json and (for MPC) diagnostics.jsonl.
+
+    ``metrics.json`` always carries ``run.fingerprint``.  A ``fingerprint``
+    passed in must equal it; the keyword is kept only for older callers.
+    """
+    digest = run.fingerprint
+    if fingerprint not in (None, digest):
+        raise ContractViolation(f"fingerprint {fingerprint} is not the run's {digest}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = run.trajectory
@@ -568,12 +549,11 @@ def write_run(
     payload = {
         "policy": run.policy,
         "metrics": metrics.to_dict(),
-        "vaccination_start_day": run.vaccination_start_day,
+        "vaccination_start_day": run.cfg.vaccination_start_day,
         "strategy_horizon": n_days,
         "latch_day": run.latch_day,
+        "fingerprint": digest,
     }
-    if fingerprint is not None:
-        payload["fingerprint"] = fingerprint
     (out / "metrics.json").write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -600,23 +580,17 @@ def load_metrics(run_dir: str | Path) -> dict:
 def compare_run_dirs(run_dirs: list[str | Path]) -> ComparisonReport:
     """Comparison report from saved run directories.
 
-    Two or more directories must each carry the same scenario fingerprint;
-    one without a fingerprint cannot be shown to share the others' inputs.
+    Two or more directories must each carry the same scenario fingerprint,
+    the rule :func:`compare` applies to in-memory runs; one without a
+    fingerprint cannot be shown to share the others' inputs.
     """
     payloads = [load_metrics(d) for d in run_dirs]
-    if len(payloads) > 1:
-        for run_dir, payload in zip(run_dirs, payloads):
-            if "fingerprint" not in payload:
-                raise ContractViolation(
-                    f"{run_dir}: metrics.json has no scenario fingerprint"
-                )
-    prints = {p.get("fingerprint") for p in payloads}
-    if len(prints) > 1:
-        raise ContractViolation(
-            "run directories come from different scenario inputs"
-        )
-    start_days = {p["vaccination_start_day"] for p in payloads}
-    if len(start_days) != 1:
-        raise ContractViolation("runs disagree on the vaccination start day")
+    for run_dir, payload in zip(run_dirs, payloads):
+        if len(payloads) > 1 and "fingerprint" not in payload:
+            raise ContractViolation(
+                f"{run_dir}: metrics.json has no scenario fingerprint"
+            )
+    if len({p.get("fingerprint") for p in payloads}) > 1:
+        raise ContractViolation("run directories come from different scenario inputs")
     metrics = [ScenarioMetrics(**p["metrics"]) for p in payloads]
-    return _report_from_metrics(metrics, start_days.pop())
+    return _report_from_metrics(metrics, payloads[0]["vaccination_start_day"])

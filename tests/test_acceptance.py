@@ -203,7 +203,7 @@ def test_criterion_8_national_mechanics(preset_runs):
     runs, _ = preset_runs
     national = runs["national"]
     controls = national.controls
-    start_t = national.vaccination_start_day - 1
+    start_t = national.cfg.vaccination_start_day - 1
     first = controls[start_t]
     day_one_ok = first[5] == 55191.0 and not first[:5].any()
     structure_ok = True

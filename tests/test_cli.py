@@ -114,6 +114,32 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(bad), "--out", out]) == 1
         assert f"error: mpc.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("contact_matrix_is_raw", "false"),
+            ("contact_matrix_is_raw", 1),
+            ("model.population", [8000.0, True]),
+            ("i0", [True, 5.0]),
+            ("output_dir", "runs"),
+        ],
+    )
+    def test_mistyped_config_field_exits_one(
+        self, desk_config_path, tmp_path, capsys, key, value
+    ):
+        config = json.loads(desk_config_path.read_text())
+        *parents, last = key.split(".")
+        cursor = config
+        for name in parents:
+            cursor = cursor[name]
+        cursor[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
+        assert f"error: {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_failure_exits_two(self, desk_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise SolverFailure("numerical blow-up")

@@ -484,8 +484,9 @@ class TestClosedLoop:
 
     def test_applied_controls_admissible(self, desk_params, desk_state0, desk_cfg):
         run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
-        assert np.all(run.applied >= 0)
-        assert np.all(run.applied.sum(axis=1) <= desk_cfg.v_bar * (1 + 1e-12))
+        applied = run.trajectory.applied_u
+        assert np.all(applied >= 0)
+        assert np.all(applied.sum(axis=1) <= desk_cfg.v_bar * (1 + 1e-12))
 
     def test_bitwise_reproducible(self, desk_params, desk_state0, desk_cfg):
         first = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)

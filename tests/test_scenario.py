@@ -17,6 +17,7 @@ from vaxmpc.scenario import (
     get_preset,
     load_config,
     load_contact_matrix,
+    run_scenario,
     write_run,
 )
 
@@ -141,6 +142,32 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"mpc.{field}"):
             config_from_dict({"preset": "wallonia-2020", "mpc": {field: value}})
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_raw_matrix_flag_must_be_boolean(self, value):
+        with pytest.raises(ValidationError, match="contact_matrix_is_raw"):
+            config_from_dict(
+                {"preset": "wallonia-2020", "contact_matrix_is_raw": value}
+            )
+
+    @pytest.mark.parametrize(
+        "field", ["lambda", "gamma_r", "gamma_d", "population"]
+    )
+    def test_boolean_model_entry_rejected(self, field):
+        values = list(get_preset("wallonia-2020").to_dict()["model"][field])
+        values[0] = True
+        with pytest.raises(ValidationError, match=f"model.{field}"):
+            config_from_dict({"preset": "wallonia-2020", "model": {field: values}})
+
+    def test_boolean_i0_entry_rejected(self):
+        with pytest.raises(ValidationError, match="i0"):
+            config_from_dict({"preset": "wallonia-2020", "i0": [True] + [1.0] * 5})
+
+    def test_output_dir_is_not_a_field(self):
+        with pytest.raises(
+            ValidationError, match="output_dir: unknown configuration field"
+        ):
+            config_from_dict({"preset": "wallonia-2020", "output_dir": "runs"})
+
     def test_readme_configs_load_and_schema_lists_every_field(self):
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         configs = [json.loads(block) for block in blocks]
@@ -215,8 +242,7 @@ def synthetic_run(d_day61, d_day140, policy="national"):
         trajectory=traj,
         controls=np.zeros((n_days, 1)),
         params=params,
-        v_bar=55191.0,
-        vaccination_start_day=61,
+        cfg=vaxmpc.MpcConfig(v_bar=55191.0, vaccination_start_day=61),
     )
 
 
@@ -322,9 +348,50 @@ class TestCompare:
         )
         run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "national")
         other_state = vaxmpc.initial_state(desk_params, np.array([1.0, 1.0]))
-        other = vaxmpc.run_policy_loop(other_state, cfg, desk_params, "none")
-        with pytest.raises(ContractViolation):
-            vaxmpc.compare([run, other])
+        others = [vaxmpc.run_policy_loop(other_state, cfg, desk_params, "none")]
+        # the comparison's budget, window and eradication reading count too
+        for change in (
+            {"v_bar": 500.0},
+            {"strategy_horizon": 16},
+            {"eradication_threshold": 2.0},
+        ):
+            other_cfg = dataclasses.replace(cfg, **change)
+            others.append(
+                vaxmpc.run_policy_loop(desk_state0, other_cfg, desk_params, "none")
+            )
+        for other in others:
+            with pytest.raises(ContractViolation):
+                vaxmpc.compare([run, other])
+        same = vaxmpc.run_policy_loop(
+            desk_state0, dataclasses.replace(cfg, rng_seed=5), desk_params, "none"
+        )
+        assert len(vaxmpc.compare([run, same]).metrics) == 2
+
+    def test_run_carries_its_config_fingerprint(self, tmp_path):
+        preset = get_preset("wallonia-2020")
+        assert run_scenario(preset, policy="none").fingerprint == preset.fingerprint()
+        (tmp_path / "contacts.csv").write_text("8.0,0.5\n2.0,3.0\n")
+        desk = config_from_dict(
+            {
+                "model": {
+                    "lambda": [0.05, 0.08],
+                    "gamma_r": [0.30, 0.25],
+                    "gamma_d": [0.02, 0.12],
+                    "population": [8000, 2000],
+                },
+                "i0": [20.0, 5.0],
+                "contact_matrix_path": "contacts.csv",
+                "contact_matrix_is_raw": True,
+                "policy": "national",
+                "mpc": {
+                    "v_bar": 400,
+                    "vaccination_start_day": 1,
+                    "strategy_horizon": 15,
+                },
+            },
+            base_dir=str(tmp_path),
+        )
+        assert run_scenario(desk).fingerprint == desk.fingerprint()
 
     def test_report_renders_text_and_json(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
@@ -364,10 +431,13 @@ class TestWriters:
             assert value == pytest.approx(total, rel=1e-9)
 
     def test_metrics_payload_round_trips(self, desk_run, tmp_path):
-        metrics = write_run(desk_run, tmp_path, fingerprint="abc123")
+        metrics = write_run(desk_run, tmp_path)
         payload = json.loads((tmp_path / "metrics.json").read_text())
-        assert payload["fingerprint"] == "abc123"
+        assert payload["fingerprint"] == desk_run.fingerprint
         assert payload["metrics"] == metrics.to_dict()
+        write_run(desk_run, tmp_path / "again", fingerprint=desk_run.fingerprint)
+        with pytest.raises(ContractViolation, match="fingerprint"):
+            write_run(desk_run, tmp_path / "wrong", fingerprint="abc123")
 
     def test_writes_are_deterministic(self, desk_run, tmp_path):
         write_run(desk_run, tmp_path / "a")
@@ -377,11 +447,47 @@ class TestWriters:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_compare_run_dirs_checks_fingerprints(self, desk_run, tmp_path):
-        write_run(desk_run, tmp_path / "a", fingerprint="one")
-        write_run(desk_run, tmp_path / "b", fingerprint="two")
+    def test_compare_run_dirs_checks_fingerprints(
+        self, desk_run, desk_params, desk_state0, tmp_path
+    ):
+        cfg = dataclasses.replace(desk_run.cfg, v_bar=500.0)
+        other = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "national")
+        write_run(desk_run, tmp_path / "a")
+        write_run(other, tmp_path / "b")
         with pytest.raises(ContractViolation):
             compare_run_dirs([tmp_path / "a", tmp_path / "b"])
+
+    def test_sibling_matrix_files_are_different_scenarios(self, tmp_path):
+        # both configs name "contacts.csv", each resolving to its own file
+        matrices = {"a": "8.0,0.5\n2.0,3.0\n", "b": "2.0,0.5\n2.0,9.0\n"}
+        configs = {}
+        for name, matrix in matrices.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "contacts.csv").write_text(matrix)
+            path = tmp_path / name / "config.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "model": {
+                            "lambda": [0.05, 0.08],
+                            "gamma_r": [0.30, 0.25],
+                            "gamma_d": [0.02, 0.12],
+                            "population": [8000, 2000],
+                        },
+                        "i0": [20.0, 5.0],
+                        "contact_matrix_path": "contacts.csv",
+                        "contact_matrix_is_raw": True,
+                        "policy": "national",
+                        "mpc": {"vaccination_start_day": 1, "strategy_horizon": 15},
+                    }
+                )
+            )
+            configs[name] = load_config(path)
+        assert configs["a"].fingerprint() != configs["b"].fingerprint()
+        for name, config in configs.items():
+            write_run(run_scenario(config), tmp_path / "runs" / name)
+        with pytest.raises(ContractViolation):
+            compare_run_dirs([tmp_path / "runs" / "a", tmp_path / "runs" / "b"])
 
     def test_compare_run_dirs_requires_fingerprints(
         self, desk_run, desk_params, desk_state0, tmp_path
@@ -402,10 +508,14 @@ class TestWriters:
         with pytest.raises(ContractViolation):
             vaxmpc.compare([desk_run, none_run])
         write_run(desk_run, tmp_path / "a")
-        write_run(none_run, tmp_path / "b")
+        write_run(desk_run, tmp_path / "b")
+        path = tmp_path / "b" / "metrics.json"
+        payload = json.loads(path.read_text())
+        del payload["fingerprint"]
+        path.write_text(json.dumps(payload))
         with pytest.raises(ContractViolation, match="fingerprint"):
             compare_run_dirs([tmp_path / "a", tmp_path / "b"])
-        assert compare_run_dirs([tmp_path / "a"]).metrics[0].policy == "national"
+        assert compare_run_dirs([tmp_path / "b"]).metrics[0].policy == "national"
 
     def test_diagnostics_written_for_predictive_runs(
         self, desk_params, desk_state0, desk_cfg, tmp_path
