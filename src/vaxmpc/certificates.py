@@ -53,6 +53,9 @@ BOUND_RTOL = 1e-6
 #: uniformly drawn initial infections.
 ETA_I0_FRACTION = 0.02
 
+#: Most candidate rows the terminal-set sampler draws and tests at once.
+_SAMPLER_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -182,9 +185,7 @@ def in_terminal_set(
 def _constraint_margin(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
     """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma.
     The one membership product, shared by the sampler and the X_f test."""
-    load = matvec_rows(cert.ct_lam, s)
-    # in place: the sampler passes batches of up to 2M candidate rows
-    return np.min(np.subtract(cert.gamma_vec, load, out=load), axis=-1)
+    return np.min(cert.gamma_vec - matvec_rows(cert.ct_lam, s), axis=-1)
 
 
 def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> np.ndarray:
@@ -216,27 +217,34 @@ def sample_terminal_states(
     """Draw n random full states inside X_f; returns (S, I, R, D) rows.
 
     Susceptibles are uniform on the box enclosing the constraint region,
-    kept by rejection; a ``boundary_fraction`` share is then rescaled onto
+    kept by rejection; each batch is drawn and tested in consecutive chunks
+    of at most :data:`_SAMPLER_CHUNK` rows, which consume the stream exactly
+    as one draw would.  A ``boundary_fraction`` share is then rescaled onto
     the constraint boundary (capped by the populations).  Infected are
     uniform on [0, P - S], recovered uniform on the remainder, deceased the
     rest, so every sample conserves population exactly.
     """
     n_a = params.n_a
     box = susceptible_box(cert, params)
-    accepted = np.empty((0, n_a))
+    accepted = [np.empty((0, n_a))]
+    n_accepted = 0
     batch = max(4096, 4 * n)
-    max_batches = 10_000
-    for _ in range(max_batches):
-        if accepted.shape[0] >= n:
+    for _ in range(10_000):
+        if n_accepted >= n:
             break
-        cand = rng.uniform(0.0, 1.0, size=(batch, n_a)) * box
-        ok = _constraint_margin(cand, cert) >= 0
-        accepted = np.concatenate([accepted, cand[ok]], axis=0)
-        rate = max(ok.mean(), 1e-4)
-        batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
+        hits = 0
+        for start in range(0, batch, _SAMPLER_CHUNK):
+            rows = min(_SAMPLER_CHUNK, batch - start)
+            cand = rng.uniform(0.0, 1.0, size=(rows, n_a)) * box
+            cand = cand[_constraint_margin(cand, cert) >= 0]
+            accepted.append(cand)
+            hits += cand.shape[0]
+        n_accepted += hits
+        rate = max(hits / batch, 1e-4)
+        batch = int(min(2_000_000, max(4096, 1.5 * (n - n_accepted) / rate)))
     else:
         raise ValidationError("terminal-set rejection sampling failed to converge")
-    s = accepted[:n]
+    s = np.concatenate(accepted)[:n]
 
     n_boundary = int(round(boundary_fraction * n))
     if n_boundary:
@@ -272,6 +280,17 @@ def _sample_controls(
     return w * total
 
 
+def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
+    """The report of a sampled check with one margin per sample (< 0: violated)."""
+    return CheckReport(
+        name=name,
+        n_samples=margin.size,
+        n_violations=int(np.count_nonzero(margin < 0)),
+        worst_margin=float(margin.min(initial=np.inf)),
+        seed=seed,
+    )
+
+
 def check_invariance(
     cert: CertificateParams,
     params: ModelParams,
@@ -291,14 +310,7 @@ def check_invariance(
     s, i, r, d = sample_terminal_states(cert, params, samples, rng)
     u = _sample_controls(samples, params.n_a, v_bar, rng)
     s1, i1, _ = si_step(s, i, u, params)
-    margin = _terminal_margin(s1, i1, cert)
-    return CheckReport(
-        name="terminal_set_invariance",
-        n_samples=samples,
-        n_violations=int(np.count_nonzero(margin < 0)),
-        worst_margin=float(margin.min(initial=np.inf)),
-        seed=rng_seed,
-    )
+    return _report("terminal_set_invariance", _terminal_margin(s1, i1, cert), rng_seed)
 
 
 def check_lyapunov_decrease(
@@ -341,13 +353,7 @@ def check_lyapunov_decrease(
     margin = np.minimum(margin_dec, margin_vf)
     _, i1_u, _ = si_step(s, i, u_rand, params)
     margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
-    return CheckReport(
-        name="lyapunov_decrease",
-        n_samples=samples,
-        n_violations=int(np.count_nonzero(margin < 0)),
-        worst_margin=float(margin.min(initial=np.inf)),
-        seed=rng_seed,
-    )
+    return _report("lyapunov_decrease", margin, rng_seed)
 
 
 def check_eta_bound(
@@ -363,36 +369,28 @@ def check_eta_bound(
     Each rollout starts from random infections (uniform up to
     :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
+    The inputs are drawn rollout by rollout, then all rollouts step as one
+    batch per day.
     """
     rng = np.random.default_rng(rng_seed)
     eta = compute_eta(params)
-    gd = params.gamma_d
     n_a = params.n_a
-    violations = 0
-    worst = np.inf
-    checked = 0
-    for _ in range(rollouts):
-        i0 = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
-        s = params.population - i0
-        i = i0
-        for _day in range(days):
-            u = _sample_controls(1, n_a, v_bar, rng)[0]
-            cost_now = float(matvec_rows(gd, i))
-            s, i, _ = si_step(s, i, u, params)
-            cost_next = float(matvec_rows(gd, i))
-            bound = eta * cost_now
-            margin = (bound * (1.0 + ETA_RTOL) - cost_next) / max(bound, 1e-300)
-            worst = min(worst, margin)
-            checked += 1
-            if margin < 0:
-                violations += 1
-    return CheckReport(
-        name="growth_factor_bound",
-        n_samples=checked,
-        n_violations=violations,
-        worst_margin=float(worst),
-        seed=rng_seed,
-    )
+    i = np.empty((rollouts, n_a))
+    u = np.empty((days, rollouts, n_a))
+    for k in range(rollouts):
+        i[k] = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
+        for day in range(days):
+            u[day, k] = _sample_controls(1, n_a, v_bar, rng)[0]
+    s = params.population - i
+    cost_now = matvec_rows(params.gamma_d, i)
+    margin = np.empty((days, rollouts))
+    for day in range(days):
+        s, i, _ = si_step(s, i, u[day], params)
+        cost_next = matvec_rows(params.gamma_d, i)
+        bound = eta * cost_now
+        margin[day] = (bound * (1.0 + ETA_RTOL) - cost_next) / np.maximum(bound, 1e-300)
+        cost_now = cost_next
+    return _report("growth_factor_bound", margin, rng_seed)
 
 
 def audit_death_bound(run: ScenarioResult) -> BoundAudit:

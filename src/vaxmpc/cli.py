@@ -88,6 +88,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.samples < 1:
+        raise ValidationError("--samples must be a positive integer")
     config = scenario.load_config(args.config)
     seed = args.cert_seed if args.cert_seed is not None else (args.seed or 0)
     params = config.build_params()

@@ -44,6 +44,18 @@ _STEP_TOLERANCE = 1e-8
 _COST_TOLERANCE = 1e-10
 
 
+def is_finite_number(value) -> bool:
+    """True iff value is a real number, not a bool, that is finite as a float
+    (an integer too large for a float is not): the one rule for numeric
+    config entries."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     """The controller's settings: the day's problem, the loop and the starts.
@@ -71,10 +83,10 @@ class MpcConfig:
     def validate(self, params: ModelParams | None = None) -> None:
         for fld in fields(self):  # the annotations are the settings' types
             value = getattr(self, fld.name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if fld.type == "int" and not (number and isinstance(value, numbers.Integral)):
+            integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if fld.type == "int" and not integer:
                 raise ValidationError(f"{fld.name} must be an integer")
-            if fld.type == "float" and not (number and math.isfinite(value)):
+            if fld.type == "float" and not is_finite_number(value):
                 raise ValidationError(f"{fld.name} must be a finite number")
         if self.horizon < 1:
             raise ValidationError("horizon must be a positive number of days")

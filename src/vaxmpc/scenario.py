@@ -40,10 +40,10 @@ BUILTIN_MATRIX = "builtin:synthetic-6x6"
 
 #: Table of per-group simulation parameters for the Walloon first wave:
 #: populations, transmission probabilities, recovery/death rates and the
-#: initial infected seeding, groups ordered youngest to oldest.
+#: initial infected seeding, groups ordered youngest to oldest: ages 0-24,
+#: 25-44, 45-64, 65-74, 75-84 and 85+.
 WALLONIA_2020 = {
     "name": "wallonia-2020",
-    "age_groups": ["0-24", "25-44", "45-64", "65-74", "75-84", "85+"],
     "model": {
         "lambda": [
             0.0769924521,
@@ -111,11 +111,10 @@ class ScenarioConfig:
     contact_matrix_is_raw: bool
     policy: str
     mpc: mpc_mod.MpcConfig
-    age_groups: tuple | None = None
     base_dir: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "model": {
                 "lambda": list(self.lam),
@@ -129,9 +128,6 @@ class ScenarioConfig:
             "policy": self.policy,
             "mpc": asdict(self.mpc),
         }
-        if self.age_groups:
-            out["age_groups"] = list(self.age_groups)
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -167,14 +163,8 @@ def _require(condition: bool, path: str, message: str) -> None:
 
 def _vector(raw, n: int | None, path: str) -> tuple:
     _require(isinstance(raw, (list, tuple)), path, "expected a list of numbers")
-    _require(
-        all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and np.isfinite(x)
-            for x in raw
-        ),
-        path,
-        "entries must be finite numbers",
-    )
+    finite = all(mpc_mod.is_finite_number(x) for x in raw)
+    _require(finite, path, "entries must be finite numbers")
     if n is not None:
         _require(len(raw) == n, path, f"expected {n} entries, got {len(raw)}")
     return tuple(float(x) for x in raw)
@@ -200,7 +190,6 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
 
     known = {
         "name",
-        "age_groups",
         "model",
         "i0",
         "contact_matrix_path",
@@ -249,15 +238,6 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     except ValidationError as exc:  # its messages start with the field name
         raise ValidationError(f"mpc.{exc}") from exc
 
-    age_groups = merged.get("age_groups")
-    if age_groups is not None:
-        _require(
-            isinstance(age_groups, list) and len(age_groups) == n,
-            "age_groups",
-            f"expected {n} labels",
-        )
-        age_groups = tuple(str(x) for x in age_groups)
-
     return ScenarioConfig(
         name=str(merged.get("name", preset_name or "scenario")),
         lam=lam,
@@ -269,7 +249,6 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         contact_matrix_is_raw=is_raw,
         policy=policy,
         mpc=mpc_cfg,
-        age_groups=age_groups,
         base_dir=base_dir,
     )
 

@@ -5,15 +5,20 @@ import pytest
 
 import vaxmpc
 from vaxmpc.certificates import (
+    ETA_I0_FRACTION,
+    ETA_RTOL,
     LYAPUNOV_RTOL,
     XSTAR_ATOL,
+    _SAMPLER_CHUNK,
     CertificateParams,
+    CheckReport,
+    _constraint_margin,
     _sample_controls,
     sample_terminal_states,
     susceptible_box,
 )
 from vaxmpc.errors import ContractViolation, ValidationError
-from vaxmpc.model import si_step
+from vaxmpc.model import matvec_rows, si_step
 
 #: min_k (gamma_r_k + gamma_d_k) for the preset rates, attained by group 3
 #: (45-64): 0.5707245171 + 0.0232746601.
@@ -146,6 +151,82 @@ class TestSampling:
             assert np.all(cert.ct_lam @ corner <= cert.gamma_vec * (1 + 1e-12))
 
 
+def reference_sample_terminal_states(cert, params, n, rng, boundary_fraction=0.1):
+    """The sampler drawing each rejection batch in one call: same rows, same
+    stream as the chunked one, but up to 2M candidate rows held at once."""
+    n_a = params.n_a
+    box = susceptible_box(cert, params)
+    accepted = np.empty((0, n_a))
+    batch = max(4096, 4 * n)
+    for _ in range(10_000):
+        if accepted.shape[0] >= n:
+            break
+        cand = rng.uniform(0.0, 1.0, size=(batch, n_a)) * box
+        ok = _constraint_margin(cand, cert) >= 0
+        accepted = np.concatenate([accepted, cand[ok]], axis=0)
+        rate = max(ok.mean(), 1e-4)
+        batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
+    s = accepted[:n]
+    n_boundary = int(round(boundary_fraction * n))
+    if n_boundary:
+        sb = s[:n_boundary].copy()
+        load = matvec_rows(cert.ct_lam, sb)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_constraint = np.where(load > 0, cert.gamma_vec[None, :] / load, np.inf).min(axis=1)
+            t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
+        t = np.minimum(t_constraint, t_pop)
+        t[~np.isfinite(t)] = 1.0
+        sb = sb * t[:, None]
+        for _ in range(4):
+            bad = _constraint_margin(sb, cert) < 0
+            if not bad.any():
+                break
+            sb[bad] *= 1.0 - 1e-14
+        s[:n_boundary] = sb
+    i = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s)
+    r = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s - i)
+    d = params.population - s - i - r
+    return s, i, r, d
+
+
+class _RecordingGenerator:
+    """Delegates to a real Generator and records each ``uniform`` call's rows."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.uniform_rows = []
+
+    def uniform(self, low, high, size):
+        self.uniform_rows.append(size[0])
+        return self._rng.uniform(low, high, size=size)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestChunkedSampler:
+    """The sampler's chunks change neither its rows nor the generator's state."""
+
+    @pytest.mark.parametrize("instance", ["preset", "desk"])
+    @pytest.mark.parametrize("n", [500, 70_000])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_draws_equal_one_shot_sampler(self, instance, n, seed, request):
+        params = request.getfixturevalue(f"{instance}_params")
+        cert = CertificateParams.from_model(params, 0.1)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_terminal_states(cert, params, n, rng)
+        want = reference_sample_terminal_states(cert, params, n, ref_rng)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_draw_exceeds_the_chunk(self, preset_params):
+        cert = CertificateParams.from_model(preset_params, 0.1)
+        rng = _RecordingGenerator(0)
+        sample_terminal_states(cert, preset_params, 20_000, rng)
+        assert max(rng.uniform_rows) <= _SAMPLER_CHUNK
+        assert sum(rng.uniform_rows) > 10 * _SAMPLER_CHUNK  # chunking was needed
+
+
 def reference_invariance(cert, params, samples, rng_seed, v_bar):
     """Per-sample loop over the invariance check, one si_step per state."""
     rng = np.random.default_rng(rng_seed)
@@ -186,8 +267,69 @@ def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
     return violations, worst
 
 
+def reference_eta_bound(params, rollouts, days, rng_seed, v_bar):
+    """Per-rollout loop over the growth-bound check, one si_step per day."""
+    rng = np.random.default_rng(rng_seed)
+    eta = vaxmpc.compute_eta(params)
+    gd, n_a = params.gamma_d, params.n_a
+    violations, worst, checked = 0, np.inf, 0
+    for _ in range(rollouts):
+        i = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
+        s = params.population - i
+        for _day in range(days):
+            u = _sample_controls(1, n_a, v_bar, rng)[0]
+            cost_now = float(matvec_rows(gd, i))
+            s, i, _ = si_step(s, i, u, params)
+            cost_next = float(matvec_rows(gd, i))
+            bound = eta * cost_now
+            margin = (bound * (1.0 + ETA_RTOL) - cost_next) / max(bound, 1e-300)
+            worst = min(worst, margin)
+            checked += 1
+            violations += margin < 0
+    return CheckReport("growth_factor_bound", checked, violations, float(worst), rng_seed)
+
+
+def random_params(n_a, rng):
+    """Seeded n_a-group instance within the model's premises."""
+    pop = rng.uniform(1e3, 1e6, n_a)
+    lam = rng.uniform(0.01, 0.3, n_a)
+    raw = rng.uniform(0.1, 5.0, (n_a, n_a))
+    raw *= min(1.0, 0.9 / np.max(lam * raw.sum(axis=1)))  # pressure below one
+    return vaxmpc.ModelParams(
+        lam=lam,
+        gamma_r=rng.uniform(0.1, 0.8, n_a),
+        gamma_d=rng.uniform(1e-4, 0.15, n_a),
+        population=pop,
+        contact=raw / pop[None, :],
+    )
+
+
 class TestBatchedChecks:
     """The batched checks report exactly what a per-sample loop reports."""
+
+    @pytest.mark.parametrize("instance", ["preset", "desk"])
+    def test_eta_bound_equals_per_rollout_loop(self, instance, request):
+        params = request.getfixturevalue(f"{instance}_params")
+        v_bar = 55191.0 if instance == "preset" else 1200.0
+        for seed, rollouts, days in [(0, 30, 140), (5, 7, 25), (1, 0, 140), (2, 30, 0)]:
+            got = vaxmpc.check_eta_bound(
+                params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
+            )
+            want = reference_eta_bound(params, rollouts, days, seed, v_bar)
+            assert got.to_json() == want.to_json()
+
+    @pytest.mark.parametrize("n_a", range(1, 17))
+    def test_eta_bound_equals_per_rollout_loop_random(self, n_a):
+        rng = np.random.default_rng(1000 + n_a)
+        params = random_params(n_a, rng)
+        v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
+        rollouts, days = int(rng.integers(0, 12)), int(rng.integers(0, 40))
+        for seed in (0, 7):
+            got = vaxmpc.check_eta_bound(
+                params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
+            )
+            want = reference_eta_bound(params, rollouts, days, seed, v_bar)
+            assert got.to_json() == want.to_json()
 
     @pytest.mark.parametrize("instance", ["preset", "desk"])
     def test_reports_equal_per_sample_loops(self, instance, request):

@@ -122,6 +122,10 @@ class TestSimulate:
             ("model.population", [8000.0, True]),
             ("i0", [True, 5.0]),
             ("output_dir", "runs"),
+            # integers too large for a float are not finite numbers
+            pytest.param("i0", [10**400, 5.0], id="i0-10**400"),
+            pytest.param("model.population", [8000.0, 10**400], id="population-10**400"),
+            pytest.param("mpc.v_bar", 10**400, id="v_bar-10**400"),
         ],
     )
     def test_mistyped_config_field_exits_one(
@@ -219,6 +223,14 @@ class TestCertify:
         code = cli.main(["--quiet", "certify", "--config", str(bad), "--samples", "50"])
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_exit_one(self, desk_config_path, capsys, samples):
+        code = cli.main(
+            ["--quiet", "certify", "--config", str(desk_config_path), "--samples", samples]
+        )
+        assert code == 1
+        assert "error: --samples must be a positive integer" in capsys.readouterr().err
 
     def test_seed_0_report_pinned(self, tmp_path):
         config = tmp_path / "preset.json"

@@ -168,6 +168,13 @@ class TestConfig:
         ):
             config_from_dict({"preset": "wallonia-2020", "output_dir": "runs"})
 
+    def test_age_groups_is_not_a_field(self):
+        with pytest.raises(
+            ValidationError, match="age_groups: unknown configuration field"
+        ):
+            labels = ["0-24", "25-44", "45-64", "65-74", "75-84", "85+"]
+            config_from_dict({"preset": "wallonia-2020", "age_groups": labels})
+
     def test_readme_configs_load_and_schema_lists_every_field(self):
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         configs = [json.loads(block) for block in blocks]
