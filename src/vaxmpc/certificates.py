@@ -56,6 +56,9 @@ ETA_I0_FRACTION = 0.02
 #: Most candidate rows the terminal-set sampler draws and tests at once.
 _SAMPLER_CHUNK = 1 << 16
 
+#: Share of the terminal-set samples rescaled onto the constraint boundary.
+BOUNDARY_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -117,8 +120,8 @@ def compute_eta(params: ModelParams) -> float:
     Returns the smallest eta with
     gamma_d' (Id + P_d diag(lam) C - diag(gamma_r + gamma_d)) <= eta gamma_d'
     componentwise, which guarantees gamma_d' I(n+1) <= eta * gamma_d' I(n)
-    for every state with 0 <= S <= P.  Groups with zero death rate contribute
-    a 0 <= 0 constraint (or make the bound unattainable, giving inf).
+    for every state with 0 <= S <= P.  Every gamma_d_k is positive, as
+    :class:`ModelParams` requires.
     """
     n = params.n_a
     growth = (
@@ -126,13 +129,7 @@ def compute_eta(params: ModelParams) -> float:
         + (params.population * params.lam)[:, None] * params.contact
         - np.diag(params.removal)
     )
-    weighted = params.gamma_d @ growth
-    positive = params.gamma_d > 0
-    if not np.any(positive):
-        return 1.0
-    if np.any(weighted[~positive] > 0):
-        return float("inf")
-    return float(np.max(weighted[positive] / params.gamma_d[positive]))
+    return float(np.max(params.gamma_d @ growth / params.gamma_d))
 
 
 @dataclass(frozen=True)
@@ -167,25 +164,27 @@ def disease_free(i: np.ndarray) -> bool:
     return float(np.max(np.abs(i))) <= XSTAR_ATOL
 
 
-def in_terminal_set(
-    state: EpidemicState,
-    cert: CertificateParams,
-    params: ModelParams | None = None,
-) -> bool:
+def in_terminal_set(state: EpidemicState, cert: CertificateParams) -> bool:
     """Membership test for the terminal region (exact comparisons).
 
     True iff Ct_Lam . S <= Gamma componentwise, or the state is disease-free
     (every |I_k| <= 1e-12).
     """
-    if params is not None and state.n_a != params.n_a:
-        raise ContractViolation("state and params disagree on group count")
+    if state.n_a != cert.gamma_vec.shape[0]:
+        raise ContractViolation("state and terminal set disagree on group count")
     return bool(_terminal_margin(state.s, state.i, cert) >= 0)
 
 
+def constraint_excess(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
+    """Ct_Lam . S - Gamma per row of S: every entry <= 0 iff the row meets
+    the terminal constraint.  The one place the product is formed; the
+    sampler, the X_f test and the planner's terminal slack all read it."""
+    return matvec_rows(cert.ct_lam, s) - cert.gamma_vec
+
+
 def _constraint_margin(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
-    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma.
-    The one membership product, shared by the sampler and the X_f test."""
-    return np.min(cert.gamma_vec - matvec_rows(cert.ct_lam, s), axis=-1)
+    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma."""
+    return 0.0 - np.max(constraint_excess(s, cert), axis=-1)  # not -x: 0 stays +0.0
 
 
 def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> np.ndarray:
@@ -212,17 +211,17 @@ def sample_terminal_states(
     params: ModelParams,
     n: int,
     rng: np.random.Generator,
-    boundary_fraction: float = 0.1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw n random full states inside X_f; returns (S, I, R, D) rows.
 
     Susceptibles are uniform on the box enclosing the constraint region,
     kept by rejection; each batch is drawn and tested in consecutive chunks
     of at most :data:`_SAMPLER_CHUNK` rows, which consume the stream exactly
-    as one draw would.  A ``boundary_fraction`` share is then rescaled onto
-    the constraint boundary (capped by the populations).  Infected are
-    uniform on [0, P - S], recovered uniform on the remainder, deceased the
-    rest, so every sample conserves population exactly.
+    as one draw would.  A :data:`BOUNDARY_FRACTION` share is then rescaled
+    onto the constraint boundary, capped by and clipped to the populations.
+    Infected are uniform on [0, P - S], recovered uniform on the remainder,
+    deceased the rest, so every sample has 0 <= S <= P, nonnegative I, R, D
+    and conserves population exactly.
     """
     n_a = params.n_a
     box = susceptible_box(cert, params)
@@ -246,7 +245,7 @@ def sample_terminal_states(
         raise ValidationError("terminal-set rejection sampling failed to converge")
     s = np.concatenate(accepted)[:n]
 
-    n_boundary = int(round(boundary_fraction * n))
+    n_boundary = int(round(BOUNDARY_FRACTION * n))
     if n_boundary:
         sb = s[:n_boundary].copy()
         load = matvec_rows(cert.ct_lam, sb)
@@ -255,7 +254,8 @@ def sample_terminal_states(
             t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
         t = np.minimum(t_constraint, t_pop)
         t[~np.isfinite(t)] = 1.0
-        sb = sb * t[:, None]
+        # where the population cap binds, S_k = S_k * (P_k / S_k) can round above P_k
+        sb = np.minimum(sb * t[:, None], params.population)
         # float rounding can push a scaled point a hair outside; nudge back
         for _ in range(4):
             bad = _constraint_margin(sb, cert) < 0
@@ -280,12 +280,17 @@ def _sample_controls(
     return w * total
 
 
+def _violations(margin: np.ndarray) -> int:
+    """Margins that are not >= 0: negative ones, and NaN."""
+    return int(np.count_nonzero(~(margin >= 0)))
+
+
 def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
-    """The report of a sampled check with one margin per sample (< 0: violated)."""
+    """The report of a sampled check with one margin per sample."""
     return CheckReport(
         name=name,
         n_samples=margin.size,
-        n_violations=int(np.count_nonzero(margin < 0)),
+        n_violations=_violations(margin),
         worst_margin=float(margin.min(initial=np.inf)),
         seed=seed,
     )
@@ -323,33 +328,34 @@ def check_lyapunov_decrease(
 ) -> CheckReport:
     """Sampled check of the one-step decrease inequalities inside X_f.
 
-    For states in X_f with infections present and zero input, verifies
+    For states in X_f and zero input, verifies
 
         gamma_d' I(n+1) - gamma_d' I(n) <= -epsilon gamma_d' I(n)
 
     and the terminal-cost analogue V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n),
-    both with relative slack 1e-9.  Also re-steps each state with a random
-    admissible input, with margin -inf unless the infected successor is
-    bitwise identical: the decrease condition must not depend on the input.
+    both with relative slack 1e-9.  A state with no infections (S = P
+    leaves no room for any) meets both with equality and has margin 0.
+    Also re-steps each state with a random admissible input, with margin
+    -inf unless the infected successor is bitwise identical: the decrease
+    condition must not depend on the input.
     """
     rng = np.random.default_rng(rng_seed)
     s, i, r, d = sample_terminal_states(cert, params, samples, rng)
-    # the decrease inequality is vacuous without infections
-    zero_rows = i.sum(axis=1) <= 0.0
-    if zero_rows.any():
-        i[zero_rows] = 0.5 * (params.population - s[zero_rows])
     u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
     gd = params.gamma_d
     eps = cert.epsilon
     cost_now = matvec_rows(gd, i)
     _, i1, _ = si_step(s, i, np.zeros_like(s), params)
     cost_next = matvec_rows(gd, i1)
-    # one-step decrease with margin epsilon
-    margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / cost_now
+    # one-step decrease with margin epsilon; relative margins are 0 / 1e-300
+    # where there are no infections
+    margin_dec = (1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next
+    margin_dec /= np.maximum(cost_now, 1e-300)
     # terminal-cost decrease: (1/eps)(cost_next - cost_now) <= -cost_now
     vf_now = cost_now / eps
     vf_next = cost_next / eps
-    margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / vf_now
+    margin_vf = -cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)
+    margin_vf /= np.maximum(vf_now, 1e-300)
     margin = np.minimum(margin_dec, margin_vf)
     _, i1_u, _ = si_step(s, i, u_rand, params)
     margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
@@ -402,60 +408,38 @@ def audit_death_bound(run: ScenarioResult) -> BoundAudit:
     solved days whenever the earlier day was feasible with zero terminal
     slack.  The tail stops at the eradication latch because that is where
     the controller stops being applied (the guarantee covers the
-    controlled closed loop, not the uncontrolled run-out).
+    controlled closed loop, not the uncontrolled run-out).  A predictive run
+    eradicated before its first solve has nothing to bound.
     """
     records = [rec for rec in run.day_records if rec.v_n0 is not None]
-    if not records:
-        if run.policy == "mpc":
-            # eradicated before the first solve: nothing to bound
-            return BoundAudit(
-                name="death_toll_bound",
-                n_samples=0,
-                n_violations=0,
-                worst_margin=float("inf"),
-                seed=None,
-                n_bound_violations=0,
-                n_descent_violations=0,
-            )
+    if not records and run.policy != "mpc":
         raise ContractViolation(
             "run carries no recorded optimal values; the death-toll audit "
             "applies to predictive-controller runs only"
         )
+    traj = run.trajectory
+    days = np.array([rec.day for rec in records], dtype=int)
+    v = np.array([rec.v_n0 for rec in records], dtype=float)
+    feasible = np.array([rec.feasible for rec in records], dtype=bool)
+    rows = traj.row(days)
+    outside = (rows < 0) | (rows > traj.n_steps)
+    if outside.any():
+        raise ContractViolation(f"record day {days[outside][0]} outside the trajectory")
+    end = traj.n_steps if run.latch_day is None else traj.row(run.latch_day)
     daily = run.daily_deaths()
-    n_steps = run.trajectory.n_steps
-    if run.latch_day is not None:
-        end = run.latch_day - 1 - run.trajectory.start_time_step
-    else:
-        end = n_steps
-    tail = np.zeros(n_steps + 1)
+    tail = np.zeros(traj.n_steps + 1)
     tail[:end] = np.cumsum(daily[:end][::-1])[::-1]
-    bound_violations = 0
-    descent_violations = 0
-    worst = np.inf
-    for rec in records:
-        t = rec.day - 1 - run.trajectory.start_time_step
-        if not 0 <= t <= n_steps:
-            raise ContractViolation(f"record day {rec.day} outside the trajectory")
-        v = rec.v_n0
-        margin = (v * (1.0 + BOUND_RTOL) - tail[t]) / max(v, 1e-300)
-        worst = min(worst, margin)
-        if margin < 0:
-            bound_violations += 1
-    by_day = {rec.day: rec for rec in records}
-    for rec in records:
-        nxt = by_day.get(rec.day + 1)
-        if nxt is None or not rec.feasible:
-            continue
-        margin = (rec.v_n0 * (1.0 + BOUND_RTOL) - nxt.v_n0) / max(rec.v_n0, 1e-300)
-        worst = min(worst, margin)
-        if margin < 0:
-            descent_violations += 1
+    bound = (v * (1.0 + BOUND_RTOL) - tail[rows]) / np.maximum(v, 1e-300)
+    chained = feasible[:-1] & (days[1:] == days[:-1] + 1)
+    earlier, later = v[:-1][chained], v[1:][chained]
+    descent = (earlier * (1.0 + BOUND_RTOL) - later) / np.maximum(earlier, 1e-300)
+    n_bound, n_descent = _violations(bound), _violations(descent)
     return BoundAudit(
         name="death_toll_bound",
-        n_samples=len(records),
-        n_violations=bound_violations + descent_violations,
-        worst_margin=float(worst),
+        n_samples=v.size,
+        n_violations=n_bound + n_descent,
+        worst_margin=float(np.concatenate([bound, descent]).min(initial=np.inf)),
         seed=None,
-        n_bound_violations=bound_violations,
-        n_descent_violations=descent_violations,
+        n_bound_violations=n_bound,
+        n_descent_violations=n_descent,
     )

@@ -7,8 +7,8 @@ Subcommands::
     vaxmpc certify  --config cfg.json --samples 5000 --seed 0
     vaxmpc sweep    --config cfg.json --vary mpc.v_bar=40000,55191 --out runs/sweep
 
-Exit codes: 0 success, 1 validation/config error, 2 solver failure,
-3 certificate violation.
+Exit codes: 0 success, 1 validation/config error (or an array too large
+to allocate), 2 solver failure, 3 certificate violation.
 """
 
 from __future__ import annotations
@@ -185,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except (VaxmpcError, OSError) as exc:
+    except (VaxmpcError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,8 +26,7 @@ The (S, I) dynamics take (..., n_a) batches; each row's bits match it alone.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,15 +76,13 @@ class ModelParams:
     gamma_d: np.ndarray
     population: np.ndarray
     contact: np.ndarray
-    validate: InitVar[bool] = True
     removal: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, validate: bool):
+    def __post_init__(self):
         for name in ("lam", "gamma_r", "gamma_d", "population"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         object.__setattr__(self, "contact", _freeze(self.contact))
-        if validate:
-            self._validate()
+        self._validate()
         object.__setattr__(self, "removal", _freeze(self.gamma_r + self.gamma_d))
 
     @property
@@ -114,16 +111,14 @@ class ModelParams:
             )
         if np.any(self.gamma_d <= 0):
             raise ValidationError("gamma_d: death rates must be strictly positive")
-        # Worst-case (I = P) infection pressure; beyond 1 the Euler step can
-        # drive S negative.  Warn rather than reject: the dynamics stay
-        # conservative either way.
+        # Worst-case (I = P) infection pressure.  At most 1, a day's new
+        # infections lam_k S_k sum_j C_kj I_j <= S_k, so S stays >= 0.
         pressure = self.lam * matvec_rows(self.contact, self.population)
         if np.any(pressure > 1):
             worst = int(np.argmax(pressure))
-            warnings.warn(
+            raise ValidationError(
                 f"infection pressure lam_k * sum_j C_kj P_j exceeds 1 for group "
-                f"{worst} ({pressure[worst]:.4g}); susceptibles may go negative",
-                stacklevel=2,
+                f"{worst} ({pressure[worst]:.4g}); susceptibles could go negative"
             )
 
 
@@ -310,6 +305,11 @@ class Trajectory:
             time_step=self.start_time_step + t,
             applied_u=self.applied_u[t - 1] if t > 0 else None,
         )
+
+    def row(self, day):
+        """Row index of one-based ``day`` (an int or an int array); row 0
+        holds ``state(0).day``, the run's first day."""
+        return day - 1 - self.start_time_step
 
     def total_deaths(self, t: int) -> float:
         return float(self.d[t].sum())

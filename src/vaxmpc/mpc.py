@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import strategies
-from .certificates import CertificateParams, disease_free, validate_epsilon
+from .certificates import CertificateParams, constraint_excess, disease_free, validate_epsilon
 from .errors import ContractViolation, SolverFailure, ValidationError
 from .model import EpidemicState, ModelParams, Trajectory, matvec_rows, si_step, step
 from .results import DayRecord, ScenarioResult
@@ -42,6 +42,9 @@ _MAX_BACKTRACKS = 40
 _MAX_ITERATIONS = 150
 _STEP_TOLERANCE = 1e-8
 _COST_TOLERANCE = 1e-10
+
+#: Most days a ``horizon`` or ``strategy_horizon`` may span (each is an array row).
+MAX_DAYS = 100_000
 
 
 def is_finite_number(value) -> bool:
@@ -88,14 +91,13 @@ class MpcConfig:
                 raise ValidationError(f"{fld.name} must be an integer")
             if fld.type == "float" and not is_finite_number(value):
                 raise ValidationError(f"{fld.name} must be a finite number")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be a positive number of days")
+        for name in ("horizon", "strategy_horizon"):
+            if not 1 <= getattr(self, name) <= MAX_DAYS:
+                raise ValidationError(f"{name} must be a number of days from 1 to {MAX_DAYS}")
         if self.v_bar <= 0:
             raise ValidationError("v_bar must be positive")
         if self.eradication_threshold <= 0:
             raise ValidationError("eradication_threshold must be a positive number")
-        if self.strategy_horizon < 1:
-            raise ValidationError("strategy_horizon must be positive")
         if self.vaccination_start_day < 0:
             raise ValidationError("vaccination_start_day must be nonnegative")
         if self.terminal_mode not in ("hard", "penalty"):
@@ -204,13 +206,17 @@ def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
     return running + terminal
 
 
+def _terminal_overshoot(problem: OcpProblem, predicted: SiTrajectory) -> np.ndarray:
+    """max(0, Ct_Lam . S_N - Gamma) per constraint; zero if I_N is disease-free."""
+    big_n = problem.cfg.horizon
+    if disease_free(predicted.i[big_n]):
+        return np.zeros(problem.n_a)
+    return np.maximum(0.0, constraint_excess(predicted.s[big_n], problem.cert))
+
+
 def terminal_slack(problem: OcpProblem, predicted: SiTrajectory) -> float:
     """Total violation of the terminal-set constraint at the horizon end."""
-    big_n, cert = problem.cfg.horizon, problem.cert
-    if disease_free(predicted.i[big_n]):
-        return 0.0
-    overshoot = matvec_rows(cert.ct_lam, predicted.s[big_n]) - cert.gamma_vec
-    return float(np.maximum(0.0, overshoot).sum())
+    return float(_terminal_overshoot(problem, predicted).sum())
 
 
 def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
@@ -269,10 +275,8 @@ def _gradient(
     lam_s = lam * s[:big_n]
     decay = 1.0 - params.removal
     contact_t = params.contact.T
-    p_s = np.zeros(n)
-    if terminal_slack(problem, predicted) > 0:
-        overshoot = matvec_rows(cert.ct_lam, s[big_n]) - cert.gamma_vec
-        p_s = problem.effective_weight * (cert.ct_lam.T @ (overshoot > 0).astype(float))
+    violated = _terminal_overshoot(problem, predicted) > 0
+    p_s = problem.effective_weight * (cert.ct_lam.T @ violated.astype(float))
     p_i = gd / problem.cfg.epsilon
 
     p_s_path = np.empty((big_n, n))

@@ -358,7 +358,7 @@ def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
     traj = run.trajectory
     n_days = traj.n_steps
     deaths_total = float(traj.d[n_days - 1].sum())
-    start_idx = run.cfg.vaccination_start_day - 1 - traj.start_time_step
+    start_idx = traj.row(run.cfg.vaccination_start_day)
     deaths_at_start = float(traj.d[min(max(start_idx, 0), n_days)].sum())
     new_inf = new_infections(traj.s[:n_days], traj.i[:n_days], run.params)
     cumulative = float(new_inf.sum()) + float(traj.i[0].sum())
@@ -513,9 +513,10 @@ def write_run(
     out.mkdir(parents=True, exist_ok=True)
     traj = run.trajectory
     n_days = traj.n_steps
+    first_day = traj.state(0).day
     lines = ["day,group,S,I,R,D,applied_u"]
     for t in range(n_days + 1):
-        day = traj.start_time_step + t + 1
+        day = first_day + t
         for g in range(run.params.n_a):
             applied = _fmt_float(traj.applied_u[t][g]) if t < n_days else ""
             lines.append(

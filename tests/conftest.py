@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,18 @@ def preset_params(preset_config):
 @pytest.fixture(scope="session")
 def preset_state0(preset_config, preset_params):
     return preset_config.build_initial_state(preset_params)
+
+
+@pytest.fixture(scope="session")
+def preset_runs(preset_config, preset_params, preset_state0):
+    """The three full-scale closed loops, timed (acceptance criteria 7 and 8)."""
+    cfg = preset_config.mpc
+    started = time.time()
+    runs = {
+        policy: vaxmpc.run_policy_loop(preset_state0, cfg, preset_params, policy)
+        for policy in ("none", "national", "mpc")
+    }
+    return runs, time.time() - started
 
 
 @pytest.fixture(scope="session")

@@ -28,18 +28,6 @@ def verdict(number, name, passed, detail=""):
     assert passed, f"criterion {number} ({name}) failed {detail}"
 
 
-@pytest.fixture(scope="module")
-def preset_runs(preset_config, preset_params, preset_state0):
-    """The three full-scale closed loops, timed (criteria 7 and 8)."""
-    cfg = preset_config.mpc
-    started = time.time()
-    runs = {
-        policy: vaxmpc.run_policy_loop(preset_state0, cfg, preset_params, policy)
-        for policy in ("none", "national", "mpc")
-    }
-    return runs, time.time() - started
-
-
 def test_criterion_1_conservation_suite():
     def random_params(rng, n_a):
         pop = rng.uniform(100, 1e6, n_a)

@@ -1,0 +1,37 @@
+"""The benchmark's workloads run clean against the current sources.
+
+``perfbench/`` patches vaxmpc functions by name and drives the public API
+(configs, ``run_scenario``, ``write_run``, the CLI, the death-toll audit).
+A refactor under ``src/`` that breaks what it relies on fails here, in the
+test suite, rather than only when the benchmark runs.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_module(name):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", ["preset-mpc", "baseline-sweep", "certify"])
+def test_workload_runs_clean_under_the_tracer(name, tmp_path):
+    tracing = _perfbench_module("tracing")
+    workloads = _perfbench_module("workloads")
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+    out_dir = tmp_path / "out"
+    with tracing.Tracer() as tracer:  # looks up every patched hook
+        raw = workload.run(out_dir)
+    outcome = workload.check(raw, out_dir)
+    assert outcome.attempted == workload.expected > 0
+    assert outcome.failed == 0
+    assert len(tracer.spans) > 1  # the hooks were called through

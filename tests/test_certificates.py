@@ -1,18 +1,24 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import vaxmpc
+from vaxmpc import cli
 from vaxmpc.certificates import (
+    BOUNDARY_FRACTION,
+    BOUND_RTOL,
     ETA_I0_FRACTION,
     ETA_RTOL,
     LYAPUNOV_RTOL,
     XSTAR_ATOL,
     _SAMPLER_CHUNK,
     CertificateParams,
+    BoundAudit,
     CheckReport,
     _constraint_margin,
+    _report,
     _sample_controls,
     sample_terminal_states,
     susceptible_box,
@@ -20,19 +26,22 @@ from vaxmpc.certificates import (
 from vaxmpc.errors import ContractViolation, ValidationError
 from vaxmpc.model import matvec_rows, si_step
 
+from conftest import random_desk_instance
+
 #: min_k (gamma_r_k + gamma_d_k) for the preset rates, attained by group 3
 #: (45-64): 0.5707245171 + 0.0232746601.
 PRESET_MIN_REMOVAL = 0.5939991772
 
 
-def scalar_params(lam=0.01, gamma_r=0.5, gamma_d=0.1, population=1000.0, contact=1.0):
+def scalar_params(lam=0.01, gamma_r=0.5, gamma_d=0.1, population=100.0, contact=1.0):
+    """One-group params; S* = 50 depends only on lam * contact, and a
+    population of at most 100 keeps the infection pressure at most 1."""
     return vaxmpc.ModelParams(
         lam=np.array([lam]),
         gamma_r=np.array([gamma_r]),
         gamma_d=np.array([gamma_d]),
         population=np.array([population]),
         contact=np.array([[contact]]),
-        validate=False,
     )
 
 
@@ -59,7 +68,7 @@ class TestTerminalSet:
     def test_disease_free_branch(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         state = vaxmpc.initial_state(preset_params, np.zeros(6))
-        assert vaxmpc.in_terminal_set(state, cert, preset_params)
+        assert vaxmpc.in_terminal_set(state, cert)
 
     def test_zero_susceptibles_always_member(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
@@ -69,7 +78,7 @@ class TestTerminalSet:
             r=np.zeros(6),
             d=np.zeros(6),
         )
-        assert vaxmpc.in_terminal_set(state, cert, preset_params)
+        assert vaxmpc.in_terminal_set(state, cert)
 
     def test_scalar_closed_form_threshold(self):
         # S* = gamma_d (gamma_r + gamma_d - eps) / (gamma_d lam C) = 50
@@ -85,7 +94,7 @@ class TestTerminalSet:
                 r=np.zeros(1),
                 d=np.zeros(1),
             )
-            return vaxmpc.in_terminal_set(state, cert, params)
+            return vaxmpc.in_terminal_set(state, cert)
 
         assert member(49.0)
         assert not member(51.0)
@@ -94,12 +103,14 @@ class TestTerminalSet:
         cert = CertificateParams.from_model(preset_params, 0.1)
         assert np.all(cert.gamma_vec > 0)
 
+    def test_group_count_checked_against_the_set(self, preset_params):
+        cert = CertificateParams.from_model(preset_params, 0.1)
+        state = vaxmpc.initial_state(scalar_params(), np.array([1.0]))
+        with pytest.raises(ContractViolation):
+            vaxmpc.in_terminal_set(state, cert)
+
 
 class TestComputeEta:
-    def test_identity_dynamics(self):
-        params = scalar_params(lam=0.0, gamma_r=0.0, gamma_d=0.0)
-        assert vaxmpc.compute_eta(params) == 1.0
-
     def test_scalar_closed_form(self):
         lam, gr, gd, pop, c = 0.02, 0.4, 0.1, 5000.0, 3e-4
         params = scalar_params(lam, gr, gd, pop, c)
@@ -121,7 +132,7 @@ class TestSampling:
         s, i, r, d = sample_terminal_states(cert, preset_params, 500, rng)
         for row in zip(s, i, r, d):
             state = vaxmpc.EpidemicState(*row)
-            assert vaxmpc.in_terminal_set(state, cert, preset_params)
+            assert vaxmpc.in_terminal_set(state, cert)
         assert np.all(s >= 0) and np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
         assert np.allclose(
             s + i + r + d, preset_params.population, rtol=1e-12, atol=0
@@ -130,11 +141,10 @@ class TestSampling:
     def test_boundary_fraction_sits_on_boundary(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         rng = np.random.default_rng(1)
-        s, _, _, _ = sample_terminal_states(
-            cert, preset_params, 200, rng, boundary_fraction=0.5
-        )
+        s, _, _, _ = sample_terminal_states(cert, preset_params, 1000, rng)
+        n_boundary = round(BOUNDARY_FRACTION * 1000)
         margins = np.array(
-            [np.min(cert.gamma_vec - cert.ct_lam @ row) for row in s[:100]]
+            [np.min(cert.gamma_vec - cert.ct_lam @ row) for row in s[:n_boundary]]
         )
         assert np.all(margins >= 0)
         # most scaled points touch the constraint up to rounding; the rest
@@ -150,8 +160,17 @@ class TestSampling:
             corner[k] = box[k]
             assert np.all(cert.ct_lam @ corner <= cert.gamma_vec * (1 + 1e-12))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_samples_stay_in_the_state_space(self, preset_params, seed):
+        # boundary rows where the population cap binds must not round above P
+        cert = CertificateParams.from_model(preset_params, 0.1)
+        rng = np.random.default_rng(seed)
+        s, i, r, d = sample_terminal_states(cert, preset_params, 20_000, rng)
+        assert np.all(s >= 0) and np.all(s <= preset_params.population)
+        assert np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
 
-def reference_sample_terminal_states(cert, params, n, rng, boundary_fraction=0.1):
+
+def reference_sample_terminal_states(cert, params, n, rng):
     """The sampler drawing each rejection batch in one call: same rows, same
     stream as the chunked one, but up to 2M candidate rows held at once."""
     n_a = params.n_a
@@ -167,7 +186,7 @@ def reference_sample_terminal_states(cert, params, n, rng, boundary_fraction=0.1
         rate = max(ok.mean(), 1e-4)
         batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
     s = accepted[:n]
-    n_boundary = int(round(boundary_fraction * n))
+    n_boundary = int(round(BOUNDARY_FRACTION * n))
     if n_boundary:
         sb = s[:n_boundary].copy()
         load = matvec_rows(cert.ct_lam, sb)
@@ -176,7 +195,7 @@ def reference_sample_terminal_states(cert, params, n, rng, boundary_fraction=0.1
             t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
         t = np.minimum(t_constraint, t_pop)
         t[~np.isfinite(t)] = 1.0
-        sb = sb * t[:, None]
+        sb = np.minimum(sb * t[:, None], params.population)
         for _ in range(4):
             bad = _constraint_margin(sb, cert) < 0
             if not bad.any():
@@ -246,8 +265,6 @@ def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
     """Per-sample loop over the decrease check, one si_step pair per state."""
     rng = np.random.default_rng(rng_seed)
     s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
-    zero_rows = i.sum(axis=1) <= 0.0
-    i[zero_rows] = 0.5 * (params.population - s[zero_rows])
     u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
     gd, eps = params.gamma_d, cert.epsilon
     violations, worst = 0, np.inf
@@ -255,9 +272,9 @@ def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
         cost_now = float(gd @ i[k])
         _, i1, _ = si_step(s[k], i[k], np.zeros(params.n_a), params)
         cost_next = float(gd @ i1)
-        margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / cost_now
+        margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / max(cost_now, 1e-300)
         vf_now, vf_next = cost_now / eps, cost_next / eps
-        margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / vf_now
+        margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / max(vf_now, 1e-300)
         margin = min(margin_dec, margin_vf)
         _, i1_u, _ = si_step(s[k], i[k], u_rand[k], params)
         if not np.array_equal(i1, i1_u):
@@ -365,7 +382,7 @@ class TestInvariance:
         cert = CertificateParams.from_model(preset_params, 0.1)
         state = vaxmpc.initial_state(preset_params, np.zeros(6))
         nxt = vaxmpc.step(state, np.full(6, 1000.0), preset_params)
-        assert vaxmpc.in_terminal_set(nxt, cert, preset_params)
+        assert vaxmpc.in_terminal_set(nxt, cert)
 
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
@@ -446,3 +463,188 @@ class TestDeathBoundAudit:
         assert not run.controls.any()
         audit = vaxmpc.audit_death_bound(run)
         assert audit.passed and audit.n_samples == 0
+
+    def test_record_day_outside_the_trajectory(self, desk_params, desk_state0, desk_cfg):
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+        records = list(run.day_records)
+        records[0] = dataclasses.replace(records[0], day=run.n_days + 5)
+        with pytest.raises(ContractViolation, match="outside the trajectory"):
+            vaxmpc.audit_death_bound(dataclasses.replace(run, day_records=records))
+
+
+class TestReportRule:
+    def test_nan_margin_counts_as_violation(self):
+        report = _report("check", np.array([0.5, np.nan, 2.0]), 0)
+        assert report.n_samples == 3
+        assert report.n_violations == 1
+        assert not report.passed
+
+    def test_one_group_config_without_nan(self, tmp_path, capsys):
+        # the box is the whole population, so boundary rows sit at S = P
+        # and carry no infection
+        (tmp_path / "c.csv").write_text("0.001\n")
+        config = {
+            "model": {"lambda": [0.01], "gamma_r": [0.5], "gamma_d": [0.1],
+                      "population": [1000.0]},
+            "contact_matrix_path": "c.csv",
+            "contact_matrix_is_raw": False,
+            "mpc": {"epsilon": 0.1},
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        code = cli.main(
+            ["--quiet", "certify", "--config", str(path), "--samples", "500",
+             "--seed", "0", "--out", str(out)]
+        )
+        checks = json.loads(out.read_text())["checks"]
+        assert code == 0
+        assert all(np.isfinite(c["worst_margin"]) for c in checks)
+        assert all(c["n_violations"] == 0 for c in checks)
+
+
+def box_is_population_params(rng):
+    """One group whose terminal-set box is its whole population."""
+    pop = rng.uniform(1e3, 1e5)
+    lam, gamma_r, gamma_d = rng.uniform(0.01, 0.3), rng.uniform(0.1, 0.8), rng.uniform(1e-4, 0.15)
+    # S* = (gamma_r + gamma_d - eps) / (lam C) >= P at eps = (gamma_r + gamma_d) / 2
+    contact = rng.uniform(0.1, 1.0) * gamma_r / (2.0 * lam * pop)
+    return vaxmpc.ModelParams(
+        lam=np.array([lam]),
+        gamma_r=np.array([gamma_r]),
+        gamma_d=np.array([gamma_d]),
+        population=np.array([pop]),
+        contact=np.array([[contact]]),
+    )
+
+
+class TestRandomInstances:
+    """Invariance and decrease hold past the preset, up to six groups; the
+    rejection sampler's acceptance floor 1/n_a! keeps larger n_a slow."""
+
+    @pytest.mark.parametrize("n_a", range(1, 7))
+    def test_invariance_and_decrease(self, n_a):
+        rng = np.random.default_rng(2000 + n_a)
+        instances = [random_params(n_a, rng) for _ in range(5)]
+        if n_a == 1:
+            instances += [box_is_population_params(rng) for _ in range(5)]
+        for k, params in enumerate(instances):
+            cert = CertificateParams.from_model(params, 0.5 * float(np.min(params.removal)))
+            if n_a == 1 and k >= 5:
+                assert susceptible_box(cert, params)[0] == params.population[0]
+            v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
+            for check in (vaxmpc.check_invariance, vaxmpc.check_lyapunov_decrease):
+                report = check(cert, params, samples=500, rng_seed=k, v_bar=v_bar)
+                assert np.isfinite(report.worst_margin), (k, report)
+                assert report.n_violations == 0, (k, report)
+
+
+def reference_audit_death_bound(run):
+    """The per-record audit loop the array pass replaced, kept verbatim."""
+    records = [rec for rec in run.day_records if rec.v_n0 is not None]
+    if not records:
+        if run.policy == "mpc":
+            # eradicated before the first solve: nothing to bound
+            return BoundAudit(
+                name="death_toll_bound",
+                n_samples=0,
+                n_violations=0,
+                worst_margin=float("inf"),
+                seed=None,
+                n_bound_violations=0,
+                n_descent_violations=0,
+            )
+        raise ContractViolation(
+            "run carries no recorded optimal values; the death-toll audit "
+            "applies to predictive-controller runs only"
+        )
+    daily = run.daily_deaths()
+    n_steps = run.trajectory.n_steps
+    if run.latch_day is not None:
+        end = run.latch_day - 1 - run.trajectory.start_time_step
+    else:
+        end = n_steps
+    tail = np.zeros(n_steps + 1)
+    tail[:end] = np.cumsum(daily[:end][::-1])[::-1]
+    bound_violations = 0
+    descent_violations = 0
+    worst = np.inf
+    for rec in records:
+        t = rec.day - 1 - run.trajectory.start_time_step
+        if not 0 <= t <= n_steps:
+            raise ContractViolation(f"record day {rec.day} outside the trajectory")
+        v = rec.v_n0
+        margin = (v * (1.0 + BOUND_RTOL) - tail[t]) / max(v, 1e-300)
+        worst = min(worst, margin)
+        if margin < 0:
+            bound_violations += 1
+    by_day = {rec.day: rec for rec in records}
+    for rec in records:
+        nxt = by_day.get(rec.day + 1)
+        if nxt is None or not rec.feasible:
+            continue
+        margin = (rec.v_n0 * (1.0 + BOUND_RTOL) - nxt.v_n0) / max(rec.v_n0, 1e-300)
+        worst = min(worst, margin)
+        if margin < 0:
+            descent_violations += 1
+    return BoundAudit(
+        name="death_toll_bound",
+        n_samples=len(records),
+        n_violations=bound_violations + descent_violations,
+        worst_margin=float(worst),
+        seed=None,
+        n_bound_violations=bound_violations,
+        n_descent_violations=descent_violations,
+    )
+
+
+def doctored(run, index, v_n0):
+    """The run with its index-th solved day's optimal value replaced."""
+    records = list(run.day_records)
+    solved = [k for k, rec in enumerate(records) if rec.v_n0 is not None]
+    k = solved[index]
+    records[k] = dataclasses.replace(records[k], v_n0=v_n0(records[k].v_n0))
+    return dataclasses.replace(run, day_records=records)
+
+
+class TestAuditEqualsRecordLoop:
+    """The array audit reports exactly what the per-record loop reports."""
+
+    @staticmethod
+    def assert_same(run):
+        got = vaxmpc.audit_death_bound(run)
+        assert got.to_json() == reference_audit_death_bound(run).to_json()
+        return got
+
+    def test_preset_run(self, preset_runs):
+        runs, _ = preset_runs
+        audit = self.assert_same(runs["mpc"])
+        assert audit.n_samples > 0 and audit.passed
+
+    def test_desk_loop_and_instances(self, desk_params, desk_state0, desk_cfg):
+        self.assert_same(vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params))
+        for seed in range(20):
+            params, state0, cfg = random_desk_instance(seed)
+            self.assert_same(vaxmpc.run_policy_loop(state0, cfg, params))
+
+    def test_eradicated_and_late_start(self, desk_params, desk_state0, desk_cfg):
+        state = vaxmpc.initial_state(desk_params, np.zeros(2))
+        audit = self.assert_same(vaxmpc.run_policy_loop(state, desk_cfg, desk_params))
+        assert audit.n_samples == 0
+        full = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+        late_cfg = dataclasses.replace(
+            desk_cfg, vaccination_start_day=6, strategy_horizon=15, eradication_threshold=1.0
+        )
+        late = vaxmpc.run_policy_loop(full.trajectory.state(3), late_cfg, desk_params)
+        assert late.trajectory.state(0).day == 4 and late.latch_day == 18
+        audit = self.assert_same(late)
+        assert audit.n_samples > 0
+
+    def test_doctored_runs(self, desk_params, desk_state0, desk_cfg):
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+        # the last solve claims too few deaths: one bound violation
+        audit = self.assert_same(doctored(run, -1, lambda v: 1e-3 * v))
+        assert (audit.n_bound_violations, audit.n_descent_violations) == (1, 0)
+        # the second solve's value rises above the first's: one descent violation
+        audit = self.assert_same(doctored(run, 1, lambda v: 10.0 * v))
+        assert (audit.n_bound_violations, audit.n_descent_violations) == (0, 1)

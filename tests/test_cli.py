@@ -126,6 +126,12 @@ class TestSimulate:
             pytest.param("i0", [10**400, 5.0], id="i0-10**400"),
             pytest.param("model.population", [8000.0, 10**400], id="population-10**400"),
             pytest.param("mpc.v_bar", 10**400, id="v_bar-10**400"),
+            # day counts too large to allocate a plan or a run for
+            *(
+                pytest.param(f"mpc.{name}", value, id=f"{name}-{label}")
+                for name in ("horizon", "strategy_horizon")
+                for value, label in ((10**400, "10**400"), (2**62, "2**62"), (2**40, "2**40"))
+            ),
         ],
     )
     def test_mistyped_config_field_exits_one(
@@ -143,6 +149,15 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(bad), "--out", str(out)]) == 1
         assert f"error: {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_allocation_failure_exits_one(self, desk_config_path, monkeypatch, capsys):
+        def too_big(*args, **kwargs):
+            raise MemoryError("Unable to allocate 48.0 TiB")
+
+        monkeypatch.setattr("vaxmpc.cli.scenario.run_scenario", too_big)
+        code = cli.main(["simulate", "--config", str(desk_config_path), "--out", "x"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: Unable to allocate 48.0 TiB\n"
 
     def test_solver_failure_exits_two(self, desk_config_path, monkeypatch):
         def boom(*args, **kwargs):

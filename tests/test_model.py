@@ -158,6 +158,14 @@ class TestRollout:
         assert traj.applied_u[0][1] < 5e6
         assert np.all(traj.s >= 0)
 
+    def test_row_of_a_day_inverts_the_state_day(self, desk_params, desk_state0):
+        late = vaxmpc.rollout(desk_state0, np.zeros((5, 2)), desk_params).state(3)
+        traj = vaxmpc.rollout(late, np.zeros((4, 2)), desk_params)
+        days = np.array([traj.state(t).day for t in range(len(traj))])
+        assert days[0] == 4
+        assert traj.row(int(days[2])) == 2
+        assert np.array_equal(traj.row(days), np.arange(len(traj)))
+
     def test_error_carries_step_index(self, desk_params, desk_state0):
         controls = np.zeros((3, 2))
         controls[2, 0] = -4.0
@@ -332,8 +340,8 @@ class TestModelParamsValidation:
                 contact=np.array([[0.001]]),
             )
 
-    def test_warns_on_excess_infection_pressure(self):
-        with pytest.warns(UserWarning, match="infection pressure"):
+    def test_rejects_excess_infection_pressure(self):
+        with pytest.raises(ValidationError, match="infection pressure"):
             vaxmpc.ModelParams(
                 lam=np.array([0.9]),
                 gamma_r=np.array([0.5]),
@@ -341,17 +349,6 @@ class TestModelParamsValidation:
                 population=np.array([100.0]),
                 contact=np.array([[0.05]]),
             )
-
-    def test_validate_escape_hatch(self):
-        params = vaxmpc.ModelParams(
-            lam=np.array([0.0]),
-            gamma_r=np.array([0.0]),
-            gamma_d=np.array([0.0]),
-            population=np.array([100.0]),
-            contact=np.array([[0.0]]),
-            validate=False,
-        )
-        assert params.n_a == 1
 
 
 class TestValidateControl:

@@ -335,7 +335,7 @@ class TestTerminalSlack:
                 i=np.tile(state.i, (big_n + 1, 1)),
                 u=np.zeros((big_n, 6)),
             )
-            assert vaxmpc.in_terminal_set(state, cert, preset_params) is inside
+            assert vaxmpc.in_terminal_set(state, cert) is inside
             assert (terminal_slack(problem, path) == 0.0) is inside
 
 
