@@ -159,9 +159,10 @@ class CertificateParams:
         )
 
 
-def disease_free(i: np.ndarray) -> bool:
-    """True iff every |I_k| <= XSTAR_ATOL: the state counts as X* = {I = 0}."""
-    return float(np.max(np.abs(i))) <= XSTAR_ATOL
+def disease_free(i: np.ndarray) -> np.ndarray:
+    """Per row of I: True iff every |I_k| <= XSTAR_ATOL, so the state counts
+    as X* = {I = 0}."""
+    return np.max(np.abs(i), axis=-1) <= XSTAR_ATOL
 
 
 def in_terminal_set(state: EpidemicState, cert: CertificateParams) -> bool:

@@ -13,7 +13,12 @@ first planned day is applied before re-solving.
 The solver is projected gradient descent with analytically propagated
 sensitivities through the bilinear dynamics (single shooting) and a seeded
 multi-start to cope with local minima; identical inputs and seed give
-bitwise-identical solutions.
+bitwise-identical solutions.  The starts descend together: each round
+projects, rolls out and scores one line-search trial of every start still
+descending as one (K, N, n_a) batch, and takes one batched gradient for the
+starts that moved.  Every batched function gives each plan the bits it
+gives that plan alone, and step lengths, counters and stop rules are kept
+per start, so each start follows the path it would follow on its own.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ _COST_TOLERANCE = 1e-10
 
 #: Most days a ``horizon`` or ``strategy_horizon`` may span (each is an array row).
 MAX_DAYS = 100_000
+
+#: Most seeded random starts (``n_restarts``); all starts are held at once.
+MAX_RESTARTS = 1_000
 
 
 def is_finite_number(value) -> bool:
@@ -102,8 +110,8 @@ class MpcConfig:
             raise ValidationError("vaccination_start_day must be nonnegative")
         if self.terminal_mode not in ("hard", "penalty"):
             raise ValidationError("terminal_mode must be 'hard' or 'penalty'")
-        if self.n_restarts < 0:
-            raise ValidationError("n_restarts must be nonnegative")
+        if not 0 <= self.n_restarts <= MAX_RESTARTS:
+            raise ValidationError(f"n_restarts must be a count from 0 to {MAX_RESTARTS}")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be nonnegative")
         if params is not None:
@@ -112,12 +120,17 @@ class MpcConfig:
 
 @dataclass(frozen=True)
 class SiTrajectory:
-    """Predicted susceptible/infected paths, shape (N+1, n_a) each, and the
-    doses the clamp let through on each day, shape (N, n_a)."""
+    """Predicted susceptible/infected paths, shape (..., N+1, n_a) each, and
+    the doses the clamp let through on each day, shape (..., N, n_a); the
+    leading axes, if any, are those of the plans rolled out."""
 
     s: np.ndarray
     i: np.ndarray
     u: np.ndarray
+
+    def take(self, plans: np.ndarray) -> "SiTrajectory":
+        """The paths of the given plans (an index into the leading axis)."""
+        return SiTrajectory(s=self.s[plans], i=self.i[plans], u=self.u[plans])
 
 
 @dataclass(frozen=True)
@@ -174,58 +187,67 @@ def build_ocp(
     )
 
 
-def _rollout(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
-    """The horizon's S and I paths and the applied doses.
-
-    This is the planner's only pass over the dynamics; it steps with the
-    plant's :func:`si_step`, so prediction equals plant stepping bitwise.
-    A descent's start point is rolled out here directly, so that
-    :func:`predict` runs once per line-search trial and once per solution.
-    """
-    big_n, n = problem.cfg.horizon, problem.n_a
-    s = np.empty((big_n + 1, n))
-    i = np.empty((big_n + 1, n))
-    u_eff = np.empty((big_n, n))
-    s[0], i[0] = problem.s0, problem.i0
-    for t in range(big_n):
-        s[t + 1], i[t + 1], u_eff[t] = si_step(s[t], i[t], controls[t], problem.params)
-    return SiTrajectory(s=s, i=i, u=u_eff)
+def _per_plan(values: np.ndarray):
+    """A float for one plan, the array over the leading axes for a batch."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
-    """Roll the reduced dynamics over the horizon (same step as the plant)."""
-    return _rollout(problem, controls)
+    """The horizon's S and I paths and the applied doses of each plan.
+
+    ``controls`` is one (N, n_a) plan or a batch (..., N, n_a) of them.
+    This is the planner's only pass over the dynamics; it steps with the
+    plant's :func:`si_step`, so prediction equals plant stepping bitwise,
+    and a plan's path is the same alone or in a batch.
+    """
+    big_n, n = problem.cfg.horizon, problem.n_a
+    s = np.empty(controls.shape[:-2] + (big_n + 1, n))
+    i = np.empty_like(s)
+    u_eff = np.empty(controls.shape)
+    s[..., 0, :], i[..., 0, :] = problem.s0, problem.i0
+    for t in range(big_n):
+        s[..., t + 1, :], i[..., t + 1, :], u_eff[..., t, :] = si_step(
+            s[..., t, :], i[..., t, :], controls[..., t, :], problem.params
+        )
+    return SiTrajectory(s=s, i=i, u=u_eff)
 
 
-def plan_cost(problem: OcpProblem, predicted: SiTrajectory) -> float:
-    """Predicted deaths over the horizon plus the terminal cost."""
+def plan_cost(problem: OcpProblem, predicted: SiTrajectory):
+    """Predicted deaths over the horizon plus the terminal cost, per plan."""
     gd, big_n = problem.params.gamma_d, problem.cfg.horizon
-    # one gemv, not per-row dots, keeps the bits of V_N0 in the diagnostics
-    running = float((predicted.i[:big_n] @ gd).sum())
-    terminal = float(matvec_rows(gd, predicted.i[big_n])) / problem.cfg.epsilon
-    return running + terminal
+    # one gemv per plan, not per-row dots, keeps the bits of V_N0 in the diagnostics
+    running = (predicted.i[..., :big_n, :] @ gd).sum(axis=-1)
+    terminal = matvec_rows(gd, predicted.i[..., big_n, :]) / problem.cfg.epsilon
+    return _per_plan(running + terminal)
 
 
 def _terminal_overshoot(problem: OcpProblem, predicted: SiTrajectory) -> np.ndarray:
-    """max(0, Ct_Lam . S_N - Gamma) per constraint; zero if I_N is disease-free."""
+    """max(0, Ct_Lam . S_N - Gamma) per constraint and plan; zero for a plan
+    whose I_N is disease-free."""
     big_n = problem.cfg.horizon
-    if disease_free(predicted.i[big_n]):
-        return np.zeros(problem.n_a)
-    return np.maximum(0.0, constraint_excess(predicted.s[big_n], problem.cert))
+    excess = constraint_excess(predicted.s[..., big_n, :], problem.cert)
+    free = disease_free(predicted.i[..., big_n, :])[..., None]
+    return np.where(free, 0.0, np.maximum(0.0, excess))
 
 
-def terminal_slack(problem: OcpProblem, predicted: SiTrajectory) -> float:
-    """Total violation of the terminal-set constraint at the horizon end."""
-    return float(_terminal_overshoot(problem, predicted).sum())
+def terminal_slack(problem: OcpProblem, predicted: SiTrajectory):
+    """Total violation of the terminal-set constraint at the horizon end, per plan."""
+    return _per_plan(_terminal_overshoot(problem, predicted).sum(axis=-1))
 
 
 def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
-    """Euclidean projection of each row onto {u >= 0, sum(u) <= v_bar}."""
+    """Euclidean projection of each row onto {u >= 0, sum(u) <= v_bar}.
+
+    Rows are the last axis of a (..., n_a) array (a 1-D input is one row
+    and comes back as shape (1, n_a)); each row is projected on its own.
+    """
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    shape = controls.shape
+    controls = controls.reshape(-1, shape[-1])
     clipped = np.maximum(controls, 0.0)
     over = clipped.sum(axis=1) > v_bar
     if not np.any(over):
-        return clipped
+        return clipped.reshape(shape)
     rows = controls[over]
     n = rows.shape[1]
     ordered = np.sort(rows, axis=1)[:, ::-1]
@@ -235,11 +257,11 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
     theta = excess[np.arange(rows.shape[0]), rho - 1] / rho
     out = clipped
     out[over] = np.maximum(rows - theta[:, None], 0.0)
-    return out
+    return out.reshape(shape)
 
 
-def _penalized_value(problem: OcpProblem, predicted: SiTrajectory) -> float:
-    """Plan cost plus the weighted terminal slack of a predicted path."""
+def _penalized_value(problem: OcpProblem, predicted: SiTrajectory):
+    """Plan cost plus the weighted terminal slack of each predicted path."""
     value = plan_cost(problem, predicted)
     value += problem.effective_weight * terminal_slack(problem, predicted)
     return value
@@ -248,96 +270,121 @@ def _penalized_value(problem: OcpProblem, predicted: SiTrajectory) -> float:
 def _gradient(
     problem: OcpProblem, controls: np.ndarray, predicted: SiTrajectory
 ) -> np.ndarray:
-    """Adjoint-propagated gradient of :func:`_penalized_value`.
+    """Adjoint-propagated gradient of :func:`_penalized_value`, per plan.
 
-    The backward pass runs on ``predicted``, the rollout of ``controls``:
-    in the descent that is the path the line search already computed for
-    the accepted trial, or the rollout of a descent's start point.  The
-    clamp u_eff = min(u, max(0, S - new_infections)) is handled by
-    active-set bookkeeping read off that path: room is left exactly where
-    S' > 0, or S' == 0 with doses applied.  Where the clamp binds,
-    the control has no local effect and its gradient entry is zero.
+    The backward pass runs on ``predicted``, the rollout of ``controls``
+    (one plan or a batch): in the descent that is the path the line search
+    already computed for the accepted trials, or the rollout of the start
+    points.  The clamp u_eff = min(u, max(0, S - new_infections)) is
+    handled by active-set bookkeeping read off that path: room is left
+    exactly where S' > 0, or S' == 0 with doses applied.  Where the clamp
+    binds, the control has no local effect and its gradient entry is zero.
 
     Everything that does not depend on the adjoints is formed before the
     backward loop, with the same per-row arithmetic, so the result is
-    bitwise the same as stepping it inside the loop.
+    bitwise the same as stepping it inside the loop.  Every product with a
+    matrix goes through :func:`matvec_rows`, so a plan's gradient is the
+    same alone or in a batch.
     """
     params, cert = problem.params, problem.cert
-    n, big_n = problem.n_a, problem.cfg.horizon
+    big_n = problem.cfg.horizon
     lam, gd = params.lam, params.gamma_d
     s, i, u_eff = predicted.s, predicted.i, predicted.u
 
-    room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
+    room = (s[..., 1:, :] > 0) | ((s[..., 1:, :] == 0) & (u_eff > 0))
     free_u = room & (u_eff == controls)  # u_eff == u and room left
     keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
-    rate = lam * matvec_rows(params.contact, i[:big_n])  # as in si_step
+    rate = lam * matvec_rows(params.contact, i[..., :big_n, :])  # as in si_step
     hold = 1.0 - rate
-    lam_s = lam * s[:big_n]
+    lam_s = lam * s[..., :big_n, :]
     decay = 1.0 - params.removal
     contact_t = params.contact.T
     violated = _terminal_overshoot(problem, predicted) > 0
-    p_s = problem.effective_weight * (cert.ct_lam.T @ violated.astype(float))
+    p_s = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
     p_i = gd / problem.cfg.epsilon
 
-    p_s_path = np.empty((big_n, n))
+    p_s_path = np.empty(controls.shape)
     for t in range(big_n - 1, -1, -1):
-        p_s_path[t] = p_s
-        p_s_next = np.where(keep[t], hold[t] * p_s, 0.0) + rate[t] * p_i
-        flow = lam_s[t] * (p_i - keep[t] * p_s)
-        p_i = gd + decay * p_i + contact_t @ flow
+        p_s_path[..., t, :] = p_s
+        keep_t = keep[..., t, :]
+        p_s_next = np.where(keep_t, hold[..., t, :] * p_s, 0.0) + rate[..., t, :] * p_i
+        flow = lam_s[..., t, :] * (p_i - keep_t * p_s)
+        p_i = gd + decay * p_i + matvec_rows(contact_t, flow)
         p_s = p_s_next
     return np.where(free_u, -p_s_path, 0.0)
 
 
 def _descend(
-    problem: OcpProblem, start: np.ndarray
-) -> tuple[np.ndarray, float, int]:
-    """Projected-gradient descent from one start; returns (U, value, iters).
+    problem: OcpProblem, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Projected-gradient descent from every start at once.
 
-    The start point is rolled out once; every later value and gradient
-    comes from the rollout the line search made of the accepted trial.
+    ``starts`` is (K, N, n_a); returns each start's final plan, value and
+    iteration count.  Each round makes one line-search trial for every
+    start still descending: the trials are projected, rolled out and
+    scored as one batch, the starts whose trial passes the Armijo test
+    move to it and take one batched gradient on the path the line search
+    made, and the others halve their step.  Step lengths, counters and
+    stop rules are kept per start, so each start follows bitwise the path
+    it would follow alone.
     """
     v_bar = problem.cfg.v_bar
-    controls = project_capacity(start, v_bar)
-    path = _rollout(problem, controls)
+    controls = project_capacity(starts, v_bar)
+    path = predict(problem, controls)
     value = _penalized_value(problem, path)
-    if not np.isfinite(value):
-        raise SolverFailure(f"non-finite objective {value} at the start point")
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise SolverFailure(f"non-finite objective {value[bad][0]} at the start point")
     grad = _gradient(problem, controls, path)
-    scale = np.max(np.abs(grad))
-    step_len = v_bar / scale if scale > 0 else 1.0
-    iterations = 0
-    stalls = 0
-    for _ in range(_MAX_ITERATIONS):
-        iterations += 1
-        moved = False
-        for _ in range(_MAX_BACKTRACKS):
-            trial = project_capacity(controls - step_len * grad, v_bar)
-            displacement = float(np.linalg.norm(trial - controls))
-            if displacement == 0.0:
-                break
-            trial_path = predict(problem, trial)
-            trial_value = _penalized_value(problem, trial_path)
-            if not np.isfinite(trial_value):
-                raise SolverFailure("non-finite objective during line search")
-            if trial_value <= value - _ARMIJO_C / step_len * displacement**2:
-                moved = True
-                break
-            step_len *= 0.5
-        if not moved:
-            break
-        drop = value - trial_value
-        controls, value = trial, trial_value
-        grad = _gradient(problem, controls, trial_path)
-        if displacement <= _STEP_TOLERANCE * (1.0 + float(np.linalg.norm(controls))):
-            break
-        if drop <= _COST_TOLERANCE * (1.0 + abs(value)):
-            stalls += 1
-            if stalls >= 3:
-                break
-        else:
-            stalls = 0
-        step_len = min(step_len * 2.0, 1e6 * v_bar)
+    scale = np.max(np.abs(grad), axis=(1, 2))
+    step_len = np.ones(len(starts))
+    step_len[scale > 0] = v_bar / scale[scale > 0]
+    iterations = np.zeros(len(starts), dtype=int)
+    stalls = np.zeros(len(starts), dtype=int)
+    backtracks = np.zeros(len(starts), dtype=int)  # failed trials this iteration
+    live = np.ones(len(starts), dtype=bool)
+    while live.any():
+        rows = np.flatnonzero(live)
+        iterations[rows[backtracks[rows] == 0]] += 1
+        trial = project_capacity(controls[rows] - step_len[rows, None, None] * grad[rows], v_bar)
+        # one norm per plan: a batched sum of squares may add in another order
+        displacement = np.array(
+            [float(np.linalg.norm(new - old)) for new, old in zip(trial, controls[rows])]
+        )
+        moved = displacement != 0.0
+        live[rows[~moved]] = False
+        rows, trial, displacement = rows[moved], trial[moved], displacement[moved]
+        if not rows.size:
+            continue
+        # float ** 2 is libm's pow, which can differ from numpy's x * x
+        squared = np.array([d**2 for d in displacement.tolist()])
+        trial_path = predict(problem, trial)
+        trial_value = _penalized_value(problem, trial_path)
+        if not np.all(np.isfinite(trial_value)):
+            raise SolverFailure("non-finite objective during line search")
+        accepted = trial_value <= value[rows] - _ARMIJO_C / step_len[rows] * squared
+
+        rejected = rows[~accepted]
+        step_len[rejected] *= 0.5
+        backtracks[rejected] += 1
+        live[rejected[backtracks[rejected] == _MAX_BACKTRACKS]] = False
+
+        took = rows[accepted]
+        drop = value[took] - trial_value[accepted]
+        controls[took], value[took] = trial[accepted], trial_value[accepted]
+        backtracks[took] = 0
+        size = np.array([float(np.linalg.norm(plan)) for plan in controls[took]])
+        settled = displacement[accepted] <= _STEP_TOLERANCE * (1.0 + size)
+        stalled = drop <= _COST_TOLERANCE * (1.0 + np.abs(value[took]))
+        stalls[took] = np.where(stalled, stalls[took] + 1, 0)
+        ended = settled | (stalls[took] >= 3) | (iterations[took] == _MAX_ITERATIONS)
+        live[took[ended]] = False
+        going = ~ended
+        took = took[going]
+        if took.size:
+            step_len[took] = np.minimum(step_len[took] * 2.0, 1e6 * v_bar)
+            moving_path = trial_path.take(np.flatnonzero(accepted)[going])
+            grad[took] = _gradient(problem, controls[took], moving_path)
     return controls, value, iterations
 
 
@@ -349,7 +396,8 @@ _PATTERN_START_LIMIT = 64
 
 def _start_points(
     problem: OcpProblem, warm_start: np.ndarray | None
-) -> list[np.ndarray]:
+) -> np.ndarray:
+    """The (K, N, n_a) start plans, in the order that breaks ties."""
     n, big_n, v_bar = problem.n_a, problem.cfg.horizon, problem.cfg.v_bar
     starts: list[np.ndarray] = []
     if warm_start is not None:
@@ -374,7 +422,7 @@ def _start_points(
     rng = np.random.default_rng(problem.cfg.rng_seed)
     for _ in range(problem.cfg.n_restarts):
         starts.append(rng.uniform(0.0, v_bar, size=(big_n, n)))
-    return starts
+    return np.array(starts)
 
 
 def solve_ocp(
@@ -382,27 +430,21 @@ def solve_ocp(
 ) -> OcpSolution:
     """Best control plan over the multi-start set (deterministic tie-break).
 
-    Starts are descended in a fixed order (warm start first, then structured
-    and seeded random points); the lowest penalized objective wins and ties
-    go to the earlier start.
+    The starts come in a fixed order (warm start first, then structured
+    and seeded random points) and are descended together; the lowest
+    penalized objective wins and ties go to the earlier start.
     """
-    best_controls = None
-    best_value = np.inf
-    total_iterations = 0
-    for start in _start_points(problem, warm_start):
-        controls, value, iters = _descend(problem, start)
-        total_iterations += iters
-        if value < best_value:
-            best_controls, best_value = controls, value
-    predicted = predict(problem, best_controls)
+    controls, values, iterations = _descend(problem, _start_points(problem, warm_start))
+    best = int(np.argmin(values))  # the first lowest: ties go to the earlier start
+    predicted = predict(problem, controls[best])
     slack = terminal_slack(problem, predicted)
     return OcpSolution(
-        controls=best_controls,
+        controls=controls[best].copy(),
         predicted=predicted,
         optimal_value=plan_cost(problem, predicted),
         feasible=slack == 0.0,
         terminal_slack=slack,
-        iterations=total_iterations,
+        iterations=int(iterations.sum()),
     )
 
 

@@ -538,7 +538,7 @@ def write_run(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
-    if any(rec.v_n0 is not None for rec in run.day_records):
+    if run.policy == "mpc":  # every predictive run, solved or not
         records = []
         for t, rec in enumerate(run.day_records):
             records.append(json.dumps(rec.to_dict(traj.applied_u[t]), sort_keys=True))

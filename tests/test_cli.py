@@ -57,6 +57,20 @@ class TestSimulate:
         assert (out / "diagnostics.jsonl").exists()
         assert "policy=mpc" in capsys.readouterr().out
 
+    def test_predictive_run_without_a_solve_writes_diagnostics(
+        self, desk_config_path, tmp_path
+    ):
+        config = json.loads(desk_config_path.read_text())
+        config["i0"] = [0.0, 0.0]  # eradicated before the first solve
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        assert cli.main(["--quiet", "simulate", "--config", str(path), "--out", str(out)]) == 0
+        lines = (out / "diagnostics.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        assert [rec["day"] for rec in records] == list(range(1, 13))
+        assert all(rec["V_N0"] is None for rec in records)
+
     def test_policy_flag_overrides_config(self, desk_config_path, tmp_path):
         out = tmp_path / "run"
         code = cli.main(
@@ -132,6 +146,9 @@ class TestSimulate:
                 for name in ("horizon", "strategy_horizon")
                 for value, label in ((10**400, "10**400"), (2**62, "2**62"), (2**40, "2**40"))
             ),
+            # more starts than the solver holds at once
+            pytest.param("mpc.n_restarts", 2**62, id="n_restarts-2**62"),
+            pytest.param("mpc.n_restarts", 10**400, id="n_restarts-10**400"),
         ],
     )
     def test_mistyped_config_field_exits_one(

@@ -7,13 +7,12 @@ import pytest
 
 import vaxmpc
 from vaxmpc import mpc
-from vaxmpc.errors import ValidationError
+from vaxmpc.errors import SolverFailure, ValidationError
 from vaxmpc.mpc import (
     OcpSolution,
     SiTrajectory,
     _gradient,
     _penalized_value,
-    _rollout,
     _start_points,
     build_ocp,
     plan_cost,
@@ -255,18 +254,22 @@ class TestObjectiveGradient:
     def test_trial_path_gives_fresh_rollout_bits(
         self, preset_config, preset_params, preset_state0
     ):
-        """The descent hands the line search's path to the backward pass;
-        the gradient must be the bits a fresh rollout gives."""
+        """The descent hands the line search's batched path to the backward
+        pass; each trial's gradient must be the bits a fresh rollout of that
+        trial alone gives."""
         rng = np.random.default_rng(3)
         negative_zeros = binding = 0
         for problem in gradient_problems(preset_config, preset_params, preset_state0):
             v_bar = problem.cfg.v_bar
+            trials = []
             for controls in random_plans(problem, rng, 4):
                 grad = gradient(problem, controls)
                 step_len = v_bar / max(np.max(np.abs(grad)), 1e-300)
-                trial = project_capacity(controls - 0.1 * step_len * grad, v_bar)
-                fresh_grad = _gradient(problem, trial, _rollout(problem, trial))
-                grad = _gradient(problem, trial, predict(problem, trial))
+                trials.append(project_capacity(controls - 0.1 * step_len * grad, v_bar))
+            trials = np.array(trials)
+            batched = _gradient(problem, trials, predict(problem, trials))
+            for trial, grad in zip(trials, batched):
+                fresh_grad = _gradient(problem, trial, predict(problem, trial.copy()))
                 assert grad.tobytes() == fresh_grad.tobytes()
                 negative_zeros += int(np.sum((grad == 0) & np.signbit(grad)))
                 binding += int(binding_mask(problem, trial).sum())
@@ -274,40 +277,252 @@ class TestObjectiveGradient:
         assert binding > 0
 
 
-def counting(monkeypatch, names):
-    """Count calls to the named ``vaxmpc.mpc`` functions."""
-    calls = collections.Counter()
-    for name in names:
+def counting(monkeypatch, problem):
+    """Count calls to the solver's batched functions and the plans each call
+    carried (rows of its leading batch axes); an ``si_step`` plan is one
+    row of n_a groups."""
+    calls, plans = collections.Counter(), collections.Counter()
+    plan = problem.n_decision_vars
+    units = {"predict": (1, plan), "project_capacity": (0, plan), "_gradient": (1, plan),
+             "si_step": (2, problem.n_a)}
+    for name, (position, unit) in units.items():
         inner = getattr(mpc, name)
 
-        def wrapper(*args, _name=name, _inner=inner, **kwargs):
+        def wrapper(*args, _name=name, _inner=inner, _pos=position, _unit=unit, **kwargs):
             calls[_name] += 1
+            plans[_name] += np.size(args[_pos]) // _unit
             return _inner(*args, **kwargs)
 
         monkeypatch.setattr(mpc, name, wrapper)
-    return calls
+    return calls, plans
+
+
+def reference_descend(problem, start):
+    """The per-start descent the lockstep one replaced, kept verbatim (its
+    start-point rollout went through a private twin of ``predict``)."""
+    v_bar = problem.cfg.v_bar
+    controls = project_capacity(start, v_bar)
+    path = predict(problem, controls)
+    value = _penalized_value(problem, path)
+    if not np.isfinite(value):
+        raise SolverFailure(f"non-finite objective {value} at the start point")
+    grad = _gradient(problem, controls, path)
+    scale = np.max(np.abs(grad))
+    step_len = v_bar / scale if scale > 0 else 1.0
+    iterations = 0
+    stalls = 0
+    for _ in range(mpc._MAX_ITERATIONS):
+        iterations += 1
+        moved = False
+        for _ in range(mpc._MAX_BACKTRACKS):
+            trial = project_capacity(controls - step_len * grad, v_bar)
+            displacement = float(np.linalg.norm(trial - controls))
+            if displacement == 0.0:
+                break
+            trial_path = predict(problem, trial)
+            trial_value = _penalized_value(problem, trial_path)
+            if not np.isfinite(trial_value):
+                raise SolverFailure("non-finite objective during line search")
+            if trial_value <= value - mpc._ARMIJO_C / step_len * displacement**2:
+                moved = True
+                break
+            step_len *= 0.5
+        if not moved:
+            break
+        drop = value - trial_value
+        controls, value = trial, trial_value
+        grad = _gradient(problem, controls, trial_path)
+        if displacement <= mpc._STEP_TOLERANCE * (1.0 + float(np.linalg.norm(controls))):
+            break
+        if drop <= mpc._COST_TOLERANCE * (1.0 + abs(value)):
+            stalls += 1
+            if stalls >= 3:
+                break
+        else:
+            stalls = 0
+        step_len = min(step_len * 2.0, 1e6 * v_bar)
+    return controls, value, iterations
+
+
+def reference_solve_ocp(problem, warm_start=None):
+    """The per-start ``solve_ocp`` the lockstep one replaced, kept verbatim."""
+    best_controls = None
+    best_value = np.inf
+    total_iterations = 0
+    for start in _start_points(problem, warm_start):
+        controls, value, iters = reference_descend(problem, start)
+        total_iterations += iters
+        if value < best_value:
+            best_controls, best_value = controls, value
+    predicted = predict(problem, best_controls)
+    slack = terminal_slack(problem, predicted)
+    return OcpSolution(
+        controls=best_controls,
+        predicted=predicted,
+        optimal_value=plan_cost(problem, predicted),
+        feasible=slack == 0.0,
+        terminal_slack=slack,
+        iterations=total_iterations,
+    )
+
+
+def solution_bits(solution):
+    """Every field of an ``OcpSolution`` as (type, shape, bytes)."""
+    bits = {}
+    for fld in dataclasses.fields(solution):
+        value = getattr(solution, fld.name)
+        parts = [value]
+        if isinstance(value, SiTrajectory):
+            parts = [getattr(value, name) for name in ("s", "i", "u")]
+        bits[fld.name] = [(type(x), np.shape(x), np.array(x).tobytes()) for x in parts]
+    return bits
+
+
+def random_instance(seed):
+    """Seeded instance with 1-8 groups, horizon 3-15 and 0-5 random starts;
+    both terminal modes, and a warm start on odd seeds."""
+    rng = np.random.default_rng(seed)
+    n_a, horizon = 1 + seed % 8, int(rng.integers(3, 16))
+    pop = rng.uniform(1000, 10000, n_a)
+    lam = rng.uniform(0.02, 0.3, n_a)
+    gamma_r = rng.uniform(0.2, 0.7, n_a)
+    gamma_d = rng.uniform(0.01, 0.2, n_a)
+    scale = np.where(gamma_r + gamma_d > 0.98, 0.98 / (gamma_r + gamma_d), 1.0)
+    raw = rng.uniform(0.1, 1.0, (n_a, n_a)) + np.diag(rng.uniform(2, 8, n_a))
+    raw *= min(1.0, 0.9 / np.max(lam * raw.sum(axis=1)))
+    params = vaxmpc.ModelParams(
+        lam=lam,
+        gamma_r=gamma_r * scale,
+        gamma_d=gamma_d * scale,
+        population=pop,
+        contact=raw / pop[None, :],
+    )
+    state0 = vaxmpc.initial_state(params, rng.uniform(0.001, 0.05, n_a) * pop)
+    cfg = vaxmpc.MpcConfig(
+        horizon=horizon,
+        epsilon=0.05,
+        v_bar=float(rng.uniform(0.02, 0.15) * pop.sum()),
+        rng_seed=seed,
+        vaccination_start_day=1,
+        strategy_horizon=horizon,
+        n_restarts=int(rng.integers(0, 6)),
+        terminal_mode=("penalty", "hard")[int(rng.integers(0, 2))],
+    )
+    warm = rng.uniform(0.0, 1.5 * cfg.v_bar, (horizon, n_a)) if seed % 2 else None
+    return build_ocp(state0, cfg, params), warm
+
+
+class TestLockstepDescent:
+    """The lockstep descent returns bitwise what the per-start one returns."""
+
+    def test_desk_instances_equal_per_start_solver(self):
+        for seed in range(20):
+            params, state0, cfg = random_desk_instance(seed)
+            warm = np.random.default_rng(seed).uniform(
+                0.0, 1.5 * cfg.v_bar, (cfg.horizon, params.n_a)
+            )
+            for mode in ("penalty", "hard"):
+                problem = build_ocp(state0, dataclasses.replace(cfg, terminal_mode=mode), params)
+                for start in (None, warm):
+                    assert solution_bits(solve_ocp(problem, start)) == solution_bits(
+                        reference_solve_ocp(problem, start)
+                    ), f"seed {seed}, {mode}, warm={start is not None}"
+
+    def test_random_instances_equal_per_start_solver(self):
+        shapes = set()
+        for seed in range(16):
+            problem, warm = random_instance(seed)
+            assert solution_bits(solve_ocp(problem, warm)) == solution_bits(
+                reference_solve_ocp(problem, warm)
+            ), f"seed {seed}"
+            shapes.add((problem.n_a, problem.cfg.n_restarts))
+        assert {n_a for n_a, _ in shapes} == set(range(1, 9))
+        assert len({restarts for _, restarts in shapes}) >= 4
+
+    def test_preset_days_61_and_62_equal_per_start_solver(
+        self, preset_config, preset_params, preset_state0
+    ):
+        cfg = preset_config.mpc
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problem = build_ocp(day61, cfg, preset_params)
+        first = solve_ocp(problem)
+        assert solution_bits(first) == solution_bits(reference_solve_ocp(problem))
+        day62 = vaxmpc.step(day61, first.controls[0], preset_params)
+        warm = np.vstack([first.controls[1:], np.zeros((1, 6))])
+        problem = build_ocp(day62, cfg, preset_params)
+        assert solution_bits(solve_ocp(problem, warm)) == solution_bits(
+            reference_solve_ocp(problem, warm)
+        )
+
+
+class TestBatchInvariance:
+    """A plan's projection, rollout, value and gradient are bitwise the same
+    alone or in a batch of any size."""
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 11, 64])
+    def test_batched_plan_equals_plan_alone(
+        self, count, preset_config, preset_params, preset_state0
+    ):
+        rng = np.random.default_rng(count)
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problems = [random_instance(seed)[0] for seed in range(8)]
+        for mode in ("penalty", "hard"):
+            cfg = dataclasses.replace(preset_config.mpc, terminal_mode=mode)
+            problems.append(build_ocp(day61, cfg, preset_params))
+        violated = binding = 0
+        for problem in problems:
+            v_bar = problem.cfg.v_bar
+            pool = list(random_plans(problem, rng, count))
+            plans = np.array([pool[k] for k in rng.permutation(len(pool))[:count]])
+            raw = plans + rng.normal(0.0, 0.3 * v_bar, plans.shape)
+            projected = project_capacity(raw, v_bar)
+            path = predict(problem, plans)
+            values = _penalized_value(problem, path)
+            costs = plan_cost(problem, path)
+            grads = _gradient(problem, plans, path)
+            assert values.shape == costs.shape == (count,)
+            for k, plan in enumerate(plans):
+                alone = project_capacity(raw[k].copy(), v_bar)
+                assert projected[k].tobytes() == alone.tobytes()
+                plan = plan.copy()
+                own = predict(problem, plan)
+                for name in ("s", "i", "u"):
+                    assert getattr(path, name)[k].tobytes() == getattr(own, name).tobytes()
+                assert values[k] == _penalized_value(problem, own)
+                assert costs[k] == plan_cost(problem, own)
+                assert grads[k].tobytes() == _gradient(problem, plan, own).tobytes()
+                violated += terminal_slack(problem, own) > 0
+                binding += bool(binding_mask(problem, plan).any())
+        assert violated > 0
+        assert binding > 0
 
 
 class TestPresetSolverPath:
     def test_day_61_cold_and_day_62_warm_pinned(
         self, preset_config, preset_params, preset_state0, monkeypatch
     ):
-        """Iteration counts, optimal values and call counts of the preset's
-        first two solves at seed 0, as run by the closed loop."""
+        """Iteration counts, optimal values, plan counts and call counts of
+        the preset's first two solves at seed 0, as run by the closed loop."""
         cfg = preset_config.mpc
         assert cfg.rng_seed == 0
         day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
         problem = build_ocp(day61, cfg, preset_params)
         n_starts = len(_start_points(problem, None))
-        calls = counting(monkeypatch, ("predict", "project_capacity", "_rollout"))
+        calls, plans = counting(monkeypatch, problem)
         first = solve_ocp(problem)
         assert first.iterations == 1158
         assert first.optimal_value == 1910.920153766089
-        assert calls["predict"] == 2385
-        assert calls["project_capacity"] == 2395
-        # one rollout per line-search trial (through predict) plus one per
-        # descent start: the gradient never re-rolls an accepted trial
-        assert calls["_rollout"] == calls["predict"] + n_starts
+        # one projection per start and per line-search trial; one rollout per
+        # trial that moves, per start and for the solution: the gradient
+        # never re-rolls an accepted trial
+        assert plans["project_capacity"] == 2395
+        assert plans["predict"] == 2385 + n_starts
+        assert plans["si_step"] == plans["predict"] * cfg.horizon
+        # the starts descend in lockstep: one batched call per round
+        assert calls["project_capacity"] == 307
+        assert calls["predict"] == 308
+        assert calls["_gradient"] == 302
+        assert calls["si_step"] == calls["predict"] * cfg.horizon == 12320
 
         day62 = vaxmpc.step(day61, first.controls[0], preset_params)
         warm = np.vstack([first.controls[1:], np.zeros((1, 6))])
@@ -337,6 +552,27 @@ class TestTerminalSlack:
             )
             assert vaxmpc.in_terminal_set(state, cert) is inside
             assert (terminal_slack(problem, path) == 0.0) is inside
+
+    def test_slack_per_plan(self, preset_config, preset_params):
+        """A batch of paths gets each path's own slack: the disease-free
+        rule is applied per plan."""
+        pop = preset_params.population
+        problem = build_ocp(
+            vaxmpc.initial_state(preset_params, np.zeros(6)), preset_config.mpc, preset_params
+        )
+        big_n = problem.cfg.horizon
+        paths = [
+            SiTrajectory(
+                s=np.tile(pop - 3e-12, (big_n + 1, 1)),
+                i=np.tile(i_end, (big_n + 1, 1)),
+                u=np.zeros((big_n, 6)),
+            )
+            for i_end in (np.full(6, 5e-13), np.full(6, 2e-12))
+        ]
+        batch = SiTrajectory(*(np.array([getattr(p, f) for p in paths]) for f in "siu"))
+        slack = terminal_slack(problem, batch)
+        assert slack[0] == terminal_slack(problem, paths[0]) == 0.0
+        assert slack[1] == terminal_slack(problem, paths[1]) > 0.0
 
 
 class TestSolveOcp:
@@ -515,6 +751,7 @@ class TestMpcConfigValidation:
             {"eradication_threshold": 0.0},
             {"terminal_mode": "soft"},
             {"n_restarts": -1},
+            {"n_restarts": mpc.MAX_RESTARTS + 1},
         ],
     )
     def test_bad_settings_rejected(self, kwargs):
