@@ -14,11 +14,14 @@ The solver is projected gradient descent with analytically propagated
 sensitivities through the bilinear dynamics (single shooting) and a seeded
 multi-start to cope with local minima; identical inputs and seed give
 bitwise-identical solutions.  The starts descend together: each round
-projects, rolls out and scores one line-search trial of every start still
-descending as one (K, N, n_a) batch, and takes one batched gradient for the
-starts that moved.  Every batched function gives each plan the bits it
-gives that plan alone, and step lengths, counters and stop rules are kept
-per start, so each start follows the path it would follow on its own.
+projects, rolls out and scores up to three line-search trials of every
+start still descending, at step lengths s, s/2 and s/4, as one
+(K, N, n_a) batch, and takes one batched gradient for the starts that
+moved.  Each start reads its trials in order and drops those after the one
+that decides its step.  Every batched function gives each plan the bits it
+gives that plan alone, halving is exact, and step lengths, counters and
+stop rules are kept per start, so each start follows the path it would
+follow on its own, one trial at a time.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ HARD_MODE_WEIGHT = 1e9
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
+#: Line-search trials a start puts into each lockstep round: s, s/2, s/4.
+_SPECULATION = 3
 _MAX_ITERATIONS = 150
 _STEP_TOLERANCE = 1e-8
 _COST_TOLERANCE = 1e-10
@@ -314,19 +319,34 @@ def _gradient(
     return np.where(free_u, -p_s_path, 0.0)
 
 
+def _norms(plans: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each plan in a (K, N, n_a) batch.
+
+    Each is one dot product of the flattened plan with itself, as
+    ``np.linalg.norm`` takes it, so a plan gets the bits it gets alone.
+    """
+    flat = plans.reshape(len(plans), math.prod(plans.shape[1:]))
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+
+
 def _descend(
     problem: OcpProblem, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected-gradient descent from every start at once.
 
     ``starts`` is (K, N, n_a); returns each start's final plan, value and
-    iteration count.  Each round makes one line-search trial for every
-    start still descending: the trials are projected, rolled out and
-    scored as one batch, the starts whose trial passes the Armijo test
-    move to it and take one batched gradient on the path the line search
-    made, and the others halve their step.  Step lengths, counters and
-    stop rules are kept per start, so each start follows bitwise the path
-    it would follow alone.
+    iteration count.  Each round puts the next line-search trials of every
+    start still descending, at step lengths s, s/2, ... (up to
+    ``_SPECULATION`` of them, and no more than the start's remaining
+    backtracks), into one batch that is projected, rolled out and scored
+    at once.  Each start then takes its trials in order, as a sequential
+    search would: it stops at the first trial that does not move, moves to
+    the first that passes the Armijo test, or halves its step once per
+    trial if all fail; later trials are dropped.  The starts that moved
+    take one batched gradient on the path the line search made.  Halving
+    is exact in binary floating point, and step lengths, counters and stop
+    rules are kept per start, so each start follows bitwise the path it
+    would follow alone.
     """
     v_bar = problem.cfg.v_bar
     controls = project_capacity(starts, v_bar)
@@ -346,35 +366,47 @@ def _descend(
     while live.any():
         rows = np.flatnonzero(live)
         iterations[rows[backtracks[rows] == 0]] += 1
-        trial = project_capacity(controls[rows] - step_len[rows, None, None] * grad[rows], v_bar)
-        # one norm per plan: a batched sum of squares may add in another order
-        displacement = np.array(
-            [float(np.linalg.norm(new - old)) for new, old in zip(trial, controls[rows])]
-        )
+        # each start's next trials, s, s/2, ..., no more than its backtracks left
+        depth = np.minimum(_SPECULATION, _MAX_BACKTRACKS - backtracks[rows])
+        tried = np.arange(_SPECULATION) < depth[:, None]
+        halving = np.full(tried.shape, 0.5)
+        halving[:, 0] = step_len[rows]
+        lengths = np.cumprod(halving, axis=1)  # halved one at a time, as the search does
+        owner, trial_len = rows[np.nonzero(tried)[0]], lengths[tried]
+        base = controls[owner]
+        trial = project_capacity(base - trial_len[:, None, None] * grad[owner], v_bar)
+        displacement = _norms(trial - base)
         moved = displacement != 0.0
-        live[rows[~moved]] = False
-        rows, trial, displacement = rows[moved], trial[moved], displacement[moved]
-        if not rows.size:
-            continue
+        trial_value = value[owner]  # a trial that does not move is not rolled out
+        if moved.any():
+            trial_path = predict(problem, trial[moved])
+            trial_value[moved] = _penalized_value(problem, trial_path)
         # float ** 2 is libm's pow, which can differ from numpy's x * x
         squared = np.array([d**2 for d in displacement.tolist()])
-        trial_path = predict(problem, trial)
-        trial_value = _penalized_value(problem, trial_path)
-        if not np.all(np.isfinite(trial_value)):
+        passed = trial_value <= value[owner] - _ARMIJO_C / trial_len * squared
+        # a start reads its trials in order, up to the first that decides
+        decides = np.zeros(tried.shape, dtype=bool)
+        decides[tried] = ~moved | ~np.isfinite(trial_value) | passed
+        decided = decides.any(axis=1)
+
+        # a start whose trials all fail halves its step once per trial
+        failed = rows[~decided]
+        step_len[failed] = lengths[~decided, depth[~decided] - 1] * 0.5
+        backtracks[failed] += depth[~decided]
+        live[failed[backtracks[failed] == _MAX_BACKTRACKS]] = False
+
+        # each decided start's deciding trial, as an index into the batch
+        pick = (np.cumsum(depth) - depth + decides.argmax(axis=1))[decided]
+        # a non-finite trial decides, so only one a start reads can fail it
+        if not np.all(np.isfinite(trial_value[pick])):
             raise SolverFailure("non-finite objective during line search")
-        accepted = trial_value <= value[rows] - _ARMIJO_C / step_len[rows] * squared
-
-        rejected = rows[~accepted]
-        step_len[rejected] *= 0.5
-        backtracks[rejected] += 1
-        live[rejected[backtracks[rejected] == _MAX_BACKTRACKS]] = False
-
-        took = rows[accepted]
-        drop = value[took] - trial_value[accepted]
-        controls[took], value[took] = trial[accepted], trial_value[accepted]
-        backtracks[took] = 0
-        size = np.array([float(np.linalg.norm(plan)) for plan in controls[took]])
-        settled = displacement[accepted] <= _STEP_TOLERANCE * (1.0 + size)
+        live[owner[pick[~moved[pick]]]] = False
+        pick = pick[moved[pick]]
+        took = owner[pick]
+        drop = value[took] - trial_value[pick]
+        controls[took], value[took] = trial[pick], trial_value[pick]
+        step_len[took], backtracks[took] = trial_len[pick], 0
+        settled = displacement[pick] <= _STEP_TOLERANCE * (1.0 + _norms(controls[took]))
         stalled = drop <= _COST_TOLERANCE * (1.0 + np.abs(value[took]))
         stalls[took] = np.where(stalled, stalls[took] + 1, 0)
         ended = settled | (stalls[took] >= 3) | (iterations[took] == _MAX_ITERATIONS)
@@ -383,8 +415,11 @@ def _descend(
         took = took[going]
         if took.size:
             step_len[took] = np.minimum(step_len[took] * 2.0, 1e6 * v_bar)
-            moving_path = trial_path.take(np.flatnonzero(accepted)[going])
+            # the trials rolled out are the ones that moved, in batch order
+            moving_path = trial_path.take(np.cumsum(moved)[pick[going]] - 1)
             grad[took] = _gradient(problem, controls[took], moving_path)
+        # let the round's trial batch go before the next one is built
+        base = trial = trial_path = moving_path = None
     return controls, value, iterations
 
 

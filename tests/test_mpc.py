@@ -412,21 +412,35 @@ def random_instance(seed):
     return build_ocp(state0, cfg, params), warm
 
 
+def desk_problems():
+    """The 20 seeded desk instances in both terminal modes, cold and warm
+    started: (label, problem, warm start or None)."""
+    for seed in range(20):
+        params, state0, cfg = random_desk_instance(seed)
+        warm = np.random.default_rng(seed).uniform(0.0, 1.5 * cfg.v_bar, (cfg.horizon, params.n_a))
+        for mode in ("penalty", "hard"):
+            problem = build_ocp(state0, dataclasses.replace(cfg, terminal_mode=mode), params)
+            for start in (None, warm):
+                yield f"seed {seed}, {mode}, warm={start is not None}", problem, start
+
+
 class TestLockstepDescent:
     """The lockstep descent returns bitwise what the per-start one returns."""
 
     def test_desk_instances_equal_per_start_solver(self):
-        for seed in range(20):
-            params, state0, cfg = random_desk_instance(seed)
-            warm = np.random.default_rng(seed).uniform(
-                0.0, 1.5 * cfg.v_bar, (cfg.horizon, params.n_a)
-            )
-            for mode in ("penalty", "hard"):
-                problem = build_ocp(state0, dataclasses.replace(cfg, terminal_mode=mode), params)
-                for start in (None, warm):
-                    assert solution_bits(solve_ocp(problem, start)) == solution_bits(
-                        reference_solve_ocp(problem, start)
-                    ), f"seed {seed}, {mode}, warm={start is not None}"
+        for label, problem, start in desk_problems():
+            assert solution_bits(solve_ocp(problem, start)) == solution_bits(
+                reference_solve_ocp(problem, start)
+            ), label
+
+    def test_exhausted_backtrack_budget_equal_per_start_solver(self, monkeypatch):
+        """With a budget of 4 backtracks, a start that fails a round of three
+        trials has one left: the budget caps its next round and stops it."""
+        monkeypatch.setattr(mpc, "_MAX_BACKTRACKS", 4)
+        for label, problem, start in desk_problems():
+            assert solution_bits(solve_ocp(problem, start)) == solution_bits(
+                reference_solve_ocp(problem, start)
+            ), label
 
     def test_random_instances_equal_per_start_solver(self):
         shapes = set()
@@ -496,6 +510,21 @@ class TestBatchInvariance:
         assert violated > 0
         assert binding > 0
 
+    @pytest.mark.parametrize("count", [1, 2, 7, 11, 33, 64])
+    def test_batched_norm_equals_linalg_norm(self, count):
+        """The descent's batched plan norms are the bits ``np.linalg.norm``
+        gives each plan alone, all-zero plans included."""
+        rng = np.random.default_rng(count)
+        for _ in range(50):
+            shape = (count, int(rng.integers(1, 61)), int(rng.integers(1, 9)))
+            plans = rng.normal(0.0, 10.0 ** rng.uniform(-8, 5), shape)
+            plans[rng.random(shape) < 0.3] = 0.0
+            plans[rng.random(count) < 0.2] = 0.0
+            norms = mpc._norms(plans)
+            assert norms.shape == (count,)
+            for norm, plan in zip(norms, plans):
+                assert norm.tobytes() == np.float64(np.linalg.norm(plan)).tobytes()
+
 
 class TestPresetSolverPath:
     def test_day_61_cold_and_day_62_warm_pinned(
@@ -512,23 +541,76 @@ class TestPresetSolverPath:
         first = solve_ocp(problem)
         assert first.iterations == 1158
         assert first.optimal_value == 1910.920153766089
-        # one projection per start and per line-search trial; one rollout per
-        # trial that moves, per start and for the solution: the gradient
-        # never re-rolls an accepted trial
-        assert plans["project_capacity"] == 2395
-        assert plans["predict"] == 2385 + n_starts
+        # one projection per start and per line-search trial, up to three
+        # trials per start and round; one rollout per trial that moves, per
+        # start and for the solution: the gradient never re-rolls a trial
+        assert plans["project_capacity"] == 3995
+        assert plans["predict"] == 3985 + n_starts
         assert plans["si_step"] == plans["predict"] * cfg.horizon
+        # one gradient per start point and per accepted step that goes on:
+        # a trial the search does not take is never differentiated
+        assert plans["_gradient"] == 1158
         # the starts descend in lockstep: one batched call per round
-        assert calls["project_capacity"] == 307
-        assert calls["predict"] == 308
-        assert calls["_gradient"] == 302
-        assert calls["si_step"] == calls["predict"] * cfg.horizon == 12320
+        assert calls["project_capacity"] == 178
+        assert calls["predict"] == 179
+        assert calls["_gradient"] == 176
+        assert calls["si_step"] == calls["predict"] * cfg.horizon == 7160
 
         day62 = vaxmpc.step(day61, first.controls[0], preset_params)
         warm = np.vstack([first.controls[1:], np.zeros((1, 6))])
         second = solve_ocp(build_ocp(day62, cfg, preset_params), warm_start=warm)
         assert second.iterations == 1582
         assert second.optimal_value == 1757.1939843251089
+
+
+class TestSpeculation:
+    """A round's extra trials change how many rounds a solve takes, never
+    which trial a start takes."""
+
+    def test_every_depth_gives_the_same_bits(
+        self, preset_config, preset_params, preset_state0, monkeypatch
+    ):
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        preset = build_ocp(day61, preset_config.mpc, preset_params)
+        problems = [(problem, start) for _, problem, start in desk_problems()]
+        problems.append((preset, None))
+        expected = [solution_bits(solve_ocp(problem, start)) for problem, start in problems]
+        calls, _ = counting(monkeypatch, preset)
+        for depth in (1, 2, 5, mpc._MAX_BACKTRACKS):
+            monkeypatch.setattr(mpc, "_SPECULATION", depth)
+            for (problem, start), bits in zip(problems, expected):
+                calls.clear()
+                assert solution_bits(solve_ocp(problem, start)) == bits, depth
+            if depth == 1:  # one trial per round: the start points, then 306 rounds
+                assert calls["project_capacity"] == 1 + 306
+
+    @pytest.mark.parametrize("poison", [np.nan, -np.inf])
+    def test_only_a_consumed_trial_can_fail(
+        self, desk_params, desk_state0, desk_cfg, monkeypatch, poison
+    ):
+        """On the desk problem the first round's 21 trials all move and
+        start 0 takes its first, so trial 1 (its s/2) is dropped unread
+        and trial 0 is consumed."""
+        problem = build_ocp(desk_state0, desk_cfg, desk_params)
+        expected = solution_bits(solve_ocp(problem))
+        for target, fails in ((1, False), (0, True)):
+            calls = []
+
+            def poisoned(problem, predicted, _target=target, _inner=_penalized_value):
+                value = _inner(problem, predicted)
+                calls.append(np.size(value))
+                if len(calls) == 2:  # the first line-search round
+                    assert np.size(value) == 21
+                    value[_target] = poison
+                return value
+
+            monkeypatch.setattr(mpc, "_penalized_value", poisoned)
+            if fails:
+                with pytest.raises(SolverFailure, match="during line search"):
+                    solve_ocp(problem)
+            else:
+                assert solution_bits(solve_ocp(problem)) == expected
+            assert len(calls) >= 2
 
 
 class TestTerminalSlack:
