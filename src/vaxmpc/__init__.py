@@ -18,6 +18,7 @@ from .certificates import (
     check_invariance,
     check_lyapunov_decrease,
     compute_eta,
+    draw_terminal_sample,
     epsilon_valid,
     in_terminal_set,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "compare",
     "compute_eta",
     "compute_metrics",
+    "draw_terminal_sample",
     "epsilon_valid",
     "in_terminal_set",
     "initial_state",

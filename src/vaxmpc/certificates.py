@@ -94,10 +94,10 @@ class BoundAudit(CheckReport):
     n_descent_violations: int
 
 
-def validate_epsilon(epsilon: float, params: ModelParams) -> None:
-    """Raise :class:`ValidationError` unless
-    0 < epsilon < min_k (gamma_r_k + gamma_d_k), strictly."""
-    upper = float(np.min(params.removal))
+def validate_epsilon(epsilon: float, removal: np.ndarray) -> None:
+    """Raise :class:`ValidationError` unless 0 < epsilon < min_k removal_k,
+    strictly, for the removal rates gamma_r + gamma_d."""
+    upper = float(np.min(removal))
     if not 0.0 < epsilon < upper:
         raise ValidationError(
             f"epsilon={epsilon} outside (0, {upper}), the valid range for "
@@ -108,7 +108,7 @@ def validate_epsilon(epsilon: float, params: ModelParams) -> None:
 def epsilon_valid(epsilon: float, params: ModelParams) -> bool:
     """True iff :func:`validate_epsilon` accepts epsilon."""
     try:
-        validate_epsilon(epsilon, params)
+        validate_epsilon(epsilon, params.removal)
     except ValidationError:
         return False
     return True
@@ -148,7 +148,7 @@ class CertificateParams:
 
     @classmethod
     def from_model(cls, params: ModelParams, epsilon: float) -> "CertificateParams":
-        validate_epsilon(epsilon, params)
+        validate_epsilon(epsilon, params.removal)
         gamma_vec = params.gamma_d * (params.removal - epsilon)
         ct_lam = params.contact.T * (params.gamma_d * params.lam)[None, :]
         return cls(
@@ -297,54 +297,61 @@ def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
     )
 
 
+@dataclass(frozen=True)
+class TerminalSample:
+    """Read-only states in X_f, one admissible control each, and the seed
+    they were drawn from; the invariance and decrease checks share one."""
+
+    s: np.ndarray
+    i: np.ndarray
+    u: np.ndarray
+    seed: int
+
+
+def draw_terminal_sample(
+    cert: CertificateParams, params: ModelParams, samples: int, rng_seed: int, *, v_bar: float
+) -> TerminalSample:
+    """Draw ``samples`` states in X_f (boundary points included) with
+    :func:`sample_terminal_states`, then one random admissible control per
+    state, both from one generator seeded with ``rng_seed``."""
+    rng = np.random.default_rng(rng_seed)
+    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    u = _sample_controls(samples, params.n_a, v_bar, rng)
+    for a in (s, i, u):
+        a.setflags(write=False)
+    return TerminalSample(s=s, i=i, u=u, seed=rng_seed)
+
+
 def check_invariance(
-    cert: CertificateParams,
-    params: ModelParams,
-    samples: int = 10_000,
-    rng_seed: int = 0,
-    *,
-    v_bar: float,
+    cert: CertificateParams, params: ModelParams, sample: TerminalSample
 ) -> CheckReport:
     """Sampled check that X_f is invariant under every admissible input.
 
-    Draws random states in X_f (including boundary points) and random
-    admissible controls, steps each pair once, and counts a violation
+    Steps each sampled state once under its control and counts a violation
     where the successor's :func:`_terminal_margin` is negative: outside X_f
     by the same exact comparisons as :func:`in_terminal_set`.
     """
-    rng = np.random.default_rng(rng_seed)
-    s, i, r, d = sample_terminal_states(cert, params, samples, rng)
-    u = _sample_controls(samples, params.n_a, v_bar, rng)
-    s1, i1, _ = si_step(s, i, u, params)
-    return _report("terminal_set_invariance", _terminal_margin(s1, i1, cert), rng_seed)
+    s1, i1, _ = si_step(sample.s, sample.i, sample.u, params)
+    return _report("terminal_set_invariance", _terminal_margin(s1, i1, cert), sample.seed)
 
 
 def check_lyapunov_decrease(
-    cert: CertificateParams,
-    params: ModelParams,
-    samples: int = 10_000,
-    rng_seed: int = 0,
-    *,
-    v_bar: float,
+    cert: CertificateParams, params: ModelParams, sample: TerminalSample
 ) -> CheckReport:
     """Sampled check of the one-step decrease inequalities inside X_f.
 
-    For states in X_f and zero input, verifies
+    For the sampled states and zero input, verifies
 
         gamma_d' I(n+1) - gamma_d' I(n) <= -epsilon gamma_d' I(n)
 
     and the terminal-cost analogue V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n),
     both with relative slack 1e-9.  A state with no infections (S = P
     leaves no room for any) meets both with equality and has margin 0.
-    Also re-steps each state with a random admissible input, with margin
-    -inf unless the infected successor is bitwise identical: the decrease
+    Also re-steps each state under its sampled control, with margin -inf
+    unless the infected successor is bitwise identical: the decrease
     condition must not depend on the input.
     """
-    rng = np.random.default_rng(rng_seed)
-    s, i, r, d = sample_terminal_states(cert, params, samples, rng)
-    u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
-    gd = params.gamma_d
-    eps = cert.epsilon
+    s, i, gd, eps = sample.s, sample.i, params.gamma_d, cert.epsilon
     cost_now = matvec_rows(gd, i)
     _, i1, _ = si_step(s, i, np.zeros_like(s), params)
     cost_next = matvec_rows(gd, i1)
@@ -358,45 +365,39 @@ def check_lyapunov_decrease(
     margin_vf = -cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)
     margin_vf /= np.maximum(vf_now, 1e-300)
     margin = np.minimum(margin_dec, margin_vf)
-    _, i1_u, _ = si_step(s, i, u_rand, params)
+    _, i1_u, _ = si_step(s, i, sample.u, params)
     margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
-    return _report("lyapunov_decrease", margin, rng_seed)
+    return _report("lyapunov_decrease", margin, sample.seed)
 
 
 def check_eta_bound(
-    params: ModelParams,
-    rollouts: int = 100,
-    days: int = 140,
-    rng_seed: int = 0,
-    *,
-    v_bar: float,
+    params: ModelParams, rollouts: int, days: int, rng_seed: int, *, v_bar: float
 ) -> CheckReport:
     """Check gamma_d' I(n+1) <= eta * gamma_d' I(n) along random rollouts.
 
     Each rollout starts from random infections (uniform up to
     :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
-    The inputs are drawn rollout by rollout, then all rollouts step as one
-    batch per day.
+    The inputs are drawn rollout by rollout, in :func:`_sample_controls`'
+    order, then all rollouts step as one batch per day.
     """
     rng = np.random.default_rng(rng_seed)
-    eta = compute_eta(params)
     n_a = params.n_a
-    i = np.empty((rollouts, n_a))
-    u = np.empty((days, rollouts, n_a))
+    i = np.empty((days + 1, rollouts, n_a))
+    w = np.empty((rollouts, days, n_a))
+    total = np.empty((rollouts, days, 1))
     for k in range(rollouts):
-        i[k] = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
+        i[0, k] = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
         for day in range(days):
-            u[day, k] = _sample_controls(1, n_a, v_bar, rng)[0]
-    s = params.population - i
-    cost_now = matvec_rows(params.gamma_d, i)
-    margin = np.empty((days, rollouts))
+            w[k, day] = rng.exponential(1.0, n_a)
+            total[k, day] = rng.uniform(0.0, v_bar)
+    u = (w / w.sum(axis=2, keepdims=True) * total).transpose(1, 0, 2)  # (days, rollouts, n_a)
+    s = params.population - i[0]
     for day in range(days):
-        s, i, _ = si_step(s, i, u[day], params)
-        cost_next = matvec_rows(params.gamma_d, i)
-        bound = eta * cost_now
-        margin[day] = (bound * (1.0 + ETA_RTOL) - cost_next) / np.maximum(bound, 1e-300)
-        cost_now = cost_next
+        s, i[day + 1], _ = si_step(s, i[day], u[day], params)
+    cost = matvec_rows(params.gamma_d, i)
+    bound = compute_eta(params) * cost[:-1]
+    margin = (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
     return _report("growth_factor_bound", margin, rng_seed)
 
 

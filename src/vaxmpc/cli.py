@@ -94,13 +94,12 @@ def _cmd_certify(args) -> int:
     seed = args.cert_seed if args.cert_seed is not None else (args.seed or 0)
     params = config.build_params()
     cert = certificates.CertificateParams.from_model(params, config.mpc.epsilon)
+    sample = certificates.draw_terminal_sample(
+        cert, params, args.samples, seed, v_bar=config.mpc.v_bar
+    )
     reports = [
-        certificates.check_invariance(
-            cert, params, samples=args.samples, rng_seed=seed, v_bar=config.mpc.v_bar
-        ),
-        certificates.check_lyapunov_decrease(
-            cert, params, samples=args.samples, rng_seed=seed, v_bar=config.mpc.v_bar
-        ),
+        certificates.check_invariance(cert, params, sample),
+        certificates.check_lyapunov_decrease(cert, params, sample),
         certificates.check_eta_bound(
             params,
             rollouts=max(1, args.samples // 100),
@@ -136,34 +135,33 @@ def _parse_vary(spec: str) -> tuple[list[str], list]:
             values.append(json.loads(chunk))
         except json.JSONDecodeError:
             values.append(chunk)
-    if not values:
-        raise ValidationError("--vary needs at least one value")
     return keys, values
 
 
 def _cmd_sweep(args) -> int:
     base = scenario.load_config(args.config)
     keys, values = _parse_vary(args.vary)
+    field = ".".join(keys)
+    configs = []  # every value is built and checked before any run writes
+    for value in values:
+        data = cursor = base.to_dict()
+        for key in keys[:-1]:
+            cursor = cursor.get(key)
+            if not isinstance(cursor, dict):
+                raise ValidationError(f"--vary: unknown field path {field}")
+        if keys[-1] not in cursor:
+            raise ValidationError(f"--vary: unknown field {field}")
+        cursor[keys[-1]] = value
+        config = scenario.config_from_dict(data, base_dir=base.base_dir)
+        config.build_initial_state(config.build_params())  # checks the model's premises
+        configs.append(_with_seed(config, args.seed))
     out_root = Path(args.out)
     summaries = []
-    for value in values:
-        data = base.to_dict()
-        cursor = data
-        for key in keys[:-1]:
-            if key not in cursor or not isinstance(cursor[key], dict):
-                raise ValidationError(f"--vary: unknown field path {'.'.join(keys)}")
-            cursor = cursor[key]
-        if keys[-1] not in cursor:
-            raise ValidationError(f"--vary: unknown field {'.'.join(keys)}")
-        cursor[keys[-1]] = value
-        config = _with_seed(
-            scenario.config_from_dict(data, base_dir=base.base_dir), args.seed
-        )
-        run = scenario.run_scenario(config)
-        run_dir = out_root / f"{'.'.join(keys)}={value}"
-        metrics = scenario.write_run(run, run_dir)
+    for value, config in zip(values, configs):
+        run_dir = out_root / f"{field}={value}"
+        metrics = scenario.write_run(scenario.run_scenario(config), run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})
-        _say(args, f"{'.'.join(keys)}={value} -> {run_dir}")
+        _say(args, f"{field}={value} -> {run_dir}")
     (out_root / "sweep.json").write_text(
         json.dumps(summaries, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )

@@ -120,7 +120,7 @@ class MpcConfig:
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be nonnegative")
         if params is not None:
-            validate_epsilon(self.epsilon, params)
+            validate_epsilon(self.epsilon, params.removal)
 
 
 @dataclass(frozen=True)

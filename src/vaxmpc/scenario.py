@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mpc as mpc_mod
+from .certificates import validate_epsilon
 from .errors import ContractViolation, ValidationError
 from .model import EpidemicState, ModelParams, initial_state, new_infections
 from .results import ScenarioResult, scenario_fingerprint
@@ -233,6 +234,7 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     try:
         mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
         mpc_cfg.validate()
+        validate_epsilon(mpc_cfg.epsilon, np.add(gamma_r, gamma_d))
     except TypeError as exc:
         raise ValidationError(f"mpc: {exc}") from exc
     except ValidationError as exc:  # its messages start with the field name

@@ -13,7 +13,7 @@ import pytest
 
 import vaxmpc
 from vaxmpc import cli
-from vaxmpc.certificates import CertificateParams
+from vaxmpc.certificates import CertificateParams, draw_terminal_sample
 from vaxmpc.mpc import build_ocp, solve_ocp
 
 from conftest import random_desk_instance
@@ -81,9 +81,8 @@ def test_criterion_2_terminal_set_invariance(preset_params):
     assert upper == pytest.approx(PRESET_MIN_REMOVAL, abs=1e-10)
     assert vaxmpc.epsilon_valid(0.1, preset_params)
     cert = CertificateParams.from_model(preset_params, 0.1)
-    report = vaxmpc.check_invariance(
-        cert, preset_params, samples=10_000, rng_seed=0, v_bar=55191.0
-    )
+    sample = draw_terminal_sample(cert, preset_params, 10_000, 0, v_bar=55191.0)
+    report = vaxmpc.check_invariance(cert, preset_params, sample)
     verdict(
         2,
         "terminal-set invariance",
@@ -94,9 +93,8 @@ def test_criterion_2_terminal_set_invariance(preset_params):
 
 def test_criterion_3_lyapunov_suite(preset_params):
     cert = CertificateParams.from_model(preset_params, 0.1)
-    report = vaxmpc.check_lyapunov_decrease(
-        cert, preset_params, samples=10_000, rng_seed=0, v_bar=55191.0
-    )
+    sample = draw_terminal_sample(cert, preset_params, 10_000, 0, v_bar=55191.0)
+    report = vaxmpc.check_lyapunov_decrease(cert, preset_params, sample)
     verdict(
         3,
         "Lyapunov decrease suite",

@@ -20,6 +20,7 @@ from vaxmpc.certificates import (
     _constraint_margin,
     _report,
     _sample_controls,
+    draw_terminal_sample,
     sample_terminal_states,
     susceptible_box,
 )
@@ -354,15 +355,12 @@ class TestBatchedChecks:
         v_bar = 55191.0 if instance == "preset" else 1200.0
         cert = CertificateParams.from_model(params, 0.1)
         for seed in (0, 5):
-            inv = vaxmpc.check_invariance(
-                cert, params, samples=3000, rng_seed=seed, v_bar=v_bar
-            )
+            sample = draw_terminal_sample(cert, params, 3000, seed, v_bar=v_bar)
+            inv = vaxmpc.check_invariance(cert, params, sample)
             assert (inv.n_violations, inv.worst_margin) == reference_invariance(
                 cert, params, 3000, seed, v_bar
             )
-            lyap = vaxmpc.check_lyapunov_decrease(
-                cert, params, samples=3000, rng_seed=seed, v_bar=v_bar
-            )
+            lyap = vaxmpc.check_lyapunov_decrease(cert, params, sample)
             assert (lyap.n_violations, lyap.worst_margin) == reference_lyapunov(
                 cert, params, 3000, seed, v_bar
             )
@@ -371,9 +369,8 @@ class TestBatchedChecks:
 class TestInvariance:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        report = vaxmpc.check_invariance(
-            cert, preset_params, samples=2000, rng_seed=11, v_bar=55191.0
-        )
+        sample = draw_terminal_sample(cert, preset_params, 2000, 11, v_bar=55191.0)
+        report = vaxmpc.check_invariance(cert, preset_params, sample)
         assert report.passed
         assert report.n_samples == 2000
         assert report.worst_margin >= 0
@@ -386,9 +383,8 @@ class TestInvariance:
 
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        report = vaxmpc.check_invariance(
-            cert, preset_params, samples=50, rng_seed=2, v_bar=55191.0
-        )
+        sample = draw_terminal_sample(cert, preset_params, 50, 2, v_bar=55191.0)
+        report = vaxmpc.check_invariance(cert, preset_params, sample)
         payload = json.loads(report.to_json())
         assert set(payload) >= {"n_samples", "n_violations", "worst_margin", "seed"}
         assert payload["seed"] == 2
@@ -397,9 +393,8 @@ class TestInvariance:
 class TestLyapunovDecrease:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        report = vaxmpc.check_lyapunov_decrease(
-            cert, preset_params, samples=2000, rng_seed=4, v_bar=55191.0
-        )
+        sample = draw_terminal_sample(cert, preset_params, 2000, 4, v_bar=55191.0)
+        report = vaxmpc.check_lyapunov_decrease(cert, preset_params, sample)
         assert report.passed
 
     def test_scalar_threshold_example(self):
@@ -533,10 +528,18 @@ class TestRandomInstances:
             if n_a == 1 and k >= 5:
                 assert susceptible_box(cert, params)[0] == params.population[0]
             v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
-            for check in (vaxmpc.check_invariance, vaxmpc.check_lyapunov_decrease):
-                report = check(cert, params, samples=500, rng_seed=k, v_bar=v_bar)
+            sample = draw_terminal_sample(cert, params, 500, k, v_bar=v_bar)
+            checks = [
+                (vaxmpc.check_invariance, reference_invariance),
+                (vaxmpc.check_lyapunov_decrease, reference_lyapunov),
+            ]
+            for check, reference in checks:
+                report = check(cert, params, sample)
                 assert np.isfinite(report.worst_margin), (k, report)
                 assert report.n_violations == 0, (k, report)
+                # each reference draws on its own, from the shared draw's stream
+                want = reference(cert, params, 500, k, v_bar)
+                assert (report.n_violations, report.worst_margin) == want, (k, report)
 
 
 def reference_audit_death_bound(run):

@@ -256,6 +256,21 @@ class TestCertify:
         assert code == 1
         assert "epsilon" in capsys.readouterr().err
 
+    def test_draws_the_terminal_set_once(self, desk_config_path, monkeypatch):
+        calls = []
+        sampler = certificates.sample_terminal_states
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return sampler(*args, **kwargs)
+
+        monkeypatch.setattr(certificates, "sample_terminal_states", counting)
+        code = cli.main(
+            ["--quiet", "certify", "--config", str(desk_config_path), "--samples", "300"]
+        )
+        assert code == 0
+        assert calls == [300]  # invariance and decrease share the draw
+
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_nonpositive_samples_exit_one(self, desk_config_path, capsys, samples):
         code = cli.main(
@@ -313,6 +328,22 @@ class TestCertify:
         assert code == 3
 
 
+@pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+def test_epsilon_outside_the_configs_rates_fails_on_load(command, tmp_path, capsys):
+    config = tmp_path / "eps.json"
+    config.write_text(json.dumps({"preset": "wallonia-2020", "mpc": {"epsilon": 0.9}}))
+    out = tmp_path / "out"
+    extra = {
+        "simulate": ["--policy", "none", "--out", str(out)],
+        "certify": ["--samples", "50"],
+        "sweep": ["--vary", "mpc.v_bar=40000", "--out", str(out)],
+    }[command]
+    code = cli.main(["--quiet", command, "--config", str(config), *extra])
+    assert code == 1
+    assert "error: mpc.epsilon=0.9 outside (0, 0.59" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSweep:
     def test_sweeps_capacity_values(self, desk_config_path, tmp_path):
         out = tmp_path / "sweep"
@@ -348,3 +379,21 @@ class TestSweep:
             ]
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "vary",
+        [
+            "mpc.v_bar=600,-5",
+            "mpc.epsilon=0.1,0.9",
+            "contact_matrix_path=contacts.csv,missing.csv",
+        ],
+    )
+    def test_bad_value_writes_nothing(self, desk_config_path, tmp_path, capsys, vary):
+        out = tmp_path / "sweep"
+        code = cli.main(
+            ["--quiet", "sweep", "--config", str(desk_config_path), "--vary", vary,
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()

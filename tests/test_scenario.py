@@ -142,6 +142,16 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"mpc.{field}"):
             config_from_dict({"preset": "wallonia-2020", "mpc": {field: value}})
 
+    def test_epsilon_checked_against_the_configs_rates(self):
+        preset = config_from_dict({"preset": "wallonia-2020"})
+        upper = float(np.min(preset.build_params().removal))
+        below = float(np.nextafter(upper, 0.0))
+        for epsilon in (0.9, upper, 0.0):
+            with pytest.raises(ValidationError, match=f"mpc.epsilon={epsilon} outside"):
+                config_from_dict({"preset": "wallonia-2020", "mpc": {"epsilon": epsilon}})
+        config = config_from_dict({"preset": "wallonia-2020", "mpc": {"epsilon": below}})
+        assert vaxmpc.epsilon_valid(config.mpc.epsilon, config.build_params())
+
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_raw_matrix_flag_must_be_boolean(self, value):
         with pytest.raises(ValidationError, match="contact_matrix_is_raw"):
