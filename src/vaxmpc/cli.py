@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import certificates, scenario, strategies
+from . import certificates, mpc, scenario, strategies
 from .errors import SolverFailure, ValidationError, VaxmpcError
 
 
@@ -128,13 +128,18 @@ def _parse_vary(spec: str) -> tuple[list[str], list]:
         raise ValidationError("--vary expects FIELD=V1,V2,...")
     field_path, _, raw_values = spec.partition("=")
     keys = field_path.strip().split(".")
-    values = []
-    for chunk in raw_values.split(","):
-        chunk = chunk.strip()
-        try:
-            values.append(json.loads(chunk))
-        except json.JSONDecodeError:
-            values.append(chunk)
+    try:  # one JSON array keeps list values such as [1,2] whole
+        values = json.loads(f"[{raw_values}]")
+    except json.JSONDecodeError:
+        values = []
+        for chunk in raw_values.split(","):
+            chunk = chunk.strip()
+            try:
+                values.append(json.loads(chunk))
+            except json.JSONDecodeError:
+                values.append(chunk)
+    if not values:
+        raise ValidationError("--vary needs at least one value")
     return keys, values
 
 
@@ -142,7 +147,7 @@ def _cmd_sweep(args) -> int:
     base = scenario.load_config(args.config)
     keys, values = _parse_vary(args.vary)
     field = ".".join(keys)
-    configs = []  # every value is built and checked before any run writes
+    runs = []  # every value is built and checked before any run writes
     for value in values:
         data = cursor = base.to_dict()
         for key in keys[:-1]:
@@ -152,14 +157,15 @@ def _cmd_sweep(args) -> int:
         if keys[-1] not in cursor:
             raise ValidationError(f"--vary: unknown field {field}")
         cursor[keys[-1]] = value
-        config = scenario.config_from_dict(data, base_dir=base.base_dir)
-        config.build_initial_state(config.build_params())  # checks the model's premises
-        configs.append(_with_seed(config, args.seed))
+        config = _with_seed(scenario.config_from_dict(data, base_dir=base.base_dir), args.seed)
+        params = config.build_params()  # checks the model's premises
+        runs.append((config, params, config.build_initial_state(params)))
     out_root = Path(args.out)
     summaries = []
-    for value, config in zip(values, configs):
+    for value, (config, params, state0) in zip(values, runs):
         run_dir = out_root / f"{field}={value}"
-        metrics = scenario.write_run(scenario.run_scenario(config), run_dir)
+        run = mpc.run_policy_loop(state0, config.mpc, params, policy=config.policy)
+        metrics = scenario.write_run(run, run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})
         _say(args, f"{field}={value} -> {run_dir}")
     (out_root / "sweep.json").write_text(

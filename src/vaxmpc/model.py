@@ -130,6 +130,7 @@ class EpidemicState:
     step 0, i.e. day 1 in the one-based day convention used for reporting).
     ``applied_u`` holds the vaccination actually applied by the step that
     produced this state, after clamping; it is None for initial states.
+    Its compartments are checked finite and nonnegative when it is built.
     """
 
     s: np.ndarray
@@ -144,10 +145,16 @@ class EpidemicState:
             object.__setattr__(self, name, _freeze(getattr(self, name)))
         if self.applied_u is not None:
             object.__setattr__(self, "applied_u", _freeze(self.applied_u))
-        n = self.s.shape[0]
-        for name in ("i", "r", "d"):
-            if getattr(self, name).shape != (n,):
-                raise ContractViolation("state vectors must share one length")
+        compartments = (self.s, self.i, self.r, self.d)
+        if any(vec.shape != (self.s.size,) for vec in compartments):
+            raise ContractViolation("state vectors must be 1-D and share one length")
+        stacked = np.array(compartments)
+        if not (np.isfinite(stacked).all() and (stacked >= 0).all()):
+            for name, vec in zip("sird", compartments):  # name the first bad one
+                if not np.all(np.isfinite(vec)):
+                    raise ValidationError(f"{name}: non-finite entries")
+                if np.any(vec < 0):
+                    raise ValidationError(f"{name}: negative compartment")
         if self.time_step < 0:
             raise ValidationError("time_step must be nonnegative")
 
@@ -164,13 +171,10 @@ class EpidemicState:
         return self.s + self.i + self.r + self.d
 
     def validate(self, params: ModelParams) -> None:
-        """Check nonnegativity and per-group population conservation."""
+        """Check the group count and per-group population conservation."""
         n = params.n_a
-        for name in ("s", "i", "r", "d"):
-            vec = getattr(self, name)
-            _check_vector(vec, n, name)
-            if np.any(vec < 0):
-                raise ValidationError(f"{name}: negative compartment")
+        if self.s.shape != (n,):
+            raise ContractViolation(f"s: expected shape ({n},), got {self.s.shape}")
         total = self.total_by_group()
         if not np.allclose(total, params.population, rtol=CONSERVATION_RTOL, atol=0.0):
             raise ValidationError(
@@ -244,11 +248,6 @@ def step(
         raise ContractViolation(
             f"state has {state.n_a} groups, params has {params.n_a}"
         )
-    for name in ("s", "i", "r", "d"):
-        vec = getattr(state, name)
-        _check_vector(vec, params.n_a, name)
-        if np.any(vec < 0):
-            raise ValidationError(f"{name}: negative compartment")
     u = validate_control(u, params.n_a)
     s_next, i_next, u_eff = si_step(state.s, state.i, u, params)
     r_next = state.r + params.gamma_r * state.i + u_eff

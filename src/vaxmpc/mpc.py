@@ -83,7 +83,7 @@ class MpcConfig:
     starts on day 1 and vaccination is allowed from
     ``vaccination_start_day`` on.  ``rng_seed`` and ``n_restarts`` set the
     solver's seeded random starts; its tolerances and iteration cap are
-    module constants.
+    module constants.  Each setting is checked when the config is built.
     """
 
     horizon: int = 40
@@ -96,7 +96,7 @@ class MpcConfig:
     rng_seed: int = 0
     n_restarts: int = 3
 
-    def validate(self, params: ModelParams | None = None) -> None:
+    def __post_init__(self):
         for fld in fields(self):  # the annotations are the settings' types
             value = getattr(self, fld.name)
             integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -119,8 +119,10 @@ class MpcConfig:
             raise ValidationError(f"n_restarts must be a count from 0 to {MAX_RESTARTS}")
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be nonnegative")
-        if params is not None:
-            validate_epsilon(self.epsilon, params.removal)
+
+    def validate(self, params: ModelParams) -> None:
+        """Check ``epsilon`` against the model's removal rates."""
+        validate_epsilon(self.epsilon, params.removal)
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,6 @@ def build_ocp(
     Epsilon is checked against the rates once, by the terminal-set
     construction.
     """
-    cfg.validate()
     if state.n_a != params.n_a:
         raise ContractViolation("state and params disagree on group count")
     return OcpProblem(

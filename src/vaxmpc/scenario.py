@@ -233,7 +233,6 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         _require(key in _MPC_FIELDS, f"mpc.{key}", "unknown controller field")
     try:
         mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
-        mpc_cfg.validate()
         validate_epsilon(mpc_cfg.epsilon, np.add(gamma_r, gamma_d))
     except TypeError as exc:
         raise ValidationError(f"mpc: {exc}") from exc

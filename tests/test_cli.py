@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from vaxmpc import certificates, cli
+from vaxmpc import certificates, cli, scenario
 from vaxmpc.certificates import CheckReport
 from vaxmpc.errors import SolverFailure
 
@@ -96,6 +96,13 @@ class TestSimulate:
         )
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+    def test_negative_seed_exits_one(self, desk_config_path, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        code = cli.main(["--seed", "-1", "simulate", "--config", str(desk_config_path),
+                         "--out", out])
+        assert code == 1
+        assert "error: rng_seed must be nonnegative" in capsys.readouterr().err
 
     def test_bad_config_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -365,6 +372,58 @@ class TestSweep:
         summary = json.loads((out / "sweep.json").read_text())
         assert [entry["value"] for entry in summary] == [600, 1200]
 
+    @pytest.mark.parametrize(
+        "vary, values",
+        [
+            ("i0=[10,2]", [[10, 2]]),
+            ("i0=[20, 5],[10,2]", [[20, 5], [10, 2]]),
+        ],
+    )
+    def test_sweeps_list_values(self, desk_config_path, tmp_path, vary, values):
+        out = tmp_path / "sweep"
+        code = cli.main(
+            ["--quiet", "sweep", "--config", str(desk_config_path), "--vary", vary,
+             "--out", str(out)]
+        )
+        assert code == 0
+        summary = json.loads((out / "sweep.json").read_text())
+        assert [entry["value"] for entry in summary] == values
+        for value in values:
+            rows = np.loadtxt(
+                out / f"i0={value}" / "trajectory.csv", delimiter=",", skiprows=1,
+                usecols=(0, 3), max_rows=2,
+            )
+            assert rows[:, 0].tolist() == [1, 1]
+            assert rows[:, 1].tolist() == value
+
+    @pytest.mark.parametrize(
+        "vary, values",
+        [
+            ("mpc.v_bar=40000,55191", [40000, 55191]),
+            ("policy=none, national", ["none", "national"]),
+            ('policy="none",national', ["none", "national"]),
+            ("i0=[1,2,3,4,5,6]", [[1, 2, 3, 4, 5, 6]]),
+        ],
+    )
+    def test_vary_values_parsed(self, vary, values):
+        assert cli._parse_vary(vary)[1] == values
+
+    def test_builds_each_values_model_once(self, desk_config_path, tmp_path, monkeypatch):
+        built = []
+        build_params = scenario.ScenarioConfig.build_params
+
+        def counting(config):
+            built.append(config.mpc.v_bar)
+            return build_params(config)
+
+        monkeypatch.setattr(scenario.ScenarioConfig, "build_params", counting)
+        code = cli.main(
+            ["--quiet", "sweep", "--config", str(desk_config_path), "--vary",
+             "mpc.v_bar=600,1200", "--out", str(tmp_path / "sweep")]
+        )
+        assert code == 0
+        assert built == [600, 1200]
+
     def test_unknown_field_exits_one(self, desk_config_path):
         code = cli.main(
             [
@@ -384,6 +443,7 @@ class TestSweep:
         "vary",
         [
             "mpc.v_bar=600,-5",
+            "mpc.v_bar=",
             "mpc.epsilon=0.1,0.9",
             "contact_matrix_path=contacts.csv,missing.csv",
         ],

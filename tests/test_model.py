@@ -96,6 +96,14 @@ class TestStep:
         with pytest.raises(ValidationError):
             vaxmpc.step(desk_state0, np.array([-1.0, 0.0]), desk_params)
 
+    def test_group_count_mismatch_is_contract_violation(
+        self, desk_state0, preset_params
+    ):
+        with pytest.raises(ContractViolation, match="state has 2 groups"):
+            vaxmpc.step(desk_state0, np.zeros(6), preset_params)
+        with pytest.raises(ContractViolation, match="expected shape"):
+            desk_state0.validate(preset_params)
+
 
 class TestInitialState:
     def test_preset_seeding_total(self, preset_params, preset_state0):
@@ -118,6 +126,56 @@ class TestInitialState:
             vaxmpc.initial_state(desk_params, desk_params.population + 1.0)
         with pytest.raises(ValidationError):
             vaxmpc.initial_state(desk_params, np.array([-1.0, 0.0]))
+
+
+class TestStateValidation:
+    """A state's compartments are checked once, when the state is built."""
+
+    @staticmethod
+    def compartments():
+        return {
+            "s": np.array([100.0, 50.0]),
+            "i": np.array([1.0, 2.0]),
+            "r": np.array([3.0, 0.0]),
+            "d": np.array([0.0, 4.0]),
+        }
+
+    @pytest.mark.parametrize("name", ["s", "i", "r", "d"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, "non-finite entries"),
+            (np.inf, "non-finite entries"),
+            (-np.inf, "non-finite entries"),
+            (-1.0, "negative compartment"),
+        ],
+    )
+    def test_bad_entry_rejected_when_built(self, name, bad, message):
+        vectors = self.compartments()
+        vectors[name][1] = bad
+        with pytest.raises(ValidationError, match=f"^{name}: {message}$"):
+            vaxmpc.EpidemicState(**vectors)
+
+    def test_first_bad_compartment_is_named(self):
+        vectors = self.compartments()
+        vectors["i"][0] = -1.0
+        vectors["d"][1] = np.nan
+        with pytest.raises(ValidationError, match="^i: negative compartment$"):
+            vaxmpc.EpidemicState(**vectors)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("r", np.zeros(3)),
+            ("s", np.ones((2, 2))),
+            ("s", np.array(5.0)),
+        ],
+    )
+    def test_bad_shape_is_contract_violation(self, name, value):
+        vectors = self.compartments()
+        vectors[name] = value
+        with pytest.raises(ContractViolation):
+            vaxmpc.EpidemicState(**vectors)
 
 
 class TestRollout:

@@ -834,11 +834,21 @@ class TestMpcConfigValidation:
             {"terminal_mode": "soft"},
             {"n_restarts": -1},
             {"n_restarts": mpc.MAX_RESTARTS + 1},
+            {"horizon": 2.5},
+            {"horizon": True},
+            {"strategy_horizon": mpc.MAX_DAYS + 1},
+            {"epsilon": float("nan")},
+            {"v_bar": "1"},
+            {"vaccination_start_day": -1},
+            {"rng_seed": -1},
         ],
     )
     def test_bad_settings_rejected(self, kwargs):
-        with pytest.raises(ValidationError):
-            vaxmpc.MpcConfig(**kwargs).validate()
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            vaxmpc.MpcConfig(**kwargs)
+        with pytest.raises(ValidationError, match=f"^{name} must be"):
+            dataclasses.replace(vaxmpc.MpcConfig(), **kwargs)
 
     def test_epsilon_checked_against_rates(self, preset_params):
         with pytest.raises(ValidationError):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -27,6 +28,23 @@ from vaxmpc.scenario import (
 DEATHS_DAY_61 = 1271.71162129538
 DEATHS_DAY_140_NATIONAL = 2183.25718934918
 DEATHS_DAY_140_MPC = 2123.11862987758
+
+# sha256 of every file write_run writes for the three preset closed loops.
+PRESET_OUTPUT_SHA256 = {
+    "none": {
+        "trajectory.csv": "1324856caecfe6d006636369bb0a5471339667dd3e9154f95fd2c3e2f5c30e00",
+        "metrics.json": "125c8eacf31f02f2f434298ae02221a965805c00209d6f55f4ff3208685c5dda",
+    },
+    "national": {
+        "trajectory.csv": "beeb88ebda60c558498a4a767895cca4c9178483ac6af5fa3828b934be7e5ad8",
+        "metrics.json": "c5473fbed9e84fffe7cbf88edc28fe91f8aebc2684e453c99036e055a78e0175",
+    },
+    "mpc": {
+        "trajectory.csv": "0f828d0035767c3d08732f714317c6a0b464b8e82074820c770149d526023881",
+        "metrics.json": "2bffdf13feaedabf07847cfb10dfab2285221b35f417795199d094e72af76800",
+        "diagnostics.jsonl": "1dd0714149c1654c25efdcbbe6bc324eff68f6b1bcb064860cc3ffccaf0c83f4",
+    },
+}
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -455,6 +473,15 @@ class TestWriters:
         write_run(desk_run, tmp_path / "again", fingerprint=desk_run.fingerprint)
         with pytest.raises(ContractViolation, match="fingerprint"):
             write_run(desk_run, tmp_path / "wrong", fingerprint="abc123")
+
+    def test_preset_outputs_pinned(self, preset_runs, tmp_path):
+        for policy, files in PRESET_OUTPUT_SHA256.items():
+            write_run(preset_runs[0][policy], tmp_path / policy)
+            written = {f.name for f in (tmp_path / policy).iterdir()}
+            assert written == set(files), policy
+            for name, digest in files.items():
+                data = (tmp_path / policy / name).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, f"{policy}/{name}"
 
     def test_writes_are_deterministic(self, desk_run, tmp_path):
         write_run(desk_run, tmp_path / "a")
