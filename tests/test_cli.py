@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -285,6 +286,64 @@ class TestCertify:
         )
         assert code == 1
         assert "error: --samples must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed_args",
+        [["certify", "--seed", "-1"], ["--seed", "-1", "certify"]],
+        ids=["certify-seed", "global-seed"],
+    )
+    def test_negative_seed_exits_one(self, desk_config_path, capsys, seed_args):
+        code = cli.main(
+            ["--quiet", *seed_args, "--config", str(desk_config_path), "--samples", "10"]
+        )
+        assert code == 1
+        assert "error: --seed must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("samples", [certificates.MAX_SAMPLES + 1, 10**12])
+    def test_too_many_samples_exit_one_before_drawing(
+        self, desk_config_path, capsys, monkeypatch, samples
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("sampled despite the cap")
+
+        for name in ("sample_terminal_states", "draw_terminal_sample", "check_eta_bound"):
+            monkeypatch.setattr(certificates, name, no_draw)
+        code = cli.main(
+            ["--quiet", "certify", "--config", str(desk_config_path), "--samples", str(samples)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: --samples must be at most {certificates.MAX_SAMPLES}" in err
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (1, "17cfb09195a084006fa0934f7d787535f65a9636cdaa81d000ab433ffd3309a8"),
+            (2, "8a75aa558538e9c7c8ea60d9d3404d1ce5bd179f322200f6fdc23d0ada2730e8"),
+            (3, "343b39755088ea214dcd8f69d524cc4f0b03c2b27061c9f3d30c559e988cef0f"),
+            (4, "f1e0d28fe9a8532e8a746d49ebc5300ebdc021c9a0b6b1a529eba672032c1654"),
+        ],
+    )
+    def test_preset_report_digest_pinned(self, tmp_path, seed, digest):
+        config = tmp_path / "preset.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020"}))
+        report_path = tmp_path / "cert.json"
+        code = cli.main(
+            [
+                "--quiet",
+                "certify",
+                "--config",
+                str(config),
+                "--samples",
+                "20000",
+                "--seed",
+                str(seed),
+                "--out",
+                str(report_path),
+            ]
+        )
+        assert code == 0
+        assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
 
     def test_seed_0_report_pinned(self, tmp_path):
         config = tmp_path / "preset.json"
