@@ -21,7 +21,9 @@ moved.  Each start reads its trials in order and drops those after the one
 that decides its step.  Every batched function gives each plan the bits it
 gives that plan alone, halving is exact, and step lengths, counters and
 stop rules are kept per start, so each start follows the path it would
-follow on its own, one trial at a time.
+follow on its own, one trial at a time.  A batch's paths are stored
+time-major, (N+1, K, n_a) behind their (K, N+1, n_a) shape, so the
+rollout and the adjoint each step over one contiguous (K, n_a) block a day.
 """
 
 from __future__ import annotations
@@ -125,11 +127,27 @@ class MpcConfig:
         validate_epsilon(self.epsilon, params.removal)
 
 
+# np.moveaxis does the same but costs ~4 us a call to normalise its axes
+# against ~0.7 us here; two preset solves make ~5,000 such calls.
+def _time_major(paths: np.ndarray) -> np.ndarray:
+    """A (..., T, n_a) batch of plans or paths as a (T, ..., n_a) view."""
+    nd = paths.ndim
+    return paths.transpose(nd - 2, *range(nd - 2), nd - 1)
+
+
+def _plan_major(blocks: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_time_major`: (T, ..., n_a) as (..., T, n_a)."""
+    nd = blocks.ndim
+    return blocks.transpose(*range(1, nd - 1), 0, nd - 1)
+
+
 @dataclass(frozen=True)
 class SiTrajectory:
     """Predicted susceptible/infected paths, shape (..., N+1, n_a) each, and
     the doses the clamp let through on each day, shape (..., N, n_a); the
-    leading axes, if any, are those of the plans rolled out."""
+    leading axes, if any, are those of the plans rolled out.  A batch's
+    paths are views of time-major arrays, so day t of every plan is one
+    contiguous block; a single plan's paths keep the shape (N+1, n_a)."""
 
     s: np.ndarray
     i: np.ndarray
@@ -137,7 +155,8 @@ class SiTrajectory:
 
     def take(self, plans: np.ndarray) -> "SiTrajectory":
         """The paths of the given plans (an index into the leading axis)."""
-        return SiTrajectory(s=self.s[plans], i=self.i[plans], u=self.u[plans])
+        paths = (np.take(_time_major(x), plans, axis=1) for x in (self.s, self.i, self.u))
+        return SiTrajectory(*map(_plan_major, paths))
 
 
 @dataclass(frozen=True)
@@ -207,15 +226,16 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
     and a plan's path is the same alone or in a batch.
     """
     big_n, n = problem.cfg.horizon, problem.n_a
-    s = np.empty(controls.shape[:-2] + (big_n + 1, n))
+    if controls.shape[-2:] != (big_n, n):
+        raise ContractViolation(f"plans: expected (..., {big_n}, {n}), got {controls.shape}")
+    plans = np.ascontiguousarray(_time_major(controls))  # plans[t]: day t of every plan
+    s = np.empty((big_n + 1,) + plans.shape[1:])
     i = np.empty_like(s)
-    u_eff = np.empty(controls.shape)
-    s[..., 0, :], i[..., 0, :] = problem.s0, problem.i0
+    u = np.empty(plans.shape)
+    s[0], i[0] = problem.s0, problem.i0
     for t in range(big_n):
-        s[..., t + 1, :], i[..., t + 1, :], u_eff[..., t, :] = si_step(
-            s[..., t, :], i[..., t, :], controls[..., t, :], problem.params
-        )
-    return SiTrajectory(s=s, i=i, u=u_eff)
+        s[t + 1], i[t + 1], u[t] = si_step(s[t], i[t], plans[t], problem.params)
+    return SiTrajectory(*(_plan_major(x) for x in (s, i, u)))
 
 
 def plan_cost(problem: OcpProblem, predicted: SiTrajectory):
@@ -290,34 +310,37 @@ def _gradient(
     backward loop, with the same per-row arithmetic, so the result is
     bitwise the same as stepping it inside the loop.  Every product with a
     matrix goes through :func:`matvec_rows`, so a plan's gradient is the
-    same alone or in a batch.
+    same alone or in a batch.  The loop runs time-major, over one (..., n_a)
+    block of every plan a day.
     """
     params, cert = problem.params, problem.cert
     big_n = problem.cfg.horizon
     lam, gd = params.lam, params.gamma_d
-    s, i, u_eff = predicted.s, predicted.i, predicted.u
+    s, i, u_eff, plans = map(_time_major, (predicted.s, predicted.i, predicted.u, controls))
 
-    room = (s[..., 1:, :] > 0) | ((s[..., 1:, :] == 0) & (u_eff > 0))
-    free_u = room & (u_eff == controls)  # u_eff == u and room left
-    keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
-    rate = lam * matvec_rows(params.contact, i[..., :big_n, :])  # as in si_step
+    room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
+    free_u = room & (u_eff == plans)  # u_eff == u and room left
+    keep = ~(room & (u_eff != plans))  # False where the clamp emptied the group
+    rate = lam * matvec_rows(params.contact, i[:big_n])  # as in si_step
     hold = 1.0 - rate
-    lam_s = lam * s[..., :big_n, :]
+    lam_s = lam * s[:big_n]
     decay = 1.0 - params.removal
     contact_t = params.contact.T
     violated = _terminal_overshoot(problem, predicted) > 0
-    p_s = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
     p_i = gd / problem.cfg.epsilon
 
-    p_s_path = np.empty(controls.shape)
+    # p_s_path[t] is p_s on day t + 1.  Where the clamp emptied a group, the
+    # day before keeps its zero: +0.0, not the -0.0 of 0.0 * p_s for p_s < 0.
+    p_s_path = np.zeros(u_eff.shape)
+    p_s_path[-1] = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
     for t in range(big_n - 1, -1, -1):
-        p_s_path[..., t, :] = p_s
-        keep_t = keep[..., t, :]
-        p_s_next = np.where(keep_t, hold[..., t, :] * p_s, 0.0) + rate[..., t, :] * p_i
-        flow = lam_s[..., t, :] * (p_i - keep_t * p_s)
+        p_s = p_s_path[t]
+        if t:  # p_s on day 0 enters no gradient entry
+            p_s_next = np.multiply(hold[t], p_s, out=p_s_path[t - 1], where=keep[t])
+            p_s_next += rate[t] * p_i
+        flow = lam_s[t] * (p_i - keep[t] * p_s)
         p_i = gd + decay * p_i + matvec_rows(contact_t, flow)
-        p_s = p_s_next
-    return np.where(free_u, -p_s_path, 0.0)
+    return _plan_major(np.where(free_u, -p_s_path, 0.0))
 
 
 def _norms(plans: np.ndarray) -> np.ndarray:

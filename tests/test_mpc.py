@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import vaxmpc
 from vaxmpc import mpc
-from vaxmpc.errors import SolverFailure, ValidationError
+from vaxmpc.errors import ContractViolation, SolverFailure, ValidationError
 from vaxmpc.mpc import (
     OcpSolution,
     SiTrajectory,
@@ -21,7 +22,7 @@ from vaxmpc.mpc import (
     solve_ocp,
     terminal_slack,
 )
-from vaxmpc.model import si_step
+from vaxmpc.model import matvec_rows, si_step
 
 from conftest import random_desk_instance
 
@@ -138,6 +139,14 @@ class TestBuildOcp:
         pred = predict(problem, np.array([[u0], [u1]]))
         assert plan_cost(problem, pred) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(41, 6), (39, 6), (40, 5), (3, 39, 6), (40,)])
+    def test_misshaped_plans_rejected(self, shape, preset_params, preset_state0):
+        """A plan longer than the horizon used to come back with an
+        uninitialised last dose row, and a shorter one died in an IndexError."""
+        problem = build_ocp(preset_state0, vaxmpc.MpcConfig(), preset_params)
+        with pytest.raises(ContractViolation, match=r"expected \(\.\.\., 40, 6\)"):
+            predict(problem, np.zeros(shape))
+
     def test_prediction_matches_plant_stepping_bitwise(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
             horizon=5, v_bar=700.0, vaccination_start_day=1, strategy_horizon=5
@@ -211,6 +220,74 @@ def objective(problem, controls):
     return _penalized_value(problem, predict(problem, controls))
 
 
+def reference_predict(problem, controls):
+    """The plan-major ``predict`` the time-major one replaced, kept verbatim."""
+    big_n, n = problem.cfg.horizon, problem.n_a
+    s = np.empty(controls.shape[:-2] + (big_n + 1, n))
+    i = np.empty_like(s)
+    u_eff = np.empty(controls.shape)
+    s[..., 0, :], i[..., 0, :] = problem.s0, problem.i0
+    for t in range(big_n):
+        s[..., t + 1, :], i[..., t + 1, :], u_eff[..., t, :] = si_step(
+            s[..., t, :], i[..., t, :], controls[..., t, :], problem.params
+        )
+    return SiTrajectory(s=s, i=i, u=u_eff)
+
+
+def reference_gradient(problem, controls, predicted):
+    """The plan-major ``_gradient`` the time-major one replaced, kept verbatim."""
+    params, cert = problem.params, problem.cert
+    big_n = problem.cfg.horizon
+    lam, gd = params.lam, params.gamma_d
+    s, i, u_eff = predicted.s, predicted.i, predicted.u
+
+    room = (s[..., 1:, :] > 0) | ((s[..., 1:, :] == 0) & (u_eff > 0))
+    free_u = room & (u_eff == controls)  # u_eff == u and room left
+    keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
+    rate = lam * matvec_rows(params.contact, i[..., :big_n, :])  # as in si_step
+    hold = 1.0 - rate
+    lam_s = lam * s[..., :big_n, :]
+    decay = 1.0 - params.removal
+    contact_t = params.contact.T
+    violated = mpc._terminal_overshoot(problem, predicted) > 0
+    p_s = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
+    p_i = gd / problem.cfg.epsilon
+
+    p_s_path = np.empty(controls.shape)
+    for t in range(big_n - 1, -1, -1):
+        p_s_path[..., t, :] = p_s
+        keep_t = keep[..., t, :]
+        p_s_next = np.where(keep_t, hold[..., t, :] * p_s, 0.0) + rate[..., t, :] * p_i
+        flow = lam_s[..., t, :] * (p_i - keep_t * p_s)
+        p_i = gd + decay * p_i + matvec_rows(contact_t, flow)
+        p_s = p_s_next
+    return np.where(free_u, -p_s_path, 0.0)
+
+
+def emptied_group_problem():
+    """A hard-mode instance whose plan empties group 1 on day 1, when that
+    group meets only the still uninfected group 3, so its infection rate
+    is zero; the terminal penalty drives both its adjoints negative there."""
+    pop = np.array([4724.0, 1162.0, 3928.0, 3457.0])
+    raw = np.zeros((4, 4))
+    raw[0, 0], raw[1, 3], raw[2, 0], raw[3, 1], raw[3, 2] = 5.37, 4.2, 2.04, 1.13, 1.97
+    params = vaxmpc.ModelParams(
+        lam=np.array([0.057, 0.23, 0.054, 0.239]),
+        gamma_r=np.array([0.305, 0.472, 0.126, 0.437]),
+        gamma_d=np.array([0.016, 0.041, 0.049, 0.097]),
+        population=pop,
+        contact=raw / pop[None, :],
+    )
+    state0 = vaxmpc.initial_state(params, np.array([1414.0, 0.0, 0.0, 0.0]))
+    cfg = vaxmpc.MpcConfig(
+        horizon=5, epsilon=0.08, v_bar=float(pop.sum()),
+        vaccination_start_day=1, strategy_horizon=5, terminal_mode="hard",
+    )
+    plan = np.tile(0.01 * pop, (5, 1))
+    plan[1, 1] = pop[1]
+    return build_ocp(state0, cfg, params), plan
+
+
 class TestObjectiveGradient:
     def test_matches_central_differences_away_from_kinks(
         self, preset_config, preset_params, preset_state0
@@ -250,6 +327,57 @@ class TestObjectiveGradient:
                 assert np.all(grad[binding] == 0.0)
                 binding_total += int(binding.sum())
         assert binding_total > 0
+
+    def test_time_major_equals_plan_major_reference(
+        self, preset_config, preset_params, preset_state0
+    ):
+        """The time-major rollout and adjoint give the bits of the plan-major
+        loops they replaced, plan by plan and for each problem's plans as one
+        batch.  Some adjoints p_s go negative (a positive gradient entry),
+        and in the emptied-group instance one does where the clamp mask
+        zeroes it: 0.0 * p_s would be -0.0 there, not np.where's +0.0."""
+        rng = np.random.default_rng(4)
+        negative_p_s = 0
+        emptied, emptying_plan = emptied_group_problem()
+        cases = [(emptied, emptying_plan[None])]
+        for problem in gradient_problems(preset_config, preset_params, preset_state0):
+            cases.append((problem, np.array(list(random_plans(problem, rng, 4)))))
+        for problem, plans in cases:
+            for batch in [*plans, plans]:
+                path, ref_path = predict(problem, batch), reference_predict(problem, batch)
+                for name in ("s", "i", "u"):
+                    assert getattr(path, name).tobytes() == getattr(ref_path, name).tobytes()
+                grad = _gradient(problem, batch, path)
+                assert grad.tobytes() == reference_gradient(problem, batch, ref_path).tobytes()
+                negative_p_s += int(np.sum(grad > 0))
+        assert negative_p_s > 0
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_non_float64_plans_keep_float64_doses(self, dtype):
+        """The clamp lets a fractional dose through on day 0; stored in a
+        buffer of the plan's dtype it would be cut to 769 or rounded."""
+        params = vaxmpc.ModelParams(
+            lam=np.array([0.02]),
+            gamma_r=np.array([0.4]),
+            gamma_d=np.array([0.1]),
+            population=np.array([800.0]),
+            contact=np.array([[1e-3]]),
+        )
+        state = vaxmpc.initial_state(params, np.array([30.0]))
+        cfg = vaxmpc.MpcConfig(
+            horizon=2, epsilon=0.1, v_bar=1000.0,
+            vaccination_start_day=1, strategy_horizon=2,
+        )
+        problem = build_ocp(state, cfg, params)
+        plans = np.array([[[800], [0]], [[20], [10]]], dtype=dtype)
+        assert predict(problem, plans[0]).u[0, 0] % 1.0 != 0.0
+        for batch in [*plans, plans]:
+            path, ref_path = predict(problem, batch), reference_predict(problem, batch)
+            assert path.u.dtype == np.float64
+            for name in ("s", "i", "u"):
+                assert getattr(path, name).tobytes() == getattr(ref_path, name).tobytes()
+            grad = _gradient(problem, batch, path)
+            assert grad.tobytes() == reference_gradient(problem, batch, ref_path).tobytes()
 
     def test_trial_path_gives_fresh_rollout_bits(
         self, preset_config, preset_params, preset_state0
@@ -378,6 +506,18 @@ def solution_bits(solution):
     return bits
 
 
+def bits_digest(solutions):
+    """sha256 of the ``solution_bits`` of each solution, in order."""
+    digest = hashlib.sha256()
+    for solution in solutions:
+        for name, parts in solution_bits(solution).items():
+            digest.update(name.encode())
+            for kind, shape, raw in parts:
+                digest.update(f"{kind.__name__}{shape}".encode())
+                digest.update(raw)
+    return digest.hexdigest()
+
+
 def random_instance(seed):
     """Seeded instance with 1-8 groups, horizon 3-15 and 0-5 random starts;
     both terminal modes, and a warm start on odd seeds."""
@@ -469,6 +609,32 @@ class TestLockstepDescent:
         )
 
 
+class TestSolverBits:
+    """Every bit of the solver's output, pinned independently of the module:
+    the per-start reference solver calls the module's own rollout and
+    gradient, so it would move with them."""
+
+    def test_desk_instances_pinned(self):
+        solutions = (solve_ocp(problem, start) for _, problem, start in desk_problems())
+        assert bits_digest(solutions) == (
+            "950c8a335ab223fd5b863157c0bc17db5797132e89ded978576c3e590f8b655f"
+        )
+
+    def test_preset_days_61_and_62_pinned(self, preset_config, preset_params, preset_state0):
+        cfg = preset_config.mpc
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        first = solve_ocp(build_ocp(day61, cfg, preset_params))
+        assert bits_digest([first]) == (
+            "d045efb9dfef9329fa2df70c907494cd0528b739ba3b1cbf6df031d200829ab1"
+        )
+        day62 = vaxmpc.step(day61, first.controls[0], preset_params)
+        warm = np.vstack([first.controls[1:], np.zeros((1, 6))])
+        second = solve_ocp(build_ocp(day62, cfg, preset_params), warm)
+        assert bits_digest([second]) == (
+            "bd4bc88deaffbb7c66bb12f020eb3f4d36996062c9b2dd819aa94c6660c387dc"
+        )
+
+
 class TestBatchInvariance:
     """A plan's projection, rollout, value and gradient are bitwise the same
     alone or in a batch of any size."""
@@ -509,6 +675,36 @@ class TestBatchInvariance:
                 binding += bool(binding_mask(problem, plan).any())
         assert violated > 0
         assert binding > 0
+
+    def test_two_batch_axes_equal_plans_alone(
+        self, preset_config, preset_params, preset_state0
+    ):
+        """A (2, 3, N, n_a) batch gives plan [a, b] the bits it gets alone:
+        moving the day axis to the front and back must keep the batch axes
+        in order (a swap of the first and day axes keeps one batch axis
+        intact but not two)."""
+        rng = np.random.default_rng(5)
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problems = [random_instance(seed)[0] for seed in range(8)]
+        problems.append(build_ocp(day61, preset_config.mpc, preset_params))
+        for problem in problems:
+            pool = list(random_plans(problem, rng, 6))
+            plans = np.array([pool[k] for k in rng.permutation(len(pool))[:6]])
+            plans = plans.reshape((2, 3) + plans.shape[1:])
+            path = predict(problem, plans)
+            values = _penalized_value(problem, path)
+            costs = plan_cost(problem, path)
+            grads = _gradient(problem, plans, path)
+            assert values.shape == costs.shape == (2, 3)
+            assert grads.shape == plans.shape
+            for idx in np.ndindex(2, 3):
+                plan = plans[idx].copy()
+                own = predict(problem, plan)
+                for name in ("s", "i", "u"):
+                    assert getattr(path, name)[idx].tobytes() == getattr(own, name).tobytes()
+                assert values[idx] == _penalized_value(problem, own)
+                assert costs[idx] == plan_cost(problem, own)
+                assert grads[idx].tobytes() == _gradient(problem, plan, own).tobytes()
 
     @pytest.mark.parametrize("count", [1, 2, 7, 11, 33, 64])
     def test_batched_norm_equals_linalg_norm(self, count):
