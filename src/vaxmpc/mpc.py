@@ -16,14 +16,14 @@ multi-start to cope with local minima; identical inputs and seed give
 bitwise-identical solutions.  The starts descend together: each round
 projects, rolls out and scores up to three line-search trials of every
 start still descending, at step lengths s, s/2 and s/4, as one
-(K, N, n_a) batch, and takes one batched gradient for the starts that
+(N, K, n_a) batch, and takes one batched gradient for the starts that
 moved.  Each start reads its trials in order and drops those after the one
 that decides its step.  Every batched function gives each plan the bits it
 gives that plan alone, halving is exact, and step lengths, counters and
 stop rules are kept per start, so each start follows the path it would
-follow on its own, one trial at a time.  A batch's paths are stored
-time-major, (N+1, K, n_a) behind their (K, N+1, n_a) shape, so the
-rollout and the adjoint each step over one contiguous (K, n_a) block a day.
+follow on its own, one trial at a time.  Batches are day-first, plans
+(N, ..., n_a) and paths (N+1, ..., n_a), so the rollout and the adjoint
+each step over one contiguous block of every plan a day.
 """
 
 from __future__ import annotations
@@ -127,36 +127,20 @@ class MpcConfig:
         validate_epsilon(self.epsilon, params.removal)
 
 
-# np.moveaxis does the same but costs ~4 us a call to normalise its axes
-# against ~0.7 us here; two preset solves make ~5,000 such calls.
-def _time_major(paths: np.ndarray) -> np.ndarray:
-    """A (..., T, n_a) batch of plans or paths as a (T, ..., n_a) view."""
-    nd = paths.ndim
-    return paths.transpose(nd - 2, *range(nd - 2), nd - 1)
-
-
-def _plan_major(blocks: np.ndarray) -> np.ndarray:
-    """The inverse of :func:`_time_major`: (T, ..., n_a) as (..., T, n_a)."""
-    nd = blocks.ndim
-    return blocks.transpose(*range(1, nd - 1), 0, nd - 1)
-
-
 @dataclass(frozen=True)
 class SiTrajectory:
-    """Predicted susceptible/infected paths, shape (..., N+1, n_a) each, and
-    the doses the clamp let through on each day, shape (..., N, n_a); the
-    leading axes, if any, are those of the plans rolled out.  A batch's
-    paths are views of time-major arrays, so day t of every plan is one
-    contiguous block; a single plan's paths keep the shape (N+1, n_a)."""
+    """Predicted susceptible/infected paths, shape (N+1, ..., n_a) each, and
+    the doses the clamp let through on each day, shape (N, ..., n_a), as
+    C-contiguous arrays; the axes between the day and the group axis, if
+    any, are those of the plans rolled out (none for a single plan)."""
 
     s: np.ndarray
     i: np.ndarray
     u: np.ndarray
 
     def take(self, plans: np.ndarray) -> "SiTrajectory":
-        """The paths of the given plans (an index into the leading axis)."""
-        paths = (np.take(_time_major(x), plans, axis=1) for x in (self.s, self.i, self.u))
-        return SiTrajectory(*map(_plan_major, paths))
+        """The paths of the given plans (an index into the plan axis, axis 1)."""
+        return SiTrajectory(*(np.take(x, plans, axis=1) for x in (self.s, self.i, self.u)))
 
 
 @dataclass(frozen=True)
@@ -220,30 +204,30 @@ def _per_plan(values: np.ndarray):
 def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
     """The horizon's S and I paths and the applied doses of each plan.
 
-    ``controls`` is one (N, n_a) plan or a batch (..., N, n_a) of them.
-    This is the planner's only pass over the dynamics; it steps with the
-    plant's :func:`si_step`, so prediction equals plant stepping bitwise,
-    and a plan's path is the same alone or in a batch.
+    ``controls`` is one (N, n_a) plan or a day-first batch (N, ..., n_a)
+    of them.  This is the planner's only pass over the dynamics; it steps
+    with the plant's :func:`si_step`, so prediction equals plant stepping
+    bitwise, and a plan's path is the same alone or in a batch.
     """
     big_n, n = problem.cfg.horizon, problem.n_a
-    if controls.shape[-2:] != (big_n, n):
-        raise ContractViolation(f"plans: expected (..., {big_n}, {n}), got {controls.shape}")
-    plans = np.ascontiguousarray(_time_major(controls))  # plans[t]: day t of every plan
-    s = np.empty((big_n + 1,) + plans.shape[1:])
+    if controls.ndim < 2 or (controls.shape[0], controls.shape[-1]) != (big_n, n):
+        raise ContractViolation(f"plans: expected ({big_n}, ..., {n}), got {controls.shape}")
+    s = np.empty((big_n + 1,) + controls.shape[1:])
     i = np.empty_like(s)
-    u = np.empty(plans.shape)
+    u = np.empty(controls.shape)
     s[0], i[0] = problem.s0, problem.i0
     for t in range(big_n):
-        s[t + 1], i[t + 1], u[t] = si_step(s[t], i[t], plans[t], problem.params)
-    return SiTrajectory(*(_plan_major(x) for x in (s, i, u)))
+        s[t + 1], i[t + 1], u[t] = si_step(s[t], i[t], controls[t], problem.params)
+    return SiTrajectory(s, i, u)
 
 
 def plan_cost(problem: OcpProblem, predicted: SiTrajectory):
     """Predicted deaths over the horizon plus the terminal cost, per plan."""
     gd, big_n = problem.params.gamma_d, problem.cfg.horizon
-    # one gemv per plan, not per-row dots, keeps the bits of V_N0 in the diagnostics
-    running = (predicted.i[..., :big_n, :] @ gd).sum(axis=-1)
-    terminal = matvec_rows(gd, predicted.i[..., big_n, :]) / problem.cfg.epsilon
+    # one gemv per plan and a pairwise sum along its row of day costs keep the
+    # bits of V_N0 (per-day gemvs, and a sum over the day axis, round otherwise)
+    running = (np.moveaxis(predicted.i[:big_n], 0, -2) @ gd).sum(axis=-1)
+    terminal = matvec_rows(gd, predicted.i[big_n]) / problem.cfg.epsilon
     return _per_plan(running + terminal)
 
 
@@ -251,8 +235,8 @@ def _terminal_overshoot(problem: OcpProblem, predicted: SiTrajectory) -> np.ndar
     """max(0, Ct_Lam . S_N - Gamma) per constraint and plan; zero for a plan
     whose I_N is disease-free."""
     big_n = problem.cfg.horizon
-    excess = constraint_excess(predicted.s[..., big_n, :], problem.cert)
-    free = disease_free(predicted.i[..., big_n, :])[..., None]
+    excess = constraint_excess(predicted.s[big_n], problem.cert)
+    free = disease_free(predicted.i[big_n])[..., None]
     return np.where(free, 0.0, np.maximum(0.0, excess))
 
 
@@ -310,17 +294,16 @@ def _gradient(
     backward loop, with the same per-row arithmetic, so the result is
     bitwise the same as stepping it inside the loop.  Every product with a
     matrix goes through :func:`matvec_rows`, so a plan's gradient is the
-    same alone or in a batch.  The loop runs time-major, over one (..., n_a)
-    block of every plan a day.
+    same alone or in a batch.  Like the plans, the gradient is day-first.
     """
     params, cert = problem.params, problem.cert
     big_n = problem.cfg.horizon
     lam, gd = params.lam, params.gamma_d
-    s, i, u_eff, plans = map(_time_major, (predicted.s, predicted.i, predicted.u, controls))
+    s, i, u_eff = predicted.s, predicted.i, predicted.u
 
     room = (s[1:] > 0) | ((s[1:] == 0) & (u_eff > 0))
-    free_u = room & (u_eff == plans)  # u_eff == u and room left
-    keep = ~(room & (u_eff != plans))  # False where the clamp emptied the group
+    free_u = room & (u_eff == controls)  # u_eff == u and room left
+    keep = ~(room & (u_eff != controls))  # False where the clamp emptied the group
     rate = lam * matvec_rows(params.contact, i[:big_n])  # as in si_step
     hold = 1.0 - rate
     lam_s = lam * s[:big_n]
@@ -340,16 +323,18 @@ def _gradient(
             p_s_next += rate[t] * p_i
         flow = lam_s[t] * (p_i - keep[t] * p_s)
         p_i = gd + decay * p_i + matvec_rows(contact_t, flow)
-    return _plan_major(np.where(free_u, -p_s_path, 0.0))
+    return np.where(free_u, -p_s_path, 0.0)
 
 
 def _norms(plans: np.ndarray) -> np.ndarray:
-    """The Euclidean norm of each plan in a (K, N, n_a) batch.
+    """The Euclidean norm of each plan in an (N, K, n_a) batch.
 
-    Each is one dot product of the flattened plan with itself, as
-    ``np.linalg.norm`` takes it, so a plan gets the bits it gets alone.
+    Each is one dot product of the plan, copied to one contiguous row, with
+    itself, as ``np.linalg.norm`` takes it, so a plan gets the bits it gets
+    alone (a strided row can sum in another order).
     """
-    flat = plans.reshape(len(plans), math.prod(plans.shape[1:]))
+    big_n, count, n = plans.shape
+    flat = np.ascontiguousarray(np.moveaxis(plans, 1, 0)).reshape(count, big_n * n)
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
@@ -358,19 +343,19 @@ def _descend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Projected-gradient descent from every start at once.
 
-    ``starts`` is (K, N, n_a); returns each start's final plan, value and
-    iteration count.  Each round puts the next line-search trials of every
-    start still descending, at step lengths s, s/2, ... (up to
-    ``_SPECULATION`` of them, and no more than the start's remaining
-    backtracks), into one batch that is projected, rolled out and scored
-    at once.  Each start then takes its trials in order, as a sequential
-    search would: it stops at the first trial that does not move, moves to
-    the first that passes the Armijo test, or halves its step once per
-    trial if all fail; later trials are dropped.  The starts that moved
-    take one batched gradient on the path the line search made.  Halving
-    is exact in binary floating point, and step lengths, counters and stop
-    rules are kept per start, so each start follows bitwise the path it
-    would follow alone.
+    ``starts`` is (N, K, n_a); returns the (N, K, n_a) final plans and
+    each start's value and iteration count.  Each round puts the next
+    line-search trials of every start still descending, at step lengths
+    s, s/2, ... (up to ``_SPECULATION`` of them, and no more than the
+    start's remaining backtracks), into one batch that is projected,
+    rolled out and scored at once.  Each start then takes its trials in
+    order, as a sequential search would: it stops at the first trial that
+    does not move, moves to the first that passes the Armijo test, or
+    halves its step once per trial if all fail; later trials are dropped.
+    The starts that moved take one batched gradient on the path the line
+    search made.  Halving is exact in binary floating point, and step
+    lengths, counters and stop rules are kept per start, so each start
+    follows bitwise the path it would follow alone.
     """
     v_bar = problem.cfg.v_bar
     controls = project_capacity(starts, v_bar)
@@ -380,13 +365,14 @@ def _descend(
     if bad.any():
         raise SolverFailure(f"non-finite objective {value[bad][0]} at the start point")
     grad = _gradient(problem, controls, path)
-    scale = np.max(np.abs(grad), axis=(1, 2))
-    step_len = np.ones(len(starts))
+    count = starts.shape[1]
+    scale = np.max(np.abs(grad), axis=(0, 2))
+    step_len = np.ones(count)
     step_len[scale > 0] = v_bar / scale[scale > 0]
-    iterations = np.zeros(len(starts), dtype=int)
-    stalls = np.zeros(len(starts), dtype=int)
-    backtracks = np.zeros(len(starts), dtype=int)  # failed trials this iteration
-    live = np.ones(len(starts), dtype=bool)
+    iterations = np.zeros(count, dtype=int)
+    stalls = np.zeros(count, dtype=int)
+    backtracks = np.zeros(count, dtype=int)  # failed trials this iteration
+    live = np.ones(count, dtype=bool)
     while live.any():
         rows = np.flatnonzero(live)
         iterations[rows[backtracks[rows] == 0]] += 1
@@ -397,13 +383,13 @@ def _descend(
         halving[:, 0] = step_len[rows]
         lengths = np.cumprod(halving, axis=1)  # halved one at a time, as the search does
         owner, trial_len = rows[np.nonzero(tried)[0]], lengths[tried]
-        base = controls[owner]
-        trial = project_capacity(base - trial_len[:, None, None] * grad[owner], v_bar)
+        base = np.take(controls, owner, axis=1)
+        trial = project_capacity(base - trial_len[:, None] * np.take(grad, owner, axis=1), v_bar)
         displacement = _norms(trial - base)
         moved = displacement != 0.0
         trial_value = value[owner]  # a trial that does not move is not rolled out
         if moved.any():
-            trial_path = predict(problem, trial[moved])
+            trial_path = predict(problem, np.compress(moved, trial, axis=1))
             trial_value[moved] = _penalized_value(problem, trial_path)
         # float ** 2 is libm's pow, which can differ from numpy's x * x
         squared = np.array([d**2 for d in displacement.tolist()])
@@ -428,9 +414,10 @@ def _descend(
         pick = pick[moved[pick]]
         took = owner[pick]
         drop = value[took] - trial_value[pick]
-        controls[took], value[took] = trial[pick], trial_value[pick]
+        taken = np.take(trial, pick, axis=1)
+        controls[:, took], value[took] = taken, trial_value[pick]
         step_len[took], backtracks[took] = trial_len[pick], 0
-        settled = displacement[pick] <= _STEP_TOLERANCE * (1.0 + _norms(controls[took]))
+        settled = displacement[pick] <= _STEP_TOLERANCE * (1.0 + _norms(taken))
         stalled = drop <= _COST_TOLERANCE * (1.0 + np.abs(value[took]))
         stalls[took] = np.where(stalled, stalls[took] + 1, 0)
         ended = settled | (stalls[took] >= 3) | (iterations[took] == _MAX_ITERATIONS)
@@ -441,9 +428,9 @@ def _descend(
             step_len[took] = np.minimum(step_len[took] * 2.0, 1e6 * v_bar)
             # the trials rolled out are the ones that moved, in batch order
             moving_path = trial_path.take(np.cumsum(moved)[pick[going]] - 1)
-            grad[took] = _gradient(problem, controls[took], moving_path)
+            grad[:, took] = _gradient(problem, np.compress(going, taken, axis=1), moving_path)
         # let the round's trial batch go before the next one is built
-        base = trial = trial_path = moving_path = None
+        base = trial = taken = trial_path = moving_path = None
     return controls, value, iterations
 
 
@@ -456,7 +443,7 @@ _PATTERN_START_LIMIT = 64
 def _start_points(
     problem: OcpProblem, warm_start: np.ndarray | None
 ) -> np.ndarray:
-    """The (K, N, n_a) start plans, in the order that breaks ties."""
+    """The (N, K, n_a) start plans, in the order that breaks ties."""
     n, big_n, v_bar = problem.n_a, problem.cfg.horizon, problem.cfg.v_bar
     starts: list[np.ndarray] = []
     if warm_start is not None:
@@ -481,7 +468,7 @@ def _start_points(
     rng = np.random.default_rng(problem.cfg.rng_seed)
     for _ in range(problem.cfg.n_restarts):
         starts.append(rng.uniform(0.0, v_bar, size=(big_n, n)))
-    return np.array(starts)
+    return np.stack(starts, axis=1)
 
 
 def solve_ocp(
@@ -495,10 +482,10 @@ def solve_ocp(
     """
     controls, values, iterations = _descend(problem, _start_points(problem, warm_start))
     best = int(np.argmin(values))  # the first lowest: ties go to the earlier start
-    predicted = predict(problem, controls[best])
+    predicted = predict(problem, controls[:, best])
     slack = terminal_slack(problem, predicted)
     return OcpSolution(
-        controls=controls[best].copy(),
+        controls=controls[:, best].copy(),
         predicted=predicted,
         optimal_value=plan_cost(problem, predicted),
         feasible=slack == 0.0,

@@ -178,6 +178,7 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     merged: dict = {}
     preset_name = data.get("preset")
     if preset_name is not None:
+        _require(isinstance(preset_name, str), "preset", "expected a preset name")
         preset = PRESETS.get(preset_name)
         _require(preset is not None, "preset", f"unknown preset {preset_name!r}")
         merged = json.loads(json.dumps(preset))  # deep copy
@@ -228,7 +229,8 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
         f"must be one of {'|'.join(POLICIES)}, got {policy!r}",
     )
 
-    mpc_raw = dict(merged.get("mpc", {}))
+    mpc_raw = merged.get("mpc", {})
+    _require(isinstance(mpc_raw, dict), "mpc", "expected an object of controller settings")
     for key in mpc_raw:
         _require(key in _MPC_FIELDS, f"mpc.{key}", "unknown controller field")
     try:
@@ -257,12 +259,16 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read and validate a JSON scenario config from disk."""
     path = Path(path)
+    return config_from_dict(_read_json(path), base_dir=str(path.parent))
+
+
+def _read_json(path: Path):
+    """A file's JSON value; a file that is not UTF-8 JSON is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
+            return json.load(handle)
+    except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(data, base_dir=str(path.parent))
 
 
 def get_preset(name: str) -> ScenarioConfig:
@@ -298,7 +304,10 @@ def load_contact_matrix(
             full = Path(base_dir) / full
         if not full.exists():
             raise FileNotFoundError(f"contact matrix file not found: {full}")
-        rows = _parse_matrix_csv(full.read_text(encoding="utf-8"), str(full))
+        try:
+            rows = _parse_matrix_csv(full.read_text(encoding="utf-8"), str(full))
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{full}: not UTF-8 text ({exc})") from exc
     matrix = np.array(rows, dtype=float)
     if matrix.shape != (n, n):
         raise ValidationError(
@@ -550,12 +559,15 @@ def write_run(
 
 
 def load_metrics(run_dir: str | Path) -> dict:
-    """Read back a run directory's metrics payload."""
+    """Read back a run directory's metrics payload and check its shape."""
     path = Path(run_dir) / "metrics.json"
-    if not path.exists():
-        raise FileNotFoundError(f"no metrics.json under {run_dir}")
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+    payload = _read_json(path)
+    names = sorted(f.name for f in fields(ScenarioMetrics))
+    metrics = payload.get("metrics") if isinstance(payload, dict) else None
+    _require(isinstance(metrics, dict) and sorted(metrics) == names
+             and "vaccination_start_day" in payload, str(path),
+             f"expected an object with vaccination_start_day and metrics {', '.join(names)}")
+    return payload
 
 
 def compare_run_dirs(run_dirs: list[str | Path]) -> ComparisonReport:

@@ -516,3 +516,76 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def one_error_line(capsys) -> str:
+    """stderr's only line, which must be an ``error:`` line, not a traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "value", [5, [1, 2], "x", [["horizon", 5]]], ids=["int", "list", "string", "pairs"]
+    )
+    def test_mpc_not_an_object_exits_one(self, tmp_path, capsys, value):
+        """A list of pairs used to be read as the object they spell."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020", "mpc": value}))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(config), "--policy", "none",
+                         "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys).startswith("error: mpc: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [["wallonia-2020"], {"name": "wallonia-2020"}],
+                             ids=["list", "object"])
+    def test_preset_not_a_string_exits_one(self, tmp_path, capsys, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": value}))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(config), "--policy", "none",
+                         "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys).startswith("error: preset: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
+    @pytest.mark.parametrize("target", ["config.json", "contacts.csv"])
+    def test_non_utf8_file_exits_one(self, desk_config_path, tmp_path, capsys, command, target):
+        path = tmp_path / target
+        path.write_bytes(b"\xff" + path.read_bytes())
+        out = tmp_path / "out"
+        extra = {
+            "simulate": ["--out", str(out)],
+            "certify": ["--samples", "10"],
+            "sweep": ["--vary", "mpc.v_bar=1000,1200", "--out", str(out)],
+        }[command]
+        code = cli.main(["--quiet", command, "--config", str(desk_config_path), *extra])
+        assert code == 1
+        assert str(path) in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda payload: "{not json",
+            lambda payload: json.dumps([payload]),
+            lambda payload: json.dumps({k: v for k, v in payload.items() if k != "metrics"}),
+            lambda payload: json.dumps(
+                {**payload, "metrics": {**payload["metrics"], "deaths_per_day": 1.0}}
+            ),
+        ],
+        ids=["not-json", "not-an-object", "no-metrics", "unknown-metric"],
+    )
+    def test_malformed_metrics_json_exits_one(self, desk_config_path, tmp_path, capsys, corrupt):
+        run = tmp_path / "run"
+        assert cli.main(["--quiet", "simulate", "--config", str(desk_config_path),
+                         "--policy", "none", "--out", str(run)]) == 0
+        metrics = run / "metrics.json"
+        metrics.write_text(corrupt(json.loads(metrics.read_text())))
+        assert cli.main(["compare", "--runs", str(run)]) == 1
+        assert str(run) in one_error_line(capsys)

@@ -139,12 +139,12 @@ class TestBuildOcp:
         pred = predict(problem, np.array([[u0], [u1]]))
         assert plan_cost(problem, pred) == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("shape", [(41, 6), (39, 6), (40, 5), (3, 39, 6), (40,)])
+    @pytest.mark.parametrize("shape", [(41, 6), (39, 6), (40, 5), (39, 3, 6), (40,)])
     def test_misshaped_plans_rejected(self, shape, preset_params, preset_state0):
         """A plan longer than the horizon used to come back with an
         uninitialised last dose row, and a shorter one died in an IndexError."""
         problem = build_ocp(preset_state0, vaxmpc.MpcConfig(), preset_params)
-        with pytest.raises(ContractViolation, match=r"expected \(\.\.\., 40, 6\)"):
+        with pytest.raises(ContractViolation, match=r"expected \(40, \.\.\., 6\)"):
             predict(problem, np.zeros(shape))
 
     def test_prediction_matches_plant_stepping_bitwise(self, desk_params, desk_state0):
@@ -212,6 +212,17 @@ def binding_mask(problem, controls):
     return binding
 
 
+def day_first(plans):
+    """A plan-major (..., N, n_a) batch as the solver's C-contiguous
+    day-first (N, ..., n_a) batch; a single plan stays as it is."""
+    return np.ascontiguousarray(np.moveaxis(plans, -2, 0))
+
+
+def plan_major(batch):
+    """A day-first (N, ..., n_a) batch or path as the oracles' (..., N, n_a)."""
+    return np.moveaxis(batch, 0, -2)
+
+
 def gradient(problem, controls):
     return _gradient(problem, controls, predict(problem, controls))
 
@@ -249,7 +260,9 @@ def reference_gradient(problem, controls, predicted):
     lam_s = lam * s[..., :big_n, :]
     decay = 1.0 - params.removal
     contact_t = params.contact.T
-    violated = mpc._terminal_overshoot(problem, predicted) > 0
+    # the module's overshoot reads day-first paths; only the call moves its axes
+    day_first_path = SiTrajectory(*(np.moveaxis(x, -2, 0) for x in (s, i, u_eff)))
+    violated = mpc._terminal_overshoot(problem, day_first_path) > 0
     p_s = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
     p_i = gd / problem.cfg.epsilon
 
@@ -331,7 +344,7 @@ class TestObjectiveGradient:
     def test_time_major_equals_plan_major_reference(
         self, preset_config, preset_params, preset_state0
     ):
-        """The time-major rollout and adjoint give the bits of the plan-major
+        """The day-first rollout and adjoint give the bits of the plan-major
         loops they replaced, plan by plan and for each problem's plans as one
         batch.  Some adjoints p_s go negative (a positive gradient entry),
         and in the emptied-group instance one does where the clamp mask
@@ -344,10 +357,12 @@ class TestObjectiveGradient:
             cases.append((problem, np.array(list(random_plans(problem, rng, 4)))))
         for problem, plans in cases:
             for batch in [*plans, plans]:
-                path, ref_path = predict(problem, batch), reference_predict(problem, batch)
+                path = predict(problem, day_first(batch))
+                ref_path = reference_predict(problem, batch)
                 for name in ("s", "i", "u"):
-                    assert getattr(path, name).tobytes() == getattr(ref_path, name).tobytes()
-                grad = _gradient(problem, batch, path)
+                    ref = getattr(ref_path, name)
+                    assert plan_major(getattr(path, name)).tobytes() == ref.tobytes()
+                grad = plan_major(_gradient(problem, day_first(batch), path))
                 assert grad.tobytes() == reference_gradient(problem, batch, ref_path).tobytes()
                 negative_p_s += int(np.sum(grad > 0))
         assert negative_p_s > 0
@@ -372,11 +387,13 @@ class TestObjectiveGradient:
         plans = np.array([[[800], [0]], [[20], [10]]], dtype=dtype)
         assert predict(problem, plans[0]).u[0, 0] % 1.0 != 0.0
         for batch in [*plans, plans]:
-            path, ref_path = predict(problem, batch), reference_predict(problem, batch)
+            path = predict(problem, day_first(batch))
+            ref_path = reference_predict(problem, batch)
             assert path.u.dtype == np.float64
             for name in ("s", "i", "u"):
-                assert getattr(path, name).tobytes() == getattr(ref_path, name).tobytes()
-            grad = _gradient(problem, batch, path)
+                ref = getattr(ref_path, name)
+                assert plan_major(getattr(path, name)).tobytes() == ref.tobytes()
+            grad = plan_major(_gradient(problem, day_first(batch), path))
             assert grad.tobytes() == reference_gradient(problem, batch, ref_path).tobytes()
 
     def test_trial_path_gives_fresh_rollout_bits(
@@ -394,9 +411,9 @@ class TestObjectiveGradient:
                 grad = gradient(problem, controls)
                 step_len = v_bar / max(np.max(np.abs(grad)), 1e-300)
                 trials.append(project_capacity(controls - 0.1 * step_len * grad, v_bar))
-            trials = np.array(trials)
+            trials = day_first(np.array(trials))
             batched = _gradient(problem, trials, predict(problem, trials))
-            for trial, grad in zip(trials, batched):
+            for trial, grad in zip(plan_major(trials), plan_major(batched)):
                 fresh_grad = _gradient(problem, trial, predict(problem, trial.copy()))
                 assert grad.tobytes() == fresh_grad.tobytes()
                 negative_zeros += int(np.sum((grad == 0) & np.signbit(grad)))
@@ -477,7 +494,7 @@ def reference_solve_ocp(problem, warm_start=None):
     best_controls = None
     best_value = np.inf
     total_iterations = 0
-    for start in _start_points(problem, warm_start):
+    for start in plan_major(_start_points(problem, warm_start)):
         controls, value, iters = reference_descend(problem, start)
         total_iterations += iters
         if value < best_value:
@@ -655,22 +672,23 @@ class TestBatchInvariance:
             pool = list(random_plans(problem, rng, count))
             plans = np.array([pool[k] for k in rng.permutation(len(pool))[:count]])
             raw = plans + rng.normal(0.0, 0.3 * v_bar, plans.shape)
+            plans, raw = day_first(plans), day_first(raw)
             projected = project_capacity(raw, v_bar)
             path = predict(problem, plans)
             values = _penalized_value(problem, path)
             costs = plan_cost(problem, path)
             grads = _gradient(problem, plans, path)
             assert values.shape == costs.shape == (count,)
-            for k, plan in enumerate(plans):
-                alone = project_capacity(raw[k].copy(), v_bar)
-                assert projected[k].tobytes() == alone.tobytes()
-                plan = plan.copy()
+            for k in range(count):
+                alone = project_capacity(raw[:, k].copy(), v_bar)
+                assert projected[:, k].tobytes() == alone.tobytes()
+                plan = plans[:, k].copy()
                 own = predict(problem, plan)
                 for name in ("s", "i", "u"):
-                    assert getattr(path, name)[k].tobytes() == getattr(own, name).tobytes()
+                    assert getattr(path, name)[:, k].tobytes() == getattr(own, name).tobytes()
                 assert values[k] == _penalized_value(problem, own)
                 assert costs[k] == plan_cost(problem, own)
-                assert grads[k].tobytes() == _gradient(problem, plan, own).tobytes()
+                assert grads[:, k].tobytes() == _gradient(problem, plan, own).tobytes()
                 violated += terminal_slack(problem, own) > 0
                 binding += bool(binding_mask(problem, plan).any())
         assert violated > 0
@@ -679,10 +697,10 @@ class TestBatchInvariance:
     def test_two_batch_axes_equal_plans_alone(
         self, preset_config, preset_params, preset_state0
     ):
-        """A (2, 3, N, n_a) batch gives plan [a, b] the bits it gets alone:
-        moving the day axis to the front and back must keep the batch axes
-        in order (a swap of the first and day axes keeps one batch axis
-        intact but not two)."""
+        """An (N, 2, 3, n_a) batch gives plan [:, a, b] the bits it gets
+        alone: moving the day axis next to the group axis must keep the
+        batch axes in order (a swap of the day and last batch axes keeps one
+        batch axis intact but not two)."""
         rng = np.random.default_rng(5)
         day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
         problems = [random_instance(seed)[0] for seed in range(8)]
@@ -690,7 +708,7 @@ class TestBatchInvariance:
         for problem in problems:
             pool = list(random_plans(problem, rng, 6))
             plans = np.array([pool[k] for k in rng.permutation(len(pool))[:6]])
-            plans = plans.reshape((2, 3) + plans.shape[1:])
+            plans = day_first(plans.reshape((2, 3) + plans.shape[1:]))
             path = predict(problem, plans)
             values = _penalized_value(problem, path)
             costs = plan_cost(problem, path)
@@ -698,13 +716,30 @@ class TestBatchInvariance:
             assert values.shape == costs.shape == (2, 3)
             assert grads.shape == plans.shape
             for idx in np.ndindex(2, 3):
-                plan = plans[idx].copy()
+                day_idx = (slice(None), *idx)
+                plan = plans[day_idx].copy()
                 own = predict(problem, plan)
                 for name in ("s", "i", "u"):
-                    assert getattr(path, name)[idx].tobytes() == getattr(own, name).tobytes()
+                    got = getattr(path, name)[day_idx]
+                    assert got.tobytes() == getattr(own, name).tobytes()
                 assert values[idx] == _penalized_value(problem, own)
                 assert costs[idx] == plan_cost(problem, own)
-                assert grads[idx].tobytes() == _gradient(problem, plan, own).tobytes()
+                assert grads[day_idx].tobytes() == _gradient(problem, plan, own).tobytes()
+
+    def test_batch_paths_are_contiguous_and_day_first(
+        self, preset_config, preset_params, preset_state0
+    ):
+        """A batch's paths are real day-first arrays, not views of another
+        layout, so day t of every plan is one contiguous block."""
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problem = build_ocp(day61, preset_config.mpc, preset_params)
+        plans = np.stack(list(random_plans(problem, np.random.default_rng(6), 5)), axis=1)
+        assert plans.shape == (40, 11, 6)
+        path = predict(problem, plans)
+        assert path.s.shape == path.i.shape == (41, 11, 6)
+        assert path.u.shape == (40, 11, 6)
+        for name in ("s", "i", "u"):
+            assert getattr(path, name).flags.c_contiguous, name
 
     @pytest.mark.parametrize("count", [1, 2, 7, 11, 33, 64])
     def test_batched_norm_equals_linalg_norm(self, count):
@@ -716,7 +751,7 @@ class TestBatchInvariance:
             plans = rng.normal(0.0, 10.0 ** rng.uniform(-8, 5), shape)
             plans[rng.random(shape) < 0.3] = 0.0
             plans[rng.random(count) < 0.2] = 0.0
-            norms = mpc._norms(plans)
+            norms = mpc._norms(day_first(plans))
             assert norms.shape == (count,)
             for norm, plan in zip(norms, plans):
                 assert norm.tobytes() == np.float64(np.linalg.norm(plan)).tobytes()
@@ -732,7 +767,7 @@ class TestPresetSolverPath:
         assert cfg.rng_seed == 0
         day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
         problem = build_ocp(day61, cfg, preset_params)
-        n_starts = len(_start_points(problem, None))
+        n_starts = _start_points(problem, None).shape[1]
         calls, plans = counting(monkeypatch, problem)
         first = solve_ocp(problem)
         assert first.iterations == 1158
@@ -847,7 +882,7 @@ class TestTerminalSlack:
             )
             for i_end in (np.full(6, 5e-13), np.full(6, 2e-12))
         ]
-        batch = SiTrajectory(*(np.array([getattr(p, f) for p in paths]) for f in "siu"))
+        batch = SiTrajectory(*(np.stack([getattr(p, f) for p in paths], axis=1) for f in "siu"))
         slack = terminal_slack(problem, batch)
         assert slack[0] == terminal_slack(problem, paths[0]) == 0.0
         assert slack[1] == terminal_slack(problem, paths[1]) > 0.0
