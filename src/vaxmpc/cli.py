@@ -151,8 +151,13 @@ def _cmd_sweep(args) -> int:
     base = scenario.load_config(args.config)
     keys, values = _parse_vary(args.vary)
     field = ".".join(keys)
+    out_root = Path(args.out)
     runs = []  # every value is built and checked before any run writes
     for value in values:
+        name = f"{field}={value}"
+        run_dir = out_root / name
+        if run_dir.parent != out_root or "\0" in name:
+            raise ValidationError(f"--vary: {name!r} is not one directory name under --out")
         data = cursor = base.to_dict()
         for key in keys[:-1]:
             cursor = cursor.get(key)
@@ -163,11 +168,9 @@ def _cmd_sweep(args) -> int:
         cursor[keys[-1]] = value
         config = _with_seed(scenario.config_from_dict(data, base_dir=base.base_dir), args.seed)
         params = config.build_params()  # checks the model's premises
-        runs.append((config, params, config.build_initial_state(params)))
-    out_root = Path(args.out)
+        runs.append((value, run_dir, config, params, config.build_initial_state(params)))
     summaries = []
-    for value, (config, params, state0) in zip(values, runs):
-        run_dir = out_root / f"{field}={value}"
+    for value, run_dir, config, params, state0 in runs:
         run = mpc.run_policy_loop(state0, config.mpc, params, policy=config.policy)
         metrics = scenario.write_run(run, run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})

@@ -74,6 +74,29 @@ def is_finite_number(value) -> bool:
         return False
 
 
+_FIELD_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
+    "float": ("a finite number", is_finite_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(record) -> None:
+    """Check each field of a dataclass against its annotation, the one rule
+    for typed records: an ``int`` is an integer and a ``float`` a finite
+    number, neither a bool; a ``str`` is a string; ``X | None`` also takes
+    None.  Other annotations are not checked, and each is read as the
+    string ``from __future__ import annotations`` leaves.  The first misfit
+    raises a ValidationError that starts with the field's name."""
+    for fld in fields(record):
+        kind, _, rest = fld.type.partition(" | ")
+        value = getattr(record, fld.name)
+        if kind in _FIELD_TYPES and not (rest == "None" and value is None):
+            what, fits = _FIELD_TYPES[kind]
+            if not fits(value):
+                raise ValidationError(f"{fld.name} must be {what}" + (" or null" if rest else ""))
+
+
 @dataclass(frozen=True)
 class MpcConfig:
     """The controller's settings: the day's problem, the loop and the starts.
@@ -99,13 +122,7 @@ class MpcConfig:
     n_restarts: int = 3
 
     def __post_init__(self):
-        for fld in fields(self):  # the annotations are the settings' types
-            value = getattr(self, fld.name)
-            integer = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if fld.type == "int" and not integer:
-                raise ValidationError(f"{fld.name} must be an integer")
-            if fld.type == "float" and not is_finite_number(value):
-                raise ValidationError(f"{fld.name} must be a finite number")
+        check_field_types(self)
         for name in ("horizon", "strategy_horizon"):
             if not 1 <= getattr(self, name) <= MAX_DAYS:
                 raise ValidationError(f"{name} must be a number of days from 1 to {MAX_DAYS}")

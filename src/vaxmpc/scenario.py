@@ -241,8 +241,10 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     except ValidationError as exc:  # its messages start with the field name
         raise ValidationError(f"mpc.{exc}") from exc
 
+    name = merged.get("name", preset_name or "scenario")
+    _require(isinstance(name, str), "name", "expected a string")
     return ScenarioConfig(
-        name=str(merged.get("name", preset_name or "scenario")),
+        name=name,
         lam=lam,
         gamma_r=gamma_r,
         gamma_d=gamma_d,
@@ -342,7 +344,8 @@ def _parse_matrix_csv(text: str, origin: str) -> list[list[float]]:
 
 @dataclass(frozen=True)
 class ScenarioMetrics:
-    """Summary numbers for one finished run (one-based day convention)."""
+    """Summary numbers for one finished run (one-based day convention);
+    each field's type is checked when it is built."""
 
     policy: str
     deaths_total: float
@@ -351,8 +354,29 @@ class ScenarioMetrics:
     eradication_day: int | None
     vaccines_used: float
 
+    def __post_init__(self):
+        mpc_mod.check_field_types(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+@dataclass(frozen=True)
+class MetricsPayload:
+    """The ``metrics.json`` object of one run: the one schema that
+    :func:`write_run` writes and both comparisons read.  Each field's type
+    is checked when it is built; ``fingerprint`` is None only in a file
+    written before runs carried one."""
+
+    policy: str
+    metrics: ScenarioMetrics
+    vaccination_start_day: int
+    strategy_horizon: int
+    latch_day: int | None
+    fingerprint: str | None = None
+
+    def __post_init__(self):
+        mpc_mod.check_field_types(self)
 
 
 def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
@@ -380,6 +404,12 @@ def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
         eradication_day=run.latch_day,
         vaccines_used=float(traj.applied_u.sum()),
     )
+
+
+def _metrics_payload(run: ScenarioResult) -> MetricsPayload:
+    """The run's ``metrics.json`` object, as :func:`write_run` writes it."""
+    return MetricsPayload(run.policy, compute_metrics(run), run.cfg.vaccination_start_day,
+                          run.n_days, run.latch_day, run.fingerprint)
 
 
 _COMPARE_FIELDS = (
@@ -414,28 +444,17 @@ class ComparisonReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_text(self) -> str:
-        headers = ["policy"] + list(_COMPARE_FIELDS)
-        rows = []
+        table = [["policy", *_COMPARE_FIELDS]]
         for m in self.metrics:
-            d = m.to_dict()
-            rows.append(
-                [m.policy]
-                + [_fmt_metric(d[f], f, self.start_day) for f in _COMPARE_FIELDS]
-            )
+            table.append([m.policy] + [
+                _fmt_metric(getattr(m, f), f, self.start_day) for f in _COMPARE_FIELDS
+            ])
         for imp in self.improvements:
-            rows.append(
-                [f"improvement vs {imp['baseline']}"]
-                + [_fmt_pct(imp[f]) for f in _COMPARE_FIELDS]
-            )
-        widths = [
-            max(len(str(r[c])) for r in [headers] + rows)
-            for c in range(len(headers))
-        ]
-        lines = [
-            "  ".join(str(cell).rjust(w) for cell, w in zip(row, widths))
-            for row in [headers] + rows
-        ]
-        return "\n".join(lines)
+            table.append([f"improvement vs {imp['baseline']}"] + [
+                _fmt_pct(imp[f]) for f in _COMPARE_FIELDS
+            ])
+        widths = [max(map(len, column)) for column in zip(*table)]
+        return "\n".join("  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in table)
 
 
 def _fmt_metric(value, fld: str, start_day: int) -> str:
@@ -450,47 +469,51 @@ def _fmt_pct(value) -> str:
     return "n/a" if value is None else f"{100.0 * value:.1f}%"
 
 
-def _improvement(base, other):
+def _improvement(base, other, origin=0):
+    """(base - other) / base, each read from ``origin``."""
     if base is None or other is None:
         return None
+    base, other = base - origin, other - origin
     if base == 0:
         return 0.0 if other == 0 else None
     return (base - other) / base
 
 
+def _same_scenario(fingerprints: list[str | None]) -> None:
+    """The one scenario-identity rule: two or more runs are comparable only
+    when each carries a fingerprint and all are equal.  Equal fingerprints
+    mean the same model, start state, budget, start day, horizon and
+    eradication threshold (see :func:`scenario_fingerprint`); a run without
+    one cannot be shown to share the others' inputs."""
+    if len(fingerprints) > 1 and (None in fingerprints or len(set(fingerprints)) > 1):
+        listed = ", ".join(map(str, fingerprints))
+        raise ContractViolation(
+            f"runs use different scenario inputs: each needs the same fingerprint, got {listed}"
+        )
+
+
 def compare(runs: list[ScenarioResult]) -> ComparisonReport:
-    """Build a comparison of runs that share one scenario fingerprint.
+    """Build a comparison of runs that share one scenario fingerprint; the
+    same path as :func:`compare_run_dirs`, from the payloads the runs'
+    ``metrics.json`` files would hold."""
+    return _compare([_metrics_payload(run) for run in runs])
 
-    Equal fingerprints mean the same model, start state, budget, start day,
-    horizon and eradication threshold (see :func:`scenario_fingerprint`);
-    ``vaxmpc compare`` applies the same rule to run directories.
-    """
-    if not runs:
+
+def _compare(payloads: list[MetricsPayload]) -> ComparisonReport:
+    if not payloads:
         raise ContractViolation("compare needs at least one run")
-    if len({run.fingerprint for run in runs}) > 1:
-        raise ContractViolation("runs to compare use different scenario inputs")
-    metrics = [compute_metrics(run) for run in runs]
-    return _report_from_metrics(metrics, runs[0].cfg.vaccination_start_day)
-
-
-def _report_from_metrics(
-    metrics: list[ScenarioMetrics], start_day: int
-) -> ComparisonReport:
+    _same_scenario([p.fingerprint for p in payloads])
+    start_day = payloads[0].vaccination_start_day
+    metrics = [p.metrics for p in payloads]
     baseline = metrics[0]
     improvements = []
     for other in metrics[1:]:
         entry = {"baseline": baseline.policy, "policy": other.policy}
         for fld in _COMPARE_FIELDS:
-            base_v = getattr(baseline, fld)
-            other_v = getattr(other, fld)
-            if fld == "eradication_day":
-                base_v = None if base_v is None else base_v - start_day
-                other_v = None if other_v is None else other_v - start_day
-            entry[fld] = _improvement(base_v, other_v)
+            origin = start_day if fld == "eradication_day" else 0
+            entry[fld] = _improvement(getattr(baseline, fld), getattr(other, fld), origin)
         improvements.append(entry)
-    return ComparisonReport(
-        start_day=start_day, metrics=metrics, improvements=improvements
-    )
+    return ComparisonReport(start_day, metrics, improvements)
 
 
 def run_scenario(config: ScenarioConfig, policy: str | None = None) -> ScenarioResult:
@@ -514,11 +537,13 @@ def write_run(
     """Write trajectory.csv, metrics.json and (for MPC) diagnostics.jsonl.
 
     ``metrics.json`` always carries ``run.fingerprint``.  A ``fingerprint``
-    passed in must equal it; the keyword is kept only for older callers.
+    passed in must equal it, by the rule the comparisons apply.  The
+    keyword stays because ``perfbench/workloads.py`` passes it; dropping it
+    would change the benchmark.
     """
-    digest = run.fingerprint
-    if fingerprint not in (None, digest):
-        raise ContractViolation(f"fingerprint {fingerprint} is not the run's {digest}")
+    payload = _metrics_payload(run)
+    if fingerprint is not None:
+        _same_scenario([fingerprint, payload.fingerprint])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     traj = run.trajectory
@@ -534,18 +559,8 @@ def write_run(
                 f"{_fmt_float(traj.r[t][g])},{_fmt_float(traj.d[t][g])},{applied}"
             )
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    metrics = compute_metrics(run)
-    payload = {
-        "policy": run.policy,
-        "metrics": metrics.to_dict(),
-        "vaccination_start_day": run.cfg.vaccination_start_day,
-        "strategy_horizon": n_days,
-        "latch_day": run.latch_day,
-        "fingerprint": digest,
-    }
     (out / "metrics.json").write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(asdict(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
     if run.policy == "mpc":  # every predictive run, solved or not
@@ -555,35 +570,23 @@ def write_run(
         (out / "diagnostics.jsonl").write_text(
             "\n".join(records) + "\n", encoding="utf-8"
         )
-    return metrics
+    return payload.metrics
 
 
-def load_metrics(run_dir: str | Path) -> dict:
-    """Read back a run directory's metrics payload and check its shape."""
+def load_metrics(run_dir: str | Path) -> MetricsPayload:
+    """Read back a run directory's metrics.json; a malformed one is a
+    ValidationError that names the file."""
     path = Path(run_dir) / "metrics.json"
-    payload = _read_json(path)
-    names = sorted(f.name for f in fields(ScenarioMetrics))
-    metrics = payload.get("metrics") if isinstance(payload, dict) else None
-    _require(isinstance(metrics, dict) and sorted(metrics) == names
-             and "vaccination_start_day" in payload, str(path),
-             f"expected an object with vaccination_start_day and metrics {', '.join(names)}")
-    return payload
+    raw = _read_json(path)
+    metrics = raw.get("metrics") if isinstance(raw, dict) else None
+    _require(isinstance(metrics, dict), str(path), "expected an object with a metrics object")
+    try:
+        return MetricsPayload(**{**raw, "metrics": ScenarioMetrics(**metrics)})
+    except (TypeError, ValidationError) as exc:  # a missing or unknown key, or a mistyped value
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def compare_run_dirs(run_dirs: list[str | Path]) -> ComparisonReport:
-    """Comparison report from saved run directories.
-
-    Two or more directories must each carry the same scenario fingerprint,
-    the rule :func:`compare` applies to in-memory runs; one without a
-    fingerprint cannot be shown to share the others' inputs.
-    """
-    payloads = [load_metrics(d) for d in run_dirs]
-    for run_dir, payload in zip(run_dirs, payloads):
-        if len(payloads) > 1 and "fingerprint" not in payload:
-            raise ContractViolation(
-                f"{run_dir}: metrics.json has no scenario fingerprint"
-            )
-    if len({p.get("fingerprint") for p in payloads}) > 1:
-        raise ContractViolation("run directories come from different scenario inputs")
-    metrics = [ScenarioMetrics(**p["metrics"]) for p in payloads]
-    return _report_from_metrics(metrics, payloads[0]["vaccination_start_day"])
+    """Comparison report from saved run directories, by the same path and
+    scenario-identity rule as :func:`compare`."""
+    return _compare([load_metrics(d) for d in run_dirs])

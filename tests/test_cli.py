@@ -517,6 +517,21 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "vary", ['name="../../../escaped","a/b"', 'name="ok","a\\u0000b"'], ids=["path", "nul"]
+    )
+    def test_run_directory_stays_under_out(self, desk_config_path, tmp_path, capsys, vary):
+        """Each value's FIELD=VALUE directory must be one name directly under --out."""
+        out = tmp_path / "sweep"
+        code = cli.main(
+            ["--quiet", "sweep", "--config", str(desk_config_path), "--vary", vary,
+             "--out", str(out)]
+        )
+        assert code == 1
+        assert one_error_line(capsys).startswith("error: --vary: 'name=")
+        assert not out.exists()
+        assert not (tmp_path / "escaped").exists()
+
 
 def one_error_line(capsys) -> str:
     """stderr's only line, which must be an ``error:`` line, not a traceback."""
@@ -553,6 +568,18 @@ class TestMalformedInput:
         assert code == 1
         assert one_error_line(capsys).startswith("error: preset: ")
 
+    @pytest.mark.parametrize("value", [[1, 2], 5, None], ids=["list", "int", "null"])
+    def test_name_not_a_string_exits_one(self, tmp_path, capsys, value):
+        """A name used to be coerced with str()."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020", "name": value}))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(config), "--policy", "none",
+                         "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys).startswith("error: name: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
     @pytest.mark.parametrize("target", ["config.json", "contacts.csv"])
     def test_non_utf8_file_exits_one(self, desk_config_path, tmp_path, capsys, command, target):
@@ -578,8 +605,25 @@ class TestMalformedInput:
             lambda payload: json.dumps(
                 {**payload, "metrics": {**payload["metrics"], "deaths_per_day": 1.0}}
             ),
+            # values of the wrong type used to end in a traceback or pass silently
+            lambda payload: json.dumps(
+                {**payload, "metrics": {**payload["metrics"], "eradication_day": "9"}}
+            ),
+            lambda payload: json.dumps({**payload, "fingerprint": [1, 2]}),
+            lambda payload: json.dumps(
+                {**payload, "metrics": {**payload["metrics"], "deaths_total": "1.0"}}
+            ),
+            lambda payload: json.dumps({**payload, "vaccination_start_day": "1"}),
+            lambda payload: json.dumps(
+                {**payload, "metrics": {**payload["metrics"], "policy": 1}}
+            ),
+            lambda payload: json.dumps(
+                {**payload, "metrics": {**payload["metrics"], "vaccines_used": True}}
+            ),
         ],
-        ids=["not-json", "not-an-object", "no-metrics", "unknown-metric"],
+        ids=["not-json", "not-an-object", "no-metrics", "unknown-metric",
+             "string-eradication-day", "list-fingerprint", "string-deaths-total",
+             "string-start-day", "integer-policy", "boolean-vaccines-used"],
     )
     def test_malformed_metrics_json_exits_one(self, desk_config_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"
@@ -588,4 +632,4 @@ class TestMalformedInput:
         metrics = run / "metrics.json"
         metrics.write_text(corrupt(json.loads(metrics.read_text())))
         assert cli.main(["compare", "--runs", str(run)]) == 1
-        assert str(run) in one_error_line(capsys)
+        assert str(metrics) in one_error_line(capsys)

@@ -561,6 +561,22 @@ class TestWriters:
             compare_run_dirs([tmp_path / "a", tmp_path / "b"])
         assert compare_run_dirs([tmp_path / "b"]).metrics[0].policy == "national"
 
+    def test_both_comparisons_give_the_same_report(
+        self, desk_run, desk_params, desk_state0, tmp_path
+    ):
+        runs = [
+            vaxmpc.run_policy_loop(desk_state0, desk_run.cfg, desk_params, policy)
+            for policy in ("none", "national", "mpc")
+        ]
+        dirs = [tmp_path / run.policy for run in runs]
+        for run, run_dir in zip(runs, dirs):
+            write_run(run, run_dir)
+        in_memory, on_disk = vaxmpc.compare(runs), compare_run_dirs(dirs)
+        assert in_memory.to_dict() == on_disk.to_dict()
+        assert in_memory.to_text() == on_disk.to_text()
+        with pytest.raises(ContractViolation):
+            compare_run_dirs([])
+
     def test_diagnostics_written_for_predictive_runs(
         self, desk_params, desk_state0, desk_cfg, tmp_path
     ):
