@@ -151,26 +151,28 @@ def _cmd_sweep(args) -> int:
     base = scenario.load_config(args.config)
     keys, values = _parse_vary(args.vary)
     field = ".".join(keys)
+    if keys[0] == "preset":
+        raise ValidationError("--vary: preset cannot be varied; vary the fields it sets")
     out_root = Path(args.out)
-    runs = []  # every value is built and checked before any run writes
+    runs = {}  # every value is built and checked before any run writes
     for value in values:
         name = f"{field}={value}"
         run_dir = out_root / name
         if run_dir.parent != out_root or "\0" in name:
             raise ValidationError(f"--vary: {name!r} is not one directory name under --out")
-        data = cursor = base.to_dict()
-        for key in keys[:-1]:
-            cursor = cursor.get(key)
-            if not isinstance(cursor, dict):
-                raise ValidationError(f"--vary: unknown field path {field}")
-        if keys[-1] not in cursor:
-            raise ValidationError(f"--vary: unknown field {field}")
-        cursor[keys[-1]] = value
+        if run_dir in runs:
+            raise ValidationError(f"--vary: {name!r} names a run directory twice")
+        patch = value
+        for key in reversed(keys):
+            patch = {key: patch}
+        data = scenario.overlay(base.to_dict(), patch)
         config = _with_seed(scenario.config_from_dict(data, base_dir=base.base_dir), args.seed)
-        params = config.build_params()  # checks the model's premises
-        runs.append((value, run_dir, config, params, config.build_initial_state(params)))
+        params = config.build_params()
+        state0 = config.build_initial_state(params)
+        mpc.check_loop_inputs(state0, config.mpc, params, config.policy)
+        runs[run_dir] = (value, config, params, state0)
     summaries = []
-    for value, run_dir, config, params, state0 in runs:
+    for run_dir, (value, config, params, state0) in runs.items():
         run = mpc.run_policy_loop(state0, config.mpc, params, policy=config.policy)
         metrics = scenario.write_run(run, run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})

@@ -541,6 +541,21 @@ def _policy_control(
     return solution.controls[0], record, next_warm
 
 
+def check_loop_inputs(
+    state0: EpidemicState, cfg: MpcConfig, params: ModelParams, policy: str
+) -> None:
+    """The closed loop's up-front rules, checked before any day is simulated:
+    a known policy, ``epsilon`` inside the model's range, a start state that
+    conserves each group's population, and a vaccination start day inside
+    the simulated window."""
+    if policy not in strategies.POLICIES:
+        raise ValidationError(f"unknown policy {policy!r}")
+    cfg.validate(params)
+    state0.validate(params)
+    if cfg.vaccination_start_day > state0.time_step + cfg.strategy_horizon:
+        raise ValidationError("vaccination_start_day lies beyond the simulated horizon")
+
+
 def run_policy_loop(
     state0: EpidemicState,
     cfg: MpcConfig,
@@ -556,14 +571,7 @@ def run_policy_loop(
     all controls are zero.  The predictive policy warm-starts each solve
     with the previous plan shifted by one day and padded with zeros.
     """
-    if policy not in strategies.POLICIES:
-        raise ValidationError(f"unknown policy {policy!r}")
-    cfg.validate(params)
-    state0.validate(params)
-    if cfg.vaccination_start_day > state0.time_step + cfg.strategy_horizon:
-        raise ValidationError(
-            "vaccination_start_day lies beyond the simulated horizon"
-        )
+    check_loop_inputs(state0, cfg, params, policy)
     n = params.n_a
     n_days = cfg.strategy_horizon
     controls = np.zeros((n_days, n))

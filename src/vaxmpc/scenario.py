@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import warnings
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -95,7 +96,17 @@ WALLONIA_2020 = {
 
 PRESETS = {"wallonia-2020": WALLONIA_2020}
 
-_MPC_FIELDS = {f.name for f in fields(mpc_mod.MpcConfig)}
+#: The keys a config may hold: each top-level key maps to the table of its
+#: object's keys, or to None where its value is not an object of keys.
+CONFIG_KEYS = {
+    "name": None,
+    "model": dict.fromkeys(("lambda", "gamma_r", "gamma_d", "population")),
+    "i0": None,
+    "contact_matrix_path": None,
+    "contact_matrix_is_raw": None,
+    "policy": None,
+    "mpc": dict.fromkeys(f.name for f in fields(mpc_mod.MpcConfig)),
+}
 
 
 @dataclass(frozen=True)
@@ -171,40 +182,37 @@ def _vector(raw, n: int | None, path: str) -> tuple:
     return tuple(float(x) for x in raw)
 
 
+def overlay(base, patch):
+    """``patch`` laid over ``base``, the one merge of config values: where
+    both are objects they merge key by key, and any other value replaces.
+    Neither argument is modified."""
+    if isinstance(base, dict) and isinstance(patch, dict):
+        return {**base, **{key: overlay(base.get(key), value) for key, value in patch.items()}}
+    return patch
+
+
+def _check_keys(data: dict, table: dict, prefix: str = "") -> None:
+    """Reject a key outside ``table``, at every level an object sits."""
+    for key, value in data.items():
+        _require(key in table, f"{prefix}{key}", "unknown configuration field")
+        if table[key] is not None and isinstance(value, dict):
+            _check_keys(value, table[key], f"{prefix}{key}.")
+
+
 def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     """Validate a parsed config dict (with optional preset) into a config."""
     if not isinstance(data, dict):
         raise ValidationError("config root must be a JSON object")
-    merged: dict = {}
     preset_name = data.get("preset")
-    if preset_name is not None:
-        _require(isinstance(preset_name, str), "preset", "expected a preset name")
-        preset = PRESETS.get(preset_name)
-        _require(preset is not None, "preset", f"unknown preset {preset_name!r}")
-        merged = json.loads(json.dumps(preset))  # deep copy
-    for key, value in data.items():
-        if key == "preset":
-            continue
-        if key in ("model", "mpc") and isinstance(value, dict):
-            merged.setdefault(key, {}).update(value)
-        else:
-            merged[key] = value
-
-    known = {
-        "name",
-        "model",
-        "i0",
-        "contact_matrix_path",
-        "contact_matrix_is_raw",
-        "policy",
-        "mpc",
-    }
-    for key in merged:
-        _require(key in known, key, "unknown configuration field")
+    known = preset_name is None or isinstance(preset_name, str) and preset_name in PRESETS
+    _require(known, "preset", f"unknown preset {preset_name!r}")
+    overrides = {key: value for key, value in data.items() if key != "preset"}
+    merged = overlay(PRESETS.get(preset_name, {}), overrides)
+    _check_keys(merged, CONFIG_KEYS)
 
     model = merged.get("model")
     _require(isinstance(model, dict), "model", "missing model section")
-    for fld in ("lambda", "gamma_r", "gamma_d", "population"):
+    for fld in CONFIG_KEYS["model"]:
         _require(fld in model, f"model.{fld}", "missing required field")
     lam = _vector(model["lambda"], None, "model.lambda")
     n = len(lam)
@@ -231,13 +239,9 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
 
     mpc_raw = merged.get("mpc", {})
     _require(isinstance(mpc_raw, dict), "mpc", "expected an object of controller settings")
-    for key in mpc_raw:
-        _require(key in _MPC_FIELDS, f"mpc.{key}", "unknown controller field")
     try:
-        mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
+        mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)  # every key is a field: checked above
         validate_epsilon(mpc_cfg.epsilon, np.add(gamma_r, gamma_d))
-    except TypeError as exc:
-        raise ValidationError(f"mpc: {exc}") from exc
     except ValidationError as exc:  # its messages start with the field name
         raise ValidationError(f"mpc.{exc}") from exc
 
@@ -293,24 +297,23 @@ def load_contact_matrix(
     """
     n = population.shape[0]
     if path == BUILTIN_MATRIX:
-        resource = (
-            importlib.resources.files("vaxmpc") / "data" / "synthetic_contacts_6x6.csv"
-        )
-        text = resource.read_text(encoding="utf-8")
-        rows = _parse_matrix_csv(text, path)
+        source = importlib.resources.files("vaxmpc") / "data" / "synthetic_contacts_6x6.csv"
     elif path.startswith("builtin:"):
         raise ValidationError(f"unknown builtin contact matrix {path!r}")
     else:
-        full = Path(path)
-        if base_dir is not None and not full.is_absolute():
-            full = Path(base_dir) / full
-        if not full.exists():
-            raise FileNotFoundError(f"contact matrix file not found: {full}")
-        try:
-            rows = _parse_matrix_csv(full.read_text(encoding="utf-8"), str(full))
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{full}: not UTF-8 text ({exc})") from exc
-    matrix = np.array(rows, dtype=float)
+        source = Path(path)
+        if base_dir is not None and not source.is_absolute():
+            source = Path(base_dir) / source
+        if not source.exists():
+            raise FileNotFoundError(f"contact matrix file not found: {source}")
+    try:
+        with source.open(encoding="utf-8") as handle, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no rows fails the shape check
+            matrix = np.loadtxt(handle, delimiter=",", comments="#", ndmin=2)
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{source}: not UTF-8 text ({exc})") from exc
+    except ValueError as exc:  # a non-numeric cell or a row of another length
+        raise ValidationError(f"{source}: non-numeric or ragged CSV ({exc})") from exc
     if matrix.shape != (n, n):
         raise ValidationError(
             f"contact matrix {path}: expected shape ({n}, {n}), got {matrix.shape}"
@@ -324,22 +327,6 @@ def load_contact_matrix(
             raise ValidationError("populations must be positive to normalize")
         matrix = matrix / population[None, :]
     return matrix
-
-
-def _parse_matrix_csv(text: str, origin: str) -> list[list[float]]:
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError as exc:
-            raise ValidationError(f"{origin}:{lineno}: non-numeric cell") from exc
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise ValidationError(f"{origin}: expected a square numeric matrix")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -365,8 +352,10 @@ class ScenarioMetrics:
 class MetricsPayload:
     """The ``metrics.json`` object of one run: the one schema that
     :func:`write_run` writes and both comparisons read.  Each field's type
-    is checked when it is built; ``fingerprint`` is None only in a file
-    written before runs carried one."""
+    is checked when it is built, and ``policy`` and ``latch_day`` must
+    equal ``metrics.policy`` and ``metrics.eradication_day``;
+    ``fingerprint`` is None only in a file written before runs carried
+    one."""
 
     policy: str
     metrics: ScenarioMetrics
@@ -377,6 +366,13 @@ class MetricsPayload:
 
     def __post_init__(self):
         mpc_mod.check_field_types(self)
+        policy, day = self.metrics.policy, self.metrics.eradication_day
+        if self.policy != policy:
+            raise ValidationError(f"policy {self.policy!r} differs from metrics.policy {policy!r}")
+        if self.latch_day != day:
+            raise ValidationError(
+                f"latch_day {self.latch_day!r} differs from metrics.eradication_day {day!r}"
+            )
 
 
 def compute_metrics(run: ScenarioResult) -> ScenarioMetrics:
@@ -563,13 +559,14 @@ def write_run(
         json.dumps(asdict(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
+    diagnostics = out / "diagnostics.jsonl"
     if run.policy == "mpc":  # every predictive run, solved or not
         records = []
         for t, rec in enumerate(run.day_records):
             records.append(json.dumps(rec.to_dict(traj.applied_u[t]), sort_keys=True))
-        (out / "diagnostics.jsonl").write_text(
-            "\n".join(records) + "\n", encoding="utf-8"
-        )
+        diagnostics.write_text("\n".join(records) + "\n", encoding="utf-8")
+    else:  # a predictive run written here before must not leave its records
+        diagnostics.unlink(missing_ok=True)
     return payload.metrics
 
 

@@ -7,6 +7,8 @@ test suite, rather than only when the benchmark runs.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -35,3 +37,15 @@ def test_workload_runs_clean_under_the_tracer(name, tmp_path):
     assert outcome.attempted == workload.expected > 0
     assert outcome.failed == 0
     assert len(tracer.spans) > 1  # the hooks were called through
+
+
+def test_setup_snippet_runs_on_the_preset(tmp_path):
+    """``setup_s`` times perfbench's own snippet in a fresh interpreter."""
+    run = _perfbench_module("run")
+    config = tmp_path / "preset.json"
+    config.write_text(json.dumps({"preset": "wallonia-2020"}))
+    done = subprocess.run(
+        [sys.executable, "-c", run.SETUP_CODE, str(run.SRC), str(config)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,17 @@ class TestSimulate:
         payload = json.loads((out / "metrics.json").read_text())
         assert payload["policy"] == "none"
         assert not (out / "diagnostics.jsonl").exists()
+
+    def test_rewrite_leaves_no_stale_diagnostics(self, desk_config_path, tmp_path):
+        """A national run written over a predictive one leaves what a fresh
+        national run leaves, byte for byte."""
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        for policy, out in (("mpc", reused), ("national", reused), ("national", fresh)):
+            assert cli.main(["--quiet", "simulate", "--config", str(desk_config_path),
+                             "--policy", policy, "--out", str(out)]) == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert sorted(p.name for p in reused.iterdir()) == names
+        assert all((reused / n).read_bytes() == (fresh / n).read_bytes() for n in names)
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         code = cli.main(
@@ -505,6 +517,15 @@ class TestSweep:
             "mpc.v_bar=",
             "mpc.epsilon=0.1,0.9",
             "contact_matrix_path=contacts.csv,missing.csv",
+            # the closed loop's own input check, run on every value up front
+            "mpc.vaccination_start_day=1,200",
+            # two values that name one run directory
+            "mpc.v_bar=1000,1000",
+            "mpc.v_bar=1e3,1000.0",
+            'policy="none",none',
+            # keys the loader's key table rejects, and the preset a merge would ignore
+            "model.lamda=1",
+            'preset="wallonia-2020"',
         ],
     )
     def test_bad_value_writes_nothing(self, desk_config_path, tmp_path, capsys, vary):
@@ -514,7 +535,7 @@ class TestSweep:
              "--out", str(out)]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        one_error_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -580,6 +601,27 @@ class TestMalformedInput:
         assert one_error_line(capsys).startswith("error: name: ")
         assert not out.exists()
 
+    def test_unknown_model_key_exits_one(self, tmp_path, capsys):
+        """A misspelt rate used to load and run the preset's rates silently."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020", "model": {"gamma_D": [0.1] * 6}}))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys) == "error: model.gamma_D: unknown configuration field"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", "# no rows\n#\n"], ids=["empty", "comments-only"])
+    def test_contact_csv_without_rows_exits_one(self, desk_config_path, tmp_path, capsys, text):
+        (tmp_path / "contacts.csv").write_text(text)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would end in a traceback
+            code = cli.main(["simulate", "--config", str(desk_config_path), "--out", str(out)])
+        assert code == 1
+        assert "expected shape (2, 2), got (0, 1)" in one_error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "certify", "sweep"])
     @pytest.mark.parametrize("target", ["config.json", "contacts.csv"])
     def test_non_utf8_file_exits_one(self, desk_config_path, tmp_path, capsys, command, target):
@@ -620,10 +662,17 @@ class TestMalformedInput:
             lambda payload: json.dumps(
                 {**payload, "metrics": {**payload["metrics"], "vaccines_used": True}}
             ),
+            # the top-level copies must agree with the metrics they repeat
+            lambda payload: json.dumps({**payload, "policy": "mpc"}),
+            lambda payload: json.dumps({**payload, "latch_day": 5}),
+            lambda payload: json.dumps(
+                {**payload, "policy": "mpc", "latch_day": 5, "strategy_horizon": 3}
+            ),
         ],
         ids=["not-json", "not-an-object", "no-metrics", "unknown-metric",
              "string-eradication-day", "list-fingerprint", "string-deaths-total",
-             "string-start-day", "integer-policy", "boolean-vaccines-used"],
+             "string-start-day", "integer-policy", "boolean-vaccines-used",
+             "policy-differs", "latch-day-differs", "policy-and-latch-day-differ"],
     )
     def test_malformed_metrics_json_exits_one(self, desk_config_path, tmp_path, capsys, corrupt):
         run = tmp_path / "run"

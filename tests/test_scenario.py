@@ -13,11 +13,13 @@ from vaxmpc.model import Trajectory
 from vaxmpc.results import ScenarioResult
 from vaxmpc.scenario import (
     BUILTIN_MATRIX,
+    CONFIG_KEYS,
     compare_run_dirs,
     config_from_dict,
     get_preset,
     load_config,
     load_contact_matrix,
+    overlay,
     run_scenario,
     write_run,
 )
@@ -211,6 +213,21 @@ class TestConfig:
         (schema,) = [data for data in configs if "model" in data]
         fields = {f.name for f in dataclasses.fields(vaxmpc.MpcConfig)}
         assert set(schema["mpc"]) == fields
+        assert set(schema) == set(CONFIG_KEYS)  # the loader's one key table
+        for key, table in CONFIG_KEYS.items():
+            if table is not None:
+                assert set(schema[key]) == set(table), key
+
+    def test_overlay_merges_objects_and_replaces_the_rest(self):
+        base = {"a": {"x": 1, "y": [1, 2]}, "b": {"z": 3}, "c": 4}
+        patch = {"a": {"y": [5], "w": {"v": 6}}, "b": 7, "d": None}
+        assert overlay(base, patch) == {
+            "a": {"x": 1, "y": [5], "w": {"v": 6}}, "b": 7, "c": 4, "d": None
+        }
+        assert base == {"a": {"x": 1, "y": [1, 2]}, "b": {"z": 3}, "c": 4}
+        assert patch == {"a": {"y": [5], "w": {"v": 6}}, "b": 7, "d": None}
+        assert overlay([1, 2], {"k": 1}) == {"k": 1}
+        assert overlay({"k": 1}, [3]) == [3]
 
 
 class TestContactMatrixLoading:
@@ -243,6 +260,38 @@ class TestContactMatrixLoading:
         path.write_text("1.0,2.0,3.0\n4.0,5.0,6.0\n7.0,8.0,9.0\n")
         with pytest.raises(ValidationError, match="shape"):
             load_contact_matrix(str(path), False, np.array([10.0, 10.0]))
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("# header\n\n1.0, 2.0  # inline note\n 3.0,4.0\n#tail\n")
+        got = load_contact_matrix(str(path), False, np.array([10.0, 10.0]))
+        assert got.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_cells_read_to_the_bits_of_float(self, tmp_path):
+        """60,025 decimal strings of every length and exponent range read to
+        the same float64 bits as Python's float()."""
+        rng = np.random.default_rng(18)
+
+        def digits(count):
+            return "".join(map(str, rng.integers(0, 10, count)))
+
+        cells = []
+        for k in range(245 * 245):
+            kind = k % 4
+            if kind == 0:
+                cells.append(repr(float(rng.random()) * 10.0 ** int(rng.integers(-30, 31))))
+            elif kind == 1:
+                cells.append(f"{digits(rng.integers(1, 41))}.{digits(rng.integers(0, 41))}")
+            elif kind == 2:
+                cells.append(f"{digits(1)}.{digits(rng.integers(1, 26))}e-{rng.integers(0, 330)}")
+            else:
+                cells.append(f"0.{digits(rng.integers(1, 31))}E+{rng.integers(0, 300)}")
+        rows = [",".join(cells[r * 245:(r + 1) * 245]) for r in range(245)]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join(rows) + "\n")
+        got = load_contact_matrix(str(path), False, np.ones(245))
+        want = np.array([float(c) for c in cells]).reshape(245, 245)
+        assert got.tobytes() == want.tobytes()
 
     def test_negative_entry_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
