@@ -15,7 +15,7 @@ from vaxmpc.scenario import get_preset
 
 def main():
     config = get_preset("wallonia-2020")
-    params = config.build_params()
+    params = config.params
     epsilon = config.mpc.epsilon
 
     upper = float(np.min(params.removal))

@@ -16,8 +16,7 @@ OUT = Path(__file__).resolve().parent / "output" / "baselines"
 
 def main():
     config = get_preset("wallonia-2020")
-    params = config.build_params()
-    state0 = config.build_initial_state(params)
+    params, state0 = config.params, config.state0
 
     print("Six age groups, populations:", params.population.astype(int))
     print("Initial infected:", state0.i.round(2), "\n")

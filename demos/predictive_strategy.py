@@ -45,9 +45,7 @@ def main():
 
     if args.full:
         config = get_preset("wallonia-2020")
-        params = config.build_params()
-        state0 = config.build_initial_state(params)
-        cfg = config.mpc
+        params, state0, cfg = config.params, config.state0, config.mpc
     else:
         params, state0, cfg = desk_instance()
 

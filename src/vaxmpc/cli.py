@@ -96,7 +96,7 @@ def _cmd_certify(args) -> int:
     if seed < 0:
         raise ValidationError("--seed must be nonnegative")
     config = scenario.load_config(args.config)
-    params = config.build_params()
+    params = config.params
     cert = certificates.CertificateParams.from_model(params, config.mpc.epsilon)
     sample = certificates.draw_terminal_sample(
         cert, params, args.samples, seed, v_bar=config.mpc.v_bar
@@ -166,15 +166,18 @@ def _cmd_sweep(args) -> int:
         for key in reversed(keys):
             patch = {key: patch}
         data = scenario.overlay(base.to_dict(), patch)
-        config = _with_seed(scenario.config_from_dict(data, base_dir=base.base_dir), args.seed)
-        params = config.build_params()
-        state0 = config.build_initial_state(params)
-        mpc.check_loop_inputs(state0, config.mpc, params, config.policy)
-        runs[run_dir] = (value, config, params, state0)
+        config = scenario.config_from_dict(data, base_dir=Path(args.config).parent)
+        config = _with_seed(config, args.seed)
+        mpc.check_loop_inputs(config.state0, config.mpc, config.params, config.policy)
+        runs[run_dir] = (value, config)
+    if out_root.is_dir():  # it may hold this sweep's own entries and nothing else
+        own = {run_dir.name for run_dir in runs} | {"sweep.json"}
+        stale = sorted(entry.name for entry in out_root.iterdir() if entry.name not in own)
+        if stale:
+            raise ValidationError(f"--out: {out_root} holds {stale[0]!r}, not a run of this sweep")
     summaries = []
-    for run_dir, (value, config, params, state0) in runs.items():
-        run = mpc.run_policy_loop(state0, config.mpc, params, policy=config.policy)
-        metrics = scenario.write_run(run, run_dir)
+    for run_dir, (value, config) in runs.items():
+        metrics = scenario.write_run(scenario.run_scenario(config), run_dir)
         summaries.append({"value": value, "metrics": metrics.to_dict()})
         _say(args, f"{field}={value} -> {run_dir}")
     (out_root / "sweep.json").write_text(

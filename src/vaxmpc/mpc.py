@@ -139,10 +139,6 @@ class MpcConfig:
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be nonnegative")
 
-    def validate(self, params: ModelParams) -> None:
-        """Check ``epsilon`` against the model's removal rates."""
-        validate_epsilon(self.epsilon, params.removal)
-
 
 @dataclass(frozen=True)
 class SiTrajectory:
@@ -550,7 +546,7 @@ def check_loop_inputs(
     the simulated window."""
     if policy not in strategies.POLICIES:
         raise ValidationError(f"unknown policy {policy!r}")
-    cfg.validate(params)
+    validate_epsilon(cfg.epsilon, params.removal)
     state0.validate(params)
     if cfg.vaccination_start_day > state0.time_step + cfg.strategy_horizon:
         raise ValidationError("vaccination_start_day lies beyond the simulated horizon")

@@ -111,30 +111,36 @@ CONFIG_KEYS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """A fully resolved scenario: model, matrix source, policy and controller."""
+    """A built scenario: its model and first state, each checked as it was
+    built, the contact-matrix source the model was loaded from, the policy
+    and the controller."""
 
     name: str
-    lam: tuple
-    gamma_r: tuple
-    gamma_d: tuple
-    population: tuple
-    i0: tuple
+    params: ModelParams
+    state0: EpidemicState
     contact_matrix_path: str
     contact_matrix_is_raw: bool
     policy: str
     mpc: mpc_mod.MpcConfig
-    base_dir: str | None = None
+
+    @property
+    def population(self) -> np.ndarray:
+        """``params.population``.  The property stays because
+        ``perfbench/workloads.py`` reads it; dropping it would change the
+        benchmark."""
+        return self.params.population
 
     def to_dict(self) -> dict:
+        params = self.params
         return {
             "name": self.name,
             "model": {
-                "lambda": list(self.lam),
-                "gamma_r": list(self.gamma_r),
-                "gamma_d": list(self.gamma_d),
-                "population": list(self.population),
+                "lambda": params.lam.tolist(),
+                "gamma_r": params.gamma_r.tolist(),
+                "gamma_d": params.gamma_d.tolist(),
+                "population": params.population.tolist(),
             },
-            "i0": list(self.i0),
+            "i0": self.state0.i.tolist(),
             "contact_matrix_path": self.contact_matrix_path,
             "contact_matrix_is_raw": self.contact_matrix_is_raw,
             "policy": self.policy,
@@ -145,27 +151,14 @@ class ScenarioConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def build_params(self) -> ModelParams:
-        contact = load_contact_matrix(
-            self.contact_matrix_path,
-            self.contact_matrix_is_raw,
-            np.asarray(self.population, dtype=float),
-            base_dir=self.base_dir,
-        )
-        return ModelParams(
-            lam=np.asarray(self.lam, dtype=float),
-            gamma_r=np.asarray(self.gamma_r, dtype=float),
-            gamma_d=np.asarray(self.gamma_d, dtype=float),
-            population=np.asarray(self.population, dtype=float),
-            contact=contact,
-        )
-
-    def build_initial_state(self, params: ModelParams) -> EpidemicState:
-        return initial_state(params, np.asarray(self.i0, dtype=float))
+        """``params``, built when the config was loaded.  The method stays
+        because ``perfbench/run.py`` calls it; dropping it would change the
+        benchmark."""
+        return self.params
 
     def fingerprint(self) -> str:
         """The :func:`scenario_fingerprint` its runs carry."""
-        params = self.build_params()
-        return scenario_fingerprint(params, self.build_initial_state(params), self.mpc)
+        return scenario_fingerprint(self.params, self.state0, self.mpc)
 
 
 def _require(condition: bool, path: str, message: str) -> None:
@@ -199,8 +192,11 @@ def _check_keys(data: dict, table: dict, prefix: str = "") -> None:
             _check_keys(value, table[key], f"{prefix}{key}.")
 
 
-def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
-    """Validate a parsed config dict (with optional preset) into a config."""
+def config_from_dict(data: dict, base_dir: str | Path | None = None) -> ScenarioConfig:
+    """Validate a parsed config dict (with optional preset) and build its
+    scenario: the contact matrix is read (a relative path resolves against
+    ``base_dir``), and the model and first state check themselves as they
+    are built."""
     if not isinstance(data, dict):
         raise ValidationError("config root must be a JSON object")
     preset_name = data.get("preset")
@@ -210,8 +206,9 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
     merged = overlay(PRESETS.get(preset_name, {}), overrides)
     _check_keys(merged, CONFIG_KEYS)
 
-    model = merged.get("model")
-    _require(isinstance(model, dict), "model", "missing model section")
+    _require("model" in merged, "model", "missing model section")
+    model = merged["model"]
+    _require(isinstance(model, dict), "model", "expected an object of model fields")
     for fld in CONFIG_KEYS["model"]:
         _require(fld in model, f"model.{fld}", "missing required field")
     lam = _vector(model["lambda"], None, "model.lambda")
@@ -239,33 +236,27 @@ def config_from_dict(data: dict, base_dir: str | None = None) -> ScenarioConfig:
 
     mpc_raw = merged.get("mpc", {})
     _require(isinstance(mpc_raw, dict), "mpc", "expected an object of controller settings")
-    try:
-        mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)  # every key is a field: checked above
-        validate_epsilon(mpc_cfg.epsilon, np.add(gamma_r, gamma_d))
-    except ValidationError as exc:  # its messages start with the field name
+    try:  # every key is a field: checked above; its messages start with the field name
+        mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
+    except ValidationError as exc:
         raise ValidationError(f"mpc.{exc}") from exc
-
     name = merged.get("name", preset_name or "scenario")
     _require(isinstance(name, str), "name", "expected a string")
-    return ScenarioConfig(
-        name=name,
-        lam=lam,
-        gamma_r=gamma_r,
-        gamma_d=gamma_d,
-        population=population,
-        i0=i0,
-        contact_matrix_path=matrix_path,
-        contact_matrix_is_raw=is_raw,
-        policy=policy,
-        mpc=mpc_cfg,
-        base_dir=base_dir,
-    )
+
+    contact = load_contact_matrix(matrix_path, is_raw, np.asarray(population), base_dir)
+    params = ModelParams(lam, gamma_r, gamma_d, population, contact)
+    state0 = initial_state(params, i0)
+    try:
+        validate_epsilon(mpc_cfg.epsilon, params.removal)
+    except ValidationError as exc:
+        raise ValidationError(f"mpc.{exc}") from exc
+    return ScenarioConfig(name, params, state0, matrix_path, is_raw, policy, mpc_cfg)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and validate a JSON scenario config from disk."""
+    """Read, validate and build a JSON scenario config from disk."""
     path = Path(path)
-    return config_from_dict(_read_json(path), base_dir=str(path.parent))
+    return config_from_dict(_read_json(path), base_dir=path.parent)
 
 
 def _read_json(path: Path):
@@ -286,7 +277,7 @@ def load_contact_matrix(
     path: str,
     raw: bool,
     population: np.ndarray,
-    base_dir: str | None = None,
+    base_dir: str | Path | None = None,
 ) -> np.ndarray:
     """Load an n_a x n_a contact matrix from CSV; normalize if raw.
 
@@ -513,11 +504,9 @@ def _compare(payloads: list[MetricsPayload]) -> ComparisonReport:
 
 
 def run_scenario(config: ScenarioConfig, policy: str | None = None) -> ScenarioResult:
-    """Build the model from a config and simulate its policy's closed loop."""
-    params = config.build_params()
-    state0 = config.build_initial_state(params)
+    """Simulate a config's policy's closed loop from its built model and first state."""
     return mpc_mod.run_policy_loop(
-        state0, config.mpc, params, policy=policy or config.policy
+        config.state0, config.mpc, config.params, policy=policy or config.policy
     )
 
 

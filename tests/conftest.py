@@ -14,12 +14,12 @@ def preset_config():
 
 @pytest.fixture(scope="session")
 def preset_params(preset_config):
-    return preset_config.build_params()
+    return preset_config.params
 
 
 @pytest.fixture(scope="session")
-def preset_state0(preset_config, preset_params):
-    return preset_config.build_initial_state(preset_params)
+def preset_state0(preset_config):
+    return preset_config.state0
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from vaxmpc import scenario
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -49,3 +51,18 @@ def test_setup_snippet_runs_on_the_preset(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_kept_names_read_the_built_scenario(tmp_path):
+    """``build_params()`` and ``population`` stay for perfbench; both read
+    the model the loaded config already holds, and a run carries the
+    config's own fingerprint."""
+    workloads = _perfbench_module("workloads")
+    sweep = workloads.BaselineSweep(0, tmp_path)
+    config = scenario.load_config(sweep.config_path)
+    assert config.build_params() is config.params
+    assert config.population is config.params.population
+    assert sweep.population.tolist() == config.params.population.tolist()
+    assert scenario.run_scenario(config).fingerprint == config.fingerprint()
+    preset = workloads.PresetMpc(0, tmp_path).config
+    assert preset.build_params() is preset.params

@@ -480,20 +480,47 @@ class TestSweep:
         assert cli._parse_vary(vary)[1] == values
 
     def test_builds_each_values_model_once(self, desk_config_path, tmp_path, monkeypatch):
-        built = []
-        build_params = scenario.ScenarioConfig.build_params
+        """The matrix is read once for the base config and once per value,
+        and never again while the runs go."""
+        events = []
+        load, run = scenario.load_contact_matrix, scenario.run_scenario
 
-        def counting(config):
-            built.append(config.mpc.v_bar)
-            return build_params(config)
+        def loading(*args, **kwargs):
+            events.append("load")
+            return load(*args, **kwargs)
 
-        monkeypatch.setattr(scenario.ScenarioConfig, "build_params", counting)
+        def running(config, *args, **kwargs):
+            events.append(f"run {config.mpc.v_bar}")
+            return run(config, *args, **kwargs)
+
+        monkeypatch.setattr(scenario, "load_contact_matrix", loading)
+        monkeypatch.setattr(scenario, "run_scenario", running)
         code = cli.main(
             ["--quiet", "sweep", "--config", str(desk_config_path), "--vary",
              "mpc.v_bar=600,1200", "--out", str(tmp_path / "sweep")]
         )
         assert code == 0
-        assert built == [600, 1200]
+        assert events == ["load", "load", "load", "run 600", "run 1200"]
+
+    def test_entry_of_another_sweep_refused(self, desk_config_path, tmp_path, capsys):
+        """A narrower sweep into an earlier sweep's --out used to leave the
+        earlier runs beside a sweep.json that no longer listed them."""
+        out = tmp_path / "sweep"
+
+        def sweep(vary):
+            return cli.main(["--quiet", "sweep", "--config", str(desk_config_path),
+                             "--vary", vary, "--out", str(out)])
+
+        assert sweep("policy=none,national") == 0
+        before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert sweep("policy=none") == 1
+        assert one_error_line(capsys) == (
+            f"error: --out: {out} holds 'policy=national', not a run of this sweep"
+        )
+        assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
+        assert sweep("policy=none,national") == 0  # the identical sweep may run again
+        assert sweep("policy=national,none") == 0
+        assert sweep("policy=none,national,mpc") == 0  # and so may a wider one
 
     def test_unknown_field_exits_one(self, desk_config_path):
         code = cli.main(
@@ -576,6 +603,18 @@ class TestMalformedInput:
                          "--out", str(out)])
         assert code == 1
         assert one_error_line(capsys).startswith("error: mpc: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [5, [1], "x", None], ids=["int", "list", "string", "null"])
+    def test_model_not_an_object_exits_one(self, tmp_path, capsys, value):
+        """A model that is there but no object used to be reported missing."""
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"preset": "wallonia-2020", "model": value}))
+        out = tmp_path / "o"
+        code = cli.main(["simulate", "--config", str(config), "--policy", "none",
+                         "--out", str(out)])
+        assert code == 1
+        assert one_error_line(capsys) == "error: model: expected an object of model fields"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [["wallonia-2020"], {"name": "wallonia-2020"}],

@@ -1081,6 +1081,6 @@ class TestMpcConfigValidation:
         with pytest.raises(ValidationError, match=f"^{name} must be"):
             dataclasses.replace(vaxmpc.MpcConfig(), **kwargs)
 
-    def test_epsilon_checked_against_rates(self, preset_params):
-        with pytest.raises(ValidationError):
-            vaxmpc.MpcConfig(epsilon=0.7).validate(preset_params)
+    def test_epsilon_checked_against_rates(self, preset_params, preset_state0):
+        with pytest.raises(ValidationError, match="^epsilon=0.7 outside"):
+            mpc.check_loop_inputs(preset_state0, vaxmpc.MpcConfig(epsilon=0.7), preset_params, "mpc")

@@ -54,7 +54,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 class TestPreset:
     def test_wallonia_preset_values(self):
         cfg = get_preset("wallonia-2020")
-        assert cfg.population == (1058304, 915796, 983789, 384803, 203035, 99516)
+        assert cfg.population.tolist() == [1058304, 915796, 983789, 384803, 203035, 99516]
         assert cfg.mpc.v_bar == 55191.0
         assert cfg.mpc.horizon == 40
         assert cfg.mpc.epsilon == 0.1
@@ -95,15 +95,34 @@ class TestConfig:
             )
 
     def test_missing_matrix_file_errors(self, tmp_path):
-        config = config_from_dict(
-            {
-                "preset": "wallonia-2020",
-                "contact_matrix_path": "nowhere.csv",
-            },
-            base_dir=str(tmp_path),
-        )
         with pytest.raises(FileNotFoundError):
-            config.build_params()
+            config_from_dict(
+                {
+                    "preset": "wallonia-2020",
+                    "contact_matrix_path": "nowhere.csv",
+                },
+                base_dir=str(tmp_path),
+            )
+
+    @pytest.mark.parametrize(
+        "patch, error, message",
+        [
+            ({"model": {"gamma_r": [0.9999] + [0.5] * 5}}, ValidationError,
+             r"gamma_r \+ gamma_d must be <= 1"),
+            ({"model": {"gamma_r": [-0.1] + [0.5] * 5}}, ValidationError,
+             "^gamma_r: negative entries"),
+            ({"i0": [2e6] + [1.0] * 5}, ValidationError, "i0 must satisfy"),
+            ({"model": {"lambda": [0.9] * 6}}, ValidationError, "infection pressure"),
+            ({"contact_matrix_path": "nowhere.csv"}, FileNotFoundError, "nowhere.csv"),
+        ],
+        ids=["removal-above-one", "negative-recovery", "i0-above-population",
+             "pressure-above-one", "missing-csv"],
+    )
+    def test_model_and_first_state_checked_on_load(self, tmp_path, patch, error, message):
+        """Each of these used to load and fail only in whichever caller
+        built the model first."""
+        with pytest.raises(error, match=message):
+            config_from_dict({"preset": "wallonia-2020", **patch}, base_dir=tmp_path)
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValidationError, match="polcy"):
@@ -164,13 +183,13 @@ class TestConfig:
 
     def test_epsilon_checked_against_the_configs_rates(self):
         preset = config_from_dict({"preset": "wallonia-2020"})
-        upper = float(np.min(preset.build_params().removal))
+        upper = float(np.min(preset.params.removal))
         below = float(np.nextafter(upper, 0.0))
         for epsilon in (0.9, upper, 0.0):
             with pytest.raises(ValidationError, match=f"mpc.epsilon={epsilon} outside"):
                 config_from_dict({"preset": "wallonia-2020", "mpc": {"epsilon": epsilon}})
         config = config_from_dict({"preset": "wallonia-2020", "mpc": {"epsilon": below}})
-        assert vaxmpc.epsilon_valid(config.mpc.epsilon, config.build_params())
+        assert vaxmpc.epsilon_valid(config.mpc.epsilon, config.params)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_raw_matrix_flag_must_be_boolean(self, value):
@@ -205,11 +224,12 @@ class TestConfig:
             labels = ["0-24", "25-44", "45-64", "65-74", "75-84", "85+"]
             config_from_dict({"preset": "wallonia-2020", "age_groups": labels})
 
-    def test_readme_configs_load_and_schema_lists_every_field(self):
+    def test_readme_configs_load_and_schema_lists_every_field(self, tmp_path):
+        (tmp_path / "contacts.csv").write_text("8.0,0.5\n2.0,3.0\n")  # the schema's raw 2x2
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
         configs = [json.loads(block) for block in blocks]
         for data in configs:
-            config_from_dict(data)
+            config_from_dict(data, base_dir=tmp_path)
         (schema,) = [data for data in configs if "model" in data]
         fields = {f.name for f in dataclasses.fields(vaxmpc.MpcConfig)}
         assert set(schema["mpc"]) == fields
