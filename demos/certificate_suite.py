@@ -24,7 +24,7 @@ def main():
 
     cert = vaxmpc.CertificateParams.from_model(params, epsilon)
     print(f"terminal-set thresholds: {cert.gamma_vec}")
-    print(f"daily growth factor eta: {cert.eta:.4f}\n")
+    print(f"daily growth factor eta: {vaxmpc.compute_eta(params):.4f}\n")
 
     # one draw of states in the terminal region serves both checks on it
     sample = vaxmpc.draw_terminal_sample(cert, params, 10_000, 0,

@@ -6,7 +6,7 @@ Subpackage map:
 - ``certificates``: numeric checks of the terminal-set, decrease and
   death-toll-bound properties the controller relies on.
 - ``mpc``: the finite-horizon planner, its solver and the closed loop.
-- ``strategies``: baseline policies (none, decreasing-age).
+- ``strategies``: the policy names and the decreasing-age baseline.
 - ``scenario``: configs, contact matrices, metrics, comparisons, file output.
 - ``cli``: the ``vaxmpc`` command.
 """
@@ -33,7 +33,7 @@ from .model import (
 )
 from .mpc import MpcConfig, build_ocp, run_policy_loop, solve_ocp
 from .scenario import compare, compute_metrics
-from .strategies import national_allocate, no_vaccination
+from .strategies import national_allocate
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "initial_state",
     "national_allocate",
     "new_infections",
-    "no_vaccination",
     "rollout",
     "run_policy_loop",
     "solve_ocp",

@@ -152,7 +152,6 @@ class CertificateParams:
     """
 
     epsilon: float
-    eta: float
     gamma_vec: np.ndarray
     ct_lam: np.ndarray
 
@@ -161,12 +160,7 @@ class CertificateParams:
         validate_epsilon(epsilon, params.removal)
         gamma_vec = params.gamma_d * (params.removal - epsilon)
         ct_lam = params.contact.T * (params.gamma_d * params.lam)[None, :]
-        return cls(
-            epsilon=float(epsilon),
-            eta=compute_eta(params),
-            gamma_vec=gamma_vec,
-            ct_lam=ct_lam,
-        )
+        return cls(epsilon=float(epsilon), gamma_vec=gamma_vec, ct_lam=ct_lam)
 
 
 def disease_free(i: np.ndarray) -> np.ndarray:

@@ -114,7 +114,7 @@ def _cmd_certify(args) -> int:
     ]
     payload = {
         "epsilon": config.mpc.epsilon,
-        "eta": cert.eta,
+        "eta": certificates.compute_eta(params),
         "checks": [r.to_dict() for r in reports],
     }
     rendered = json.dumps(payload, sort_keys=True, indent=2)

@@ -507,36 +507,6 @@ def solve_ocp(
     )
 
 
-def _policy_control(
-    policy: str,
-    state: EpidemicState,
-    cfg: MpcConfig,
-    params: ModelParams,
-    warm: np.ndarray | None,
-):
-    """One day's control and diagnostics for the active (ungated) policy.
-
-    ``policy`` is one of :data:`strategies.POLICIES`; anything but ``none``
-    and ``national`` is the predictive controller.
-    """
-    n = params.n_a
-    if policy == "none":
-        return strategies.no_vaccination(state), None, warm
-    if policy == "national":
-        return strategies.national_allocate(state, cfg.v_bar), None, warm
-    problem = build_ocp(state, cfg, params)
-    solution = solve_ocp(problem, warm_start=warm)
-    next_warm = np.vstack([solution.controls[1:], np.zeros((1, n))])
-    record = DayRecord(
-        day=state.day,
-        v_n0=solution.optimal_value,
-        feasible=solution.feasible,
-        terminal_slack=solution.terminal_slack,
-        iterations=solution.iterations,
-    )
-    return solution.controls[0], record, next_warm
-
-
 def check_loop_inputs(
     state0: EpidemicState, cfg: MpcConfig, params: ModelParams, policy: str
 ) -> None:
@@ -561,11 +531,17 @@ def run_policy_loop(
     """Simulate the closed loop for any policy with shared gate semantics.
 
     Every policy sees the same start-day gate and the same eradication
-    latch: no vaccination before ``vaccination_start_day``, and from the
-    first vaccination day on which every group's infected count is at or
-    below the threshold (the run's ``latch_day``, also its eradication day),
-    all controls are zero.  The predictive policy warm-starts each solve
-    with the previous plan shifted by one day and padded with zeros.
+    latch.  Each day takes the first branch that applies:
+
+    - gated: before ``vaccination_start_day``, or after the latch, the
+      control is zero (every ungated day of ``none`` is zero too);
+    - the latch: the first vaccination day on which every group's infected
+      count is at or below the threshold (the run's ``latch_day``, also its
+      eradication day) applies zero and gates every later day;
+    - ``national``: :func:`strategies.national_allocate` at capacity ``v_bar``;
+    - ``mpc``: the day's problem is solved, warm-started with the previous
+      plan shifted by one day and padded with zeros, and the plan's first
+      day is applied and the solve recorded.
     """
     check_loop_inputs(state0, cfg, params, policy)
     n = params.n_a
@@ -578,22 +554,28 @@ def run_policy_loop(
     for t in range(n_days):
         state = states[-1]
         day = state.day
-        u = np.zeros(n)
         record = DayRecord(day=day)
-        if day >= cfg.vaccination_start_day and latch_day is None:
-            if bool(np.all(state.i <= cfg.eradication_threshold)):
-                latch_day = day
-            else:
-                try:
-                    u, solve_record, warm = _policy_control(
-                        policy, state, cfg, params, warm
-                    )
-                except SolverFailure as exc:
-                    raise SolverFailure(f"day {day}: {exc}") from exc
-                if solve_record is not None:
-                    record = solve_record
-        states.append(step(state, u, params))
-        controls[t] = u
+        if day < cfg.vaccination_start_day or latch_day is not None:
+            pass  # gated: the zero control
+        elif np.all(state.i <= cfg.eradication_threshold):
+            latch_day = day
+        elif policy == "national":
+            controls[t] = strategies.national_allocate(state, cfg.v_bar)
+        elif policy == "mpc":
+            try:
+                solution = solve_ocp(build_ocp(state, cfg, params), warm_start=warm)
+            except SolverFailure as exc:
+                raise SolverFailure(f"day {day}: {exc}") from exc
+            controls[t] = solution.controls[0]
+            warm = np.vstack([solution.controls[1:], np.zeros((1, n))])
+            record = DayRecord(
+                day=day,
+                v_n0=solution.optimal_value,
+                feasible=solution.feasible,
+                terminal_slack=solution.terminal_slack,
+                iterations=solution.iterations,
+            )
+        states.append(step(state, controls[t], params))
         records.append(record)
     return ScenarioResult(
         policy=policy,
@@ -604,4 +586,3 @@ def run_policy_loop(
         day_records=records,
         latch_day=latch_day,
     )
-

@@ -1,9 +1,12 @@
-"""Baseline vaccination policies behind the same interface as the controller.
+"""The policy names and the decreasing-age baseline.
 
 The closed loop (:func:`vaxmpc.mpc.run_policy_loop`) dispatches on the names
 in :data:`POLICIES` and applies the start-day gate and eradication latch to
-every policy alike.  Age groups are ordered youngest to oldest, as in the
-scenario presets; the national policy walks that order backwards.
+every policy alike.  Each ungated day takes one of three branches: ``none``
+applies the gate's zero control, ``national`` calls
+:func:`national_allocate`, and ``mpc`` solves the day's finite-horizon
+problem.  Age groups are ordered youngest to oldest, as in the scenario
+presets; the national policy walks that order backwards.
 """
 
 from __future__ import annotations
@@ -14,11 +17,6 @@ from .model import EpidemicState
 
 #: Every policy name a scenario or the closed loop accepts.
 POLICIES = ("none", "national", "mpc")
-
-
-def no_vaccination(state: EpidemicState) -> np.ndarray:
-    """The do-nothing baseline: always the zero control."""
-    return np.zeros(state.n_a)
 
 
 def national_allocate(state: EpidemicState, v_bar: float) -> np.ndarray:

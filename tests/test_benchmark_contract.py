@@ -6,6 +6,7 @@ A refactor under ``src/`` that breaks what it relies on fails here, in the
 test suite, rather than only when the benchmark runs.
 """
 
+import collections
 import importlib
 import json
 import subprocess
@@ -39,6 +40,17 @@ def test_workload_runs_clean_under_the_tracer(name, tmp_path):
     assert outcome.attempted == workload.expected > 0
     assert outcome.failed == 0
     assert len(tracer.spans) > 1  # the hooks were called through
+    # a hook the loop reached under another name (an alias bound at import)
+    # would drop out of these counts
+    counts = collections.Counter(span.name for span in tracer.spans)
+    if name == "preset-mpc":
+        solved = sum(rec.v_n0 is not None for rec in raw.day_records)
+        assert solved == 2  # days 61 and 62
+        assert counts["model.step"] == 62
+        assert counts["mpc.build_ocp"] == counts["mpc.solve_ocp"] == solved
+    elif name == "baseline-sweep":
+        assert counts["model.step"] == 7_000  # 50 runs of 140 days
+        assert counts["strategies.national_allocate"] > 0
 
 
 def test_setup_snippet_runs_on_the_preset(tmp_path):

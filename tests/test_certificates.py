@@ -291,7 +291,7 @@ class TestConstraintMargin:
         NaN without touching the others."""
         n_a = 6
         cert = CertificateParams(
-            epsilon=0.1, eta=1.0, gamma_vec=np.zeros(n_a), ct_lam=np.eye(n_a)
+            epsilon=0.1, gamma_vec=np.zeros(n_a), ct_lam=np.eye(n_a)
         )
         rows = np.random.default_rng(3).normal(size=(4000, n_a))
         assert set(np.argmax(rows, axis=1)) == set(range(n_a))

@@ -1043,6 +1043,42 @@ class TestClosedLoop:
         assert np.array_equal(first.trajectory.d, second.trajectory.d)
         assert np.array_equal(first.controls, second.controls)
 
+    def test_solver_failure_names_its_day(
+        self, monkeypatch, desk_params, desk_state0, desk_cfg
+    ):
+        calls = []
+        solve = mpc.solve_ocp
+
+        def failing_third(problem, warm_start=None):
+            calls.append(problem)
+            if len(calls) == 3:
+                raise SolverFailure("boom")
+            return solve(problem, warm_start=warm_start)
+
+        monkeypatch.setattr(mpc, "solve_ocp", failing_third)
+        with pytest.raises(SolverFailure, match=r"^day 3: boom$"):
+            vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+
+    def test_warm_start_is_previous_plan_shifted(
+        self, monkeypatch, desk_params, desk_state0, desk_cfg
+    ):
+        seen = []
+        solve = mpc.solve_ocp
+
+        def recording(problem, warm_start=None):
+            solution = solve(problem, warm_start=warm_start)
+            seen.append((warm_start, solution))
+            return solution
+
+        monkeypatch.setattr(mpc, "solve_ocp", recording)
+        vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
+        assert len(seen) > 1
+        assert seen[0][0] is None
+        zeros = np.zeros((1, desk_params.n_a))
+        for (_, previous), (warm, _) in zip(seen, seen[1:]):
+            shifted = np.vstack([previous.controls[1:], zeros])
+            assert warm.shape == shifted.shape and warm.tobytes() == shifted.tobytes()
+
     def test_start_day_beyond_horizon_rejected(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
             horizon=4, v_bar=500.0, vaccination_start_day=50, strategy_horizon=10

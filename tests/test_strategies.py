@@ -16,14 +16,6 @@ def make_state(s, i=None, time_step=0):
     )
 
 
-class TestNoVaccination:
-    def test_always_zero(self, desk_state0):
-        assert not vaxmpc.no_vaccination(desk_state0).any()
-
-    def test_zero_on_disease_free_state(self):
-        assert not vaxmpc.no_vaccination(make_state([10.0, 5.0])).any()
-
-
 class TestNationalAllocate:
     def test_oldest_first_greedy_arithmetic(self):
         state = make_state([10.0, 20.0, 30.0])
@@ -91,6 +83,14 @@ class TestApplyPolicy:
         )
         run = vaxmpc.run_policy_loop(desk_state0, cfg, desk_params, "none")
         assert not run.controls.any()
+
+    def test_none_loop_is_the_zero_rollout(self, desk_params, desk_state0, desk_cfg):
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "none")
+        zeros = np.zeros((desk_cfg.strategy_horizon, desk_params.n_a))
+        reference = vaxmpc.rollout(desk_state0, zeros, desk_params)
+        for name in ("s", "i", "r", "d", "applied_u"):
+            got, want = getattr(run.trajectory, name), getattr(reference, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_national_dispatch(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
