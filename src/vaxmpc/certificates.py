@@ -17,7 +17,10 @@ componentwise.
 These facts hold symbolically; this module verifies them numerically on
 seeded random samples and audits finished closed-loop runs against the
 optimal-value death bound.  Checks return reports; violations are report
-content, never exceptions.
+content, never exceptions.  The susceptible part of X_f's first branch,
+{0 <= S <= P : Ct_Lam . S <= Gamma}, is convex and holds S = 0, so the
+sampled states are drawn without rejection at any group count: each is a
+random direction scaled by a random share of its reach to the boundary.
 
 Closed forms that are documented here but deliberately not constructed in
 code: the comparison functions bounding the stage cost and value function are
@@ -53,20 +56,14 @@ BOUND_RTOL = 1e-6
 #: uniformly drawn initial infections.
 ETA_I0_FRACTION = 0.02
 
-#: Most candidate rows the terminal-set sampler draws and tests at once.
-#: Its one reused draw buffer is then 768 KiB at six groups, so each chunk's
-#: draw, scaling and margin stay in cache.
-_SAMPLER_CHUNK = 1 << 14
-
 #: Most samples one certify call draws.  The terminal-set sample and its
-#: controls are (samples, n_a) arrays each, the sampler draws several times
-#: as many candidate rows, and the growth-bound check steps samples // 100
-#: rollouts over every day of the strategy horizon.  At this cap a preset
-#: certify call takes ~17 s and peaks at ~640 MiB on a 2-core host, and
-#: both grow linearly past it.
+#: controls are (samples, n_a) arrays each, and the growth-bound check
+#: steps samples // 100 rollouts over every day of the strategy horizon.
+#: At this cap a preset certify call takes ~3 s and peaks at ~590 MiB on a
+#: 2-core host, and both grow linearly past it.
 MAX_SAMPLES = 1_000_000
 
-#: Share of the terminal-set samples rescaled onto the constraint boundary.
+#: Share of the terminal-set samples drawn on the boundary of X_f.
 BOUNDARY_FRACTION = 0.1
 
 
@@ -210,8 +207,8 @@ def susceptible_box(cert: CertificateParams, params: ModelParams) -> np.ndarray:
     """Per-group upper corner of the box enclosing the X_f susceptible region.
 
     Along each axis alone, S_k up to min(P_k, min_j Gamma_j / A_jk) stays in
-    the region, so the region contains the simplex spanned by these corners
-    and rejection sampling from the box accepts at least 1/n_a! of draws.
+    the region, and no point of the region lies beyond it; the terminal-set
+    sampler draws its directions uniform on this box.
     """
     a = cert.ct_lam
     with np.errstate(divide="ignore"):
@@ -227,59 +224,40 @@ def sample_terminal_states(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw n random full states inside X_f; returns (S, I, R, D) rows.
 
-    Susceptibles are uniform on the box enclosing the constraint region,
-    kept by rejection; each batch is drawn and tested in consecutive chunks
-    of at most :data:`_SAMPLER_CHUNK` rows, which consume the stream exactly
-    as one draw would.  Every chunk is drawn into one reused buffer with
-    ``rng.random(out=...)`` and scaled in place, the bits of
-    ``rng.uniform(0.0, 1.0, size) * box``; only the kept rows are copied
-    out.  A :data:`BOUNDARY_FRACTION` share is then rescaled
-    onto the constraint boundary, capped by and clipped to the populations.
-    Infected are uniform on [0, P - S], recovered uniform on the remainder,
-    deceased the rest, so every sample has 0 <= S <= P, nonnegative I, R, D
-    and conserves population exactly.
+    Each row of S is a direction d, uniform on :func:`susceptible_box`, times
+    a share of its reach to the boundary of the susceptible region: the
+    largest t with Ct_Lam . (t d) <= Gamma and t d <= P, which is
+    min(min_j Gamma_j / (Ct_Lam . d)_j, min over d_k > 0 of P_k / d_k).  The
+    share is U^(1/n_a) for a uniform U, and 1 on the first
+    :data:`BOUNDARY_FRACTION` of the rows, which so land on the boundary.
+    The region is convex and holds S = 0, so no draw is rejected at any
+    group count; a zero direction stays at S = 0.  Rows that rounding puts
+    above P are clipped to it, and those a hair outside the constraint are
+    nudged back.  Infected are uniform on [0, P - S], recovered uniform on
+    the remainder, deceased the rest, so every sample has 0 <= S <= P,
+    nonnegative I, R, D and conserves population exactly.
     """
     n_a = params.n_a
-    box = susceptible_box(cert, params)
-    accepted = [np.empty((0, n_a))]
-    n_accepted = 0
-    batch = max(4096, 4 * n)
-    buf = np.empty((_SAMPLER_CHUNK, n_a))
-    for _ in range(10_000):
-        if n_accepted >= n:
+    s = rng.random((n, n_a))
+    s *= susceptible_box(cert, params)
+    with np.errstate(divide="ignore"):
+        reach = np.min(cert.gamma_vec / matvec_rows(cert.ct_lam, s), axis=-1)
+    pop_reach = np.divide(params.population, s, out=np.full_like(s, np.inf), where=s > 0)
+    np.minimum(reach, pop_reach.min(axis=-1), out=reach)
+    reach[np.isinf(reach)] = 0.0  # d = 0 has no boundary to reach
+    share = rng.random(n)
+    share **= 1.0 / n_a
+    share[: int(round(BOUNDARY_FRACTION * n))] = 1.0
+    reach *= share
+    s *= reach[:, None]
+    # where the population cap binds, S_k = d_k * (P_k / d_k) can round above P_k
+    np.minimum(s, params.population, out=s)
+    # float rounding can push a scaled point a hair outside; nudge back
+    for _ in range(4):
+        bad = _constraint_margin(s, cert) < 0
+        if not bad.any():
             break
-        hits = 0
-        for start in range(0, batch, _SAMPLER_CHUNK):
-            cand = rng.random(out=buf[: min(_SAMPLER_CHUNK, batch - start)])
-            cand *= box
-            cand = cand[_constraint_margin(cand, cert) >= 0]  # a copy, not a view of buf
-            accepted.append(cand)
-            hits += cand.shape[0]
-        n_accepted += hits
-        rate = max(hits / batch, 1e-4)
-        batch = int(min(2_000_000, max(4096, 1.5 * (n - n_accepted) / rate)))
-    else:
-        raise ValidationError("terminal-set rejection sampling failed to converge")
-    s = np.concatenate(accepted)[:n]
-
-    n_boundary = int(round(BOUNDARY_FRACTION * n))
-    if n_boundary:
-        sb = s[:n_boundary].copy()
-        load = matvec_rows(cert.ct_lam, sb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_constraint = np.where(load > 0, cert.gamma_vec[None, :] / load, np.inf).min(axis=1)
-            t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
-        t = np.minimum(t_constraint, t_pop)
-        t[~np.isfinite(t)] = 1.0
-        # where the population cap binds, S_k = S_k * (P_k / S_k) can round above P_k
-        sb = np.minimum(sb * t[:, None], params.population)
-        # float rounding can push a scaled point a hair outside; nudge back
-        for _ in range(4):
-            bad = _constraint_margin(sb, cert) < 0
-            if not bad.any():
-                break
-            sb[bad] *= 1.0 - 1e-14
-        s[:n_boundary] = sb
+        s[bad] *= 1.0 - 1e-14
 
     i = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s)
     r = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s - i)
@@ -288,13 +266,14 @@ def sample_terminal_states(
 
 
 def _sample_controls(
-    n: int, n_a: int, v_bar: float, rng: np.random.Generator
+    shape: int | tuple[int, ...], n_a: int, v_bar: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Admissible controls: random simplex direction times a random budget."""
-    w = rng.exponential(1.0, size=(n, n_a))
-    w /= w.sum(axis=1, keepdims=True)
-    total = rng.uniform(0.0, v_bar, size=(n, 1))
-    return w * total
+    """Admissible controls, one per index of the leading ``shape``: a random
+    simplex direction times a random budget."""
+    w = rng.exponential(1.0, size=np.append(shape, n_a))
+    w /= w.sum(axis=-1, keepdims=True)
+    w *= rng.uniform(0.0, v_bar, size=np.append(shape, 1))
+    return w
 
 
 def _violations(margin: np.ndarray) -> int:
@@ -394,22 +373,14 @@ def check_eta_bound(
     Each rollout starts from random infections (uniform up to
     :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
-    The inputs are drawn rollout by rollout, in :func:`_sample_controls`'
-    order, straight into their arrays: ``standard_exponential(out=...)`` and
-    ``random() * v_bar`` give the bits of ``exponential(1.0, n_a)`` and
-    ``uniform(0.0, v_bar)``.  Then all rollouts step as one batch per day.
+    Every rollout's first infections are drawn, then every day's controls
+    in one :func:`_sample_controls` call; then all rollouts step as one
+    batch per day.
     """
     rng = np.random.default_rng(rng_seed)
-    n_a = params.n_a
-    i = np.empty((days + 1, rollouts, n_a))
-    w = np.empty((rollouts, days, n_a))
-    total = np.empty((rollouts, days, 1))
-    for k in range(rollouts):
-        i[0, k] = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
-        for day in range(days):
-            rng.standard_exponential(out=w[k, day])
-            total[k, day] = rng.random() * v_bar
-    u = (w / w.sum(axis=2, keepdims=True) * total).transpose(1, 0, 2)  # (days, rollouts, n_a)
+    i = np.empty((days + 1, rollouts, params.n_a))
+    i[0] = rng.uniform(0.0, ETA_I0_FRACTION, size=(rollouts, params.n_a)) * params.population
+    u = _sample_controls((days, rollouts), params.n_a, v_bar, rng)
     s = params.population - i[0]
     for day in range(days):
         s, i[day + 1], _ = si_step(s, i[day], u[day], params)

@@ -13,7 +13,6 @@ from vaxmpc.certificates import (
     ETA_RTOL,
     LYAPUNOV_RTOL,
     XSTAR_ATOL,
-    _SAMPLER_CHUNK,
     CertificateParams,
     BoundAudit,
     CheckReport,
@@ -177,84 +176,6 @@ def reference_margin(s, cert):
     return 0.0 - np.max(constraint_excess(s, cert), axis=-1)
 
 
-def reference_sample_terminal_states(cert, params, n, rng):
-    """The sampler drawing each rejection batch in one call: same rows, same
-    stream as the chunked one, but up to 2M candidate rows held at once."""
-    n_a = params.n_a
-    box = susceptible_box(cert, params)
-    accepted = np.empty((0, n_a))
-    batch = max(4096, 4 * n)
-    for _ in range(10_000):
-        if accepted.shape[0] >= n:
-            break
-        cand = rng.uniform(0.0, 1.0, size=(batch, n_a)) * box
-        ok = reference_margin(cand, cert) >= 0
-        accepted = np.concatenate([accepted, cand[ok]], axis=0)
-        rate = max(ok.mean(), 1e-4)
-        batch = int(min(2_000_000, max(4096, 1.5 * (n - accepted.shape[0]) / rate)))
-    s = accepted[:n]
-    n_boundary = int(round(BOUNDARY_FRACTION * n))
-    if n_boundary:
-        sb = s[:n_boundary].copy()
-        load = matvec_rows(cert.ct_lam, sb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_constraint = np.where(load > 0, cert.gamma_vec[None, :] / load, np.inf).min(axis=1)
-            t_pop = np.where(sb > 0, params.population[None, :] / sb, np.inf).min(axis=1)
-        t = np.minimum(t_constraint, t_pop)
-        t[~np.isfinite(t)] = 1.0
-        sb = np.minimum(sb * t[:, None], params.population)
-        for _ in range(4):
-            bad = reference_margin(sb, cert) < 0
-            if not bad.any():
-                break
-            sb[bad] *= 1.0 - 1e-14
-        s[:n_boundary] = sb
-    i = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s)
-    r = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s - i)
-    d = params.population - s - i - r
-    return s, i, r, d
-
-
-class _RecordingGenerator:
-    """Delegates to a real Generator and records the rows of each
-    ``random(out=...)`` call, the sampler's candidate draws."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-        self.uniform_rows = []
-
-    def random(self, size=None, dtype=np.float64, out=None):
-        if out is not None:
-            self.uniform_rows.append(out.shape[0])
-        return self._rng.random(size, dtype, out)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
-
-
-class TestChunkedSampler:
-    """The sampler's chunks change neither its rows nor the generator's state."""
-
-    @pytest.mark.parametrize("instance", ["preset", "desk"])
-    @pytest.mark.parametrize("n", [500, 70_000])
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_draws_equal_one_shot_sampler(self, instance, n, seed, request):
-        params = request.getfixturevalue(f"{instance}_params")
-        cert = CertificateParams.from_model(params, 0.1)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = sample_terminal_states(cert, params, n, rng)
-        want = reference_sample_terminal_states(cert, params, n, ref_rng)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_no_draw_exceeds_the_chunk(self, preset_params):
-        cert = CertificateParams.from_model(preset_params, 0.1)
-        rng = _RecordingGenerator(0)
-        sample_terminal_states(cert, preset_params, 20_000, rng)
-        assert max(rng.uniform_rows) <= _SAMPLER_CHUNK
-        assert sum(rng.uniform_rows) > 10 * _SAMPLER_CHUNK  # chunking was needed
-
-
 class TestConstraintMargin:
     """The column-wise margin is bitwise the last-axis reduction."""
 
@@ -345,18 +266,20 @@ def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
 
 
 def reference_eta_bound(params, rollouts, days, rng_seed, v_bar):
-    """Per-rollout loop over the growth-bound check, one si_step per day."""
+    """Per-rollout loop over the growth-bound check, one si_step per day, on
+    inputs drawn as the check draws them."""
     rng = np.random.default_rng(rng_seed)
     eta = vaxmpc.compute_eta(params)
     gd, n_a = params.gamma_d, params.n_a
+    i0 = rng.uniform(0.0, ETA_I0_FRACTION, size=(rollouts, n_a)) * params.population
+    u = _sample_controls((days, rollouts), n_a, v_bar, rng)
     violations, worst, checked = 0, np.inf, 0
-    for _ in range(rollouts):
-        i = rng.uniform(0.0, ETA_I0_FRACTION, size=n_a) * params.population
+    for k in range(rollouts):
+        i = i0[k]
         s = params.population - i
-        for _day in range(days):
-            u = _sample_controls(1, n_a, v_bar, rng)[0]
+        for day in range(days):
             cost_now = float(matvec_rows(gd, i))
-            s, i, _ = si_step(s, i, u, params)
+            s, i, _ = si_step(s, i, u[day, k], params)
             cost_next = float(matvec_rows(gd, i))
             bound = eta * cost_now
             margin = (bound * (1.0 + ETA_RTOL) - cost_next) / max(bound, 1e-300)
@@ -573,10 +496,9 @@ def box_is_population_params(rng):
 
 
 class TestRandomInstances:
-    """Invariance and decrease hold past the preset, up to six groups; the
-    rejection sampler's acceptance floor 1/n_a! keeps larger n_a slow."""
+    """Invariance and decrease hold past the preset, up to sixteen groups."""
 
-    @pytest.mark.parametrize("n_a", range(1, 7))
+    @pytest.mark.parametrize("n_a", range(1, 17))
     def test_invariance_and_decrease(self, n_a):
         rng = np.random.default_rng(2000 + n_a)
         instances = [random_params(n_a, rng) for _ in range(5)]
@@ -599,6 +521,26 @@ class TestRandomInstances:
                 # each reference draws on its own, from the shared draw's stream
                 want = reference(cert, params, 500, k, v_bar)
                 assert (report.n_violations, report.worst_margin) == want, (k, report)
+
+    def test_zero_population_group(self):
+        """A group with P_k = 0 has a zero direction entry in every draw,
+        which the reach skips instead of dividing 0 by 0."""
+        params = random_params(5, np.random.default_rng(77))
+        population = params.population.copy()
+        population[2] = 0.0
+        params = dataclasses.replace(params, population=population)
+        cert = CertificateParams.from_model(params, 0.5 * float(np.min(params.removal)))
+        s, i, r, d = sample_terminal_states(cert, params, 2000, np.random.default_rng(0))
+        for a in (s, i, r, d):
+            assert np.all(np.isfinite(a))
+        assert np.all(_constraint_margin(s, cert) >= 0)
+        assert np.all(s >= 0) and np.all(s <= population)
+        assert np.all(s[:, 2] == 0.0)
+        assert np.all(np.delete(s, 2, axis=1).any(axis=1))
+        sample = draw_terminal_sample(cert, params, 2000, 0, v_bar=0.05 * population.sum())
+        for check in (vaxmpc.check_invariance, vaxmpc.check_lyapunov_decrease):
+            report = check(cert, params, sample)
+            assert np.isfinite(report.worst_margin) and report.passed, report
 
 
 def reference_audit_death_bound(run):
