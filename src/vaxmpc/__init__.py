@@ -4,7 +4,8 @@ Subpackage map:
 
 - ``model``: the discrete-time dynamics (states, parameters, stepping).
 - ``certificates``: numeric checks of the terminal-set, decrease and
-  death-toll-bound properties the controller relies on.
+  death-toll-bound properties the controller relies on; ``certify`` runs
+  the sampled suite.
 - ``mpc``: the finite-horizon planner, its solver and the closed loop.
 - ``strategies``: the policy names and the decreasing-age baseline.
 - ``scenario``: configs, contact matrices, metrics, comparisons, file output.
@@ -14,12 +15,8 @@ Subpackage map:
 from .certificates import (
     CertificateParams,
     audit_death_bound,
-    check_eta_bound,
-    check_invariance,
-    check_lyapunov_decrease,
+    certify,
     compute_eta,
-    draw_terminal_sample,
-    epsilon_valid,
     in_terminal_set,
 )
 from .model import (
@@ -44,14 +41,10 @@ __all__ = [
     "MpcConfig",
     "audit_death_bound",
     "build_ocp",
-    "check_eta_bound",
-    "check_invariance",
-    "check_lyapunov_decrease",
+    "certify",
     "compare",
     "compute_eta",
     "compute_metrics",
-    "draw_terminal_sample",
-    "epsilon_valid",
     "in_terminal_set",
     "initial_state",
     "national_allocate",

@@ -15,12 +15,13 @@ gamma_d' (Id + P_d diag(lam) C - diag(gamma_r + gamma_d)) <= eta * gamma_d'
 componentwise.
 
 These facts hold symbolically; this module verifies them numerically on
-seeded random samples and audits finished closed-loop runs against the
-optimal-value death bound.  Checks return reports; violations are report
-content, never exceptions.  The susceptible part of X_f's first branch,
-{0 <= S <= P : Ct_Lam . S <= Gamma}, is convex and holds S = 0, so the
-sampled states are drawn without rejection at any group count: each is a
-random direction scaled by a random share of its reach to the boundary.
+seeded random samples, :func:`certify` composing the three checks into the
+one suite that ``vaxmpc certify`` runs, and audits finished closed-loop runs
+against the optimal-value death bound.  Checks return reports; violations
+are report content, never exceptions.  The susceptible part of X_f's first
+branch, {0 <= S <= P : Ct_Lam . S <= Gamma}, is convex and holds S = 0, so
+the sampled states are drawn without rejection at any group count: each is
+a random direction scaled by a random share of its reach to the boundary.
 
 Closed forms that are documented here but deliberately not constructed in
 code: the comparison functions bounding the stage cost and value function are
@@ -33,12 +34,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
 from .model import EpidemicState, ModelParams, matvec_rows, si_step
 from .results import ScenarioResult
+
+if TYPE_CHECKING:
+    from .mpc import MpcConfig
 
 #: Absolute tolerance below which an infected vector counts as disease-free.
 XSTAR_ATOL = 1e-12
@@ -56,9 +61,10 @@ BOUND_RTOL = 1e-6
 #: uniformly drawn initial infections.
 ETA_I0_FRACTION = 0.02
 
-#: Most samples one certify call draws.  The terminal-set sample and its
-#: controls are (samples, n_a) arrays each, and the growth-bound check
-#: steps samples // 100 rollouts over every day of the strategy horizon.
+#: Most samples the certify command passes to :func:`certify`.  The
+#: terminal-set sample and its controls are (samples, n_a) arrays each, and
+#: the growth-bound check steps samples // 100 rollouts over every day of
+#: the strategy horizon.
 #: At this cap a preset certify call takes ~3 s and peaks at ~590 MiB on a
 #: 2-core host, and both grow linearly past it.
 MAX_SAMPLES = 1_000_000
@@ -110,15 +116,6 @@ def validate_epsilon(epsilon: float, removal: np.ndarray) -> None:
             f"epsilon={epsilon} outside (0, {upper}), the valid range for "
             "these recovery/death rates"
         )
-
-
-def epsilon_valid(epsilon: float, params: ModelParams) -> bool:
-    """True iff :func:`validate_epsilon` accepts epsilon."""
-    try:
-        validate_epsilon(epsilon, params.removal)
-    except ValidationError:
-        return False
-    return True
 
 
 def compute_eta(params: ModelParams) -> float:
@@ -388,6 +385,27 @@ def check_eta_bound(
     bound = compute_eta(params) * cost[:-1]
     margin = (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
     return _report("growth_factor_bound", margin, rng_seed)
+
+
+def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> list[CheckReport]:
+    """The sampled certificate suite for one instance: invariance, decrease
+    and growth-bound reports, in that order.
+
+    One ``samples``-state draw in X_f, seeded with ``seed``, serves the
+    invariance and decrease checks; the growth-bound check steps
+    ``max(1, samples // 100)`` rollouts over ``cfg.strategy_horizon`` days
+    from the same seed.  The draw and the checks are looked up on this
+    module at call time, so a caller can substitute any of them.
+    """
+    cert = CertificateParams.from_model(params, cfg.epsilon)
+    sample = draw_terminal_sample(cert, params, samples, seed, v_bar=cfg.v_bar)
+    return [
+        check_invariance(cert, params, sample),
+        check_lyapunov_decrease(cert, params, sample),
+        check_eta_bound(
+            params, max(1, samples // 100), cfg.strategy_horizon, seed, v_bar=cfg.v_bar
+        ),
+    ]
 
 
 def audit_death_bound(run: ScenarioResult) -> BoundAudit:

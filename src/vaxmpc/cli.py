@@ -7,8 +7,8 @@ Subcommands::
     vaxmpc certify  --config cfg.json --samples 5000 --seed 0
     vaxmpc sweep    --config cfg.json --vary mpc.v_bar=40000,55191 --out runs/sweep
 
-Exit codes: 0 success, 1 validation/config error (or an array too large
-to allocate), 2 solver failure, 3 certificate violation.
+Exit codes: 0 success, 1 usage, validation or config error (or an array
+too large to allocate), 2 solver failure, 3 certificate violation.
 """
 
 from __future__ import annotations
@@ -96,25 +96,10 @@ def _cmd_certify(args) -> int:
     if seed < 0:
         raise ValidationError("--seed must be nonnegative")
     config = scenario.load_config(args.config)
-    params = config.params
-    cert = certificates.CertificateParams.from_model(params, config.mpc.epsilon)
-    sample = certificates.draw_terminal_sample(
-        cert, params, args.samples, seed, v_bar=config.mpc.v_bar
-    )
-    reports = [
-        certificates.check_invariance(cert, params, sample),
-        certificates.check_lyapunov_decrease(cert, params, sample),
-        certificates.check_eta_bound(
-            params,
-            rollouts=max(1, args.samples // 100),
-            days=config.mpc.strategy_horizon,
-            rng_seed=seed,
-            v_bar=config.mpc.v_bar,
-        ),
-    ]
+    reports = certificates.certify(config.params, config.mpc, args.samples, seed)
     payload = {
         "epsilon": config.mpc.epsilon,
-        "eta": certificates.compute_eta(params),
+        "eta": certificates.compute_eta(config.params),
         "checks": [r.to_dict() for r in reports],
     }
     rendered = json.dumps(payload, sort_keys=True, indent=2)
@@ -195,7 +180,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a solver failure
+        return 1 if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
     except SolverFailure as exc:

@@ -344,16 +344,15 @@ class MetricsPayload:
     """The ``metrics.json`` object of one run: the one schema that
     :func:`write_run` writes and both comparisons read.  Each field's type
     is checked when it is built, and ``policy`` and ``latch_day`` must
-    equal ``metrics.policy`` and ``metrics.eradication_day``;
-    ``fingerprint`` is None only in a file written before runs carried
-    one."""
+    equal ``metrics.policy`` and ``metrics.eradication_day``.  Every run
+    carries a ``fingerprint``, so a file without one is refused on load."""
 
     policy: str
     metrics: ScenarioMetrics
     vaccination_start_day: int
     strategy_horizon: int
     latch_day: int | None
-    fingerprint: str | None = None
+    fingerprint: str
 
     def __post_init__(self):
         mpc_mod.check_field_types(self)
@@ -466,14 +465,13 @@ def _improvement(base, other, origin=0):
     return (base - other) / base
 
 
-def _same_scenario(fingerprints: list[str | None]) -> None:
-    """The one scenario-identity rule: two or more runs are comparable only
-    when each carries a fingerprint and all are equal.  Equal fingerprints
-    mean the same model, start state, budget, start day, horizon and
-    eradication threshold (see :func:`scenario_fingerprint`); a run without
-    one cannot be shown to share the others' inputs."""
-    if len(fingerprints) > 1 and (None in fingerprints or len(set(fingerprints)) > 1):
-        listed = ", ".join(map(str, fingerprints))
+def _same_scenario(fingerprints: list[str]) -> None:
+    """The one scenario-identity rule: runs are comparable only when their
+    fingerprints are all equal.  Equal fingerprints mean the same model,
+    start state, budget, start day, horizon and eradication threshold (see
+    :func:`scenario_fingerprint`)."""
+    if len(set(fingerprints)) > 1:
+        listed = ", ".join(fingerprints)
         raise ContractViolation(
             f"runs use different scenario inputs: each needs the same fingerprint, got {listed}"
         )

@@ -13,7 +13,7 @@ import pytest
 
 import vaxmpc
 from vaxmpc import cli
-from vaxmpc.certificates import CertificateParams, draw_terminal_sample
+from vaxmpc.certificates import validate_epsilon
 from vaxmpc.mpc import build_ocp, solve_ocp
 
 from conftest import random_desk_instance
@@ -76,13 +76,19 @@ def test_criterion_1_conservation_suite():
     )
 
 
-def test_criterion_2_terminal_set_invariance(preset_params):
+@pytest.fixture(scope="module")
+def preset_reports(preset_config):
+    """The certificate suite on the preset at 10 000 samples, seed 0, by
+    report name: the evidence of criteria 2-4."""
+    reports = vaxmpc.certify(preset_config.params, preset_config.mpc, 10_000, 0)
+    return {report.name: report for report in reports}
+
+
+def test_criterion_2_terminal_set_invariance(preset_params, preset_reports):
     upper = float(np.min(preset_params.gamma_r + preset_params.gamma_d))
     assert upper == pytest.approx(PRESET_MIN_REMOVAL, abs=1e-10)
-    assert vaxmpc.epsilon_valid(0.1, preset_params)
-    cert = CertificateParams.from_model(preset_params, 0.1)
-    sample = draw_terminal_sample(cert, preset_params, 10_000, 0, v_bar=55191.0)
-    report = vaxmpc.check_invariance(cert, preset_params, sample)
+    validate_epsilon(0.1, preset_params.removal)
+    report = preset_reports["terminal_set_invariance"]
     verdict(
         2,
         "terminal-set invariance",
@@ -91,10 +97,8 @@ def test_criterion_2_terminal_set_invariance(preset_params):
     )
 
 
-def test_criterion_3_lyapunov_suite(preset_params):
-    cert = CertificateParams.from_model(preset_params, 0.1)
-    sample = draw_terminal_sample(cert, preset_params, 10_000, 0, v_bar=55191.0)
-    report = vaxmpc.check_lyapunov_decrease(cert, preset_params, sample)
+def test_criterion_3_lyapunov_suite(preset_reports):
+    report = preset_reports["lyapunov_decrease"]
     verdict(
         3,
         "Lyapunov decrease suite",
@@ -103,10 +107,8 @@ def test_criterion_3_lyapunov_suite(preset_params):
     )
 
 
-def test_criterion_4_growth_bound(preset_params):
-    report = vaxmpc.check_eta_bound(
-        preset_params, rollouts=100, days=140, rng_seed=0, v_bar=55191.0
-    )
+def test_criterion_4_growth_bound(preset_params, preset_reports):
+    report = preset_reports["growth_factor_bound"]
     verdict(
         4,
         "growth-factor bound",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vaxmpc
-from vaxmpc import cli
+from vaxmpc import certificates, cli
 from vaxmpc.certificates import (
     BOUNDARY_FRACTION,
     BOUND_RTOL,
@@ -19,10 +19,14 @@ from vaxmpc.certificates import (
     _constraint_margin,
     _report,
     _sample_controls,
+    check_eta_bound,
+    check_invariance,
+    check_lyapunov_decrease,
     constraint_excess,
     draw_terminal_sample,
     sample_terminal_states,
     susceptible_box,
+    validate_epsilon,
 )
 from vaxmpc.errors import ContractViolation, ValidationError
 from vaxmpc.model import matvec_rows, si_step
@@ -51,14 +55,16 @@ class TestEpsilonValid:
         upper = float(np.min(preset_params.gamma_r + preset_params.gamma_d))
         assert upper == pytest.approx(PRESET_MIN_REMOVAL, abs=1e-10)
         assert int(np.argmin(preset_params.gamma_r + preset_params.gamma_d)) == 2
-        assert vaxmpc.epsilon_valid(0.1, preset_params)
+        validate_epsilon(0.1, preset_params.removal)
 
     def test_strict_lower_bound(self, preset_params):
-        assert not vaxmpc.epsilon_valid(0.0, preset_params)
+        with pytest.raises(ValidationError):
+            validate_epsilon(0.0, preset_params.removal)
 
     def test_strict_upper_bound(self, preset_params):
         upper = float(np.min(preset_params.gamma_r + preset_params.gamma_d))
-        assert not vaxmpc.epsilon_valid(upper, preset_params)
+        with pytest.raises(ValidationError):
+            validate_epsilon(upper, preset_params.removal)
 
     def test_invalid_epsilon_rejected_in_factory(self, preset_params):
         with pytest.raises(ValidationError):
@@ -119,7 +125,7 @@ class TestComputeEta:
         assert vaxmpc.compute_eta(params) == pytest.approx(expected, rel=1e-12)
 
     def test_bound_holds_on_random_rollouts(self, preset_params):
-        report = vaxmpc.check_eta_bound(
+        report = check_eta_bound(
             preset_params, rollouts=20, days=60, rng_seed=3, v_bar=55191.0
         )
         assert report.passed
@@ -312,7 +318,7 @@ class TestBatchedChecks:
         params = request.getfixturevalue(f"{instance}_params")
         v_bar = 55191.0 if instance == "preset" else 1200.0
         for seed, rollouts, days in [(0, 30, 140), (5, 7, 25), (1, 0, 140), (2, 30, 0)]:
-            got = vaxmpc.check_eta_bound(
+            got = check_eta_bound(
                 params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
             )
             want = reference_eta_bound(params, rollouts, days, seed, v_bar)
@@ -325,7 +331,7 @@ class TestBatchedChecks:
         v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
         rollouts, days = int(rng.integers(0, 12)), int(rng.integers(0, 40))
         for seed in (0, 7):
-            got = vaxmpc.check_eta_bound(
+            got = check_eta_bound(
                 params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
             )
             want = reference_eta_bound(params, rollouts, days, seed, v_bar)
@@ -338,21 +344,67 @@ class TestBatchedChecks:
         cert = CertificateParams.from_model(params, 0.1)
         for seed in (0, 5):
             sample = draw_terminal_sample(cert, params, 3000, seed, v_bar=v_bar)
-            inv = vaxmpc.check_invariance(cert, params, sample)
+            inv = check_invariance(cert, params, sample)
             assert (inv.n_violations, inv.worst_margin) == reference_invariance(
                 cert, params, 3000, seed, v_bar
             )
-            lyap = vaxmpc.check_lyapunov_decrease(cert, params, sample)
+            lyap = check_lyapunov_decrease(cert, params, sample)
             assert (lyap.n_violations, lyap.worst_margin) == reference_lyapunov(
                 cert, params, 3000, seed, v_bar
             )
+
+
+class TestCertify:
+    """``certify`` is the shared draw and the three checks, nothing more."""
+
+    @pytest.mark.parametrize(
+        "instance, samples, rollouts", [("preset", 10_000, 100), ("groups-12", 50, 1)]
+    )
+    def test_equals_the_calls_it_composes(
+        self, preset_config, monkeypatch, instance, samples, rollouts
+    ):
+        if instance == "preset":
+            params, cfg = preset_config.params, preset_config.mpc
+        else:
+            params = random_params(12, np.random.default_rng(12))
+            cfg = vaxmpc.MpcConfig(
+                epsilon=0.5 * float(np.min(params.removal)),
+                v_bar=0.05 * float(params.population.sum()),
+            )
+        cert = CertificateParams.from_model(params, cfg.epsilon)
+        sample = draw_terminal_sample(cert, params, samples, 0, v_bar=cfg.v_bar)
+        want = [
+            check_invariance(cert, params, sample),
+            check_lyapunov_decrease(cert, params, sample),
+            check_eta_bound(params, rollouts, cfg.strategy_horizon, 0, v_bar=cfg.v_bar),
+        ]
+        names = (
+            "sample_terminal_states",
+            "check_invariance",
+            "check_lyapunov_decrease",
+            "check_eta_bound",
+        )
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(certificates, name, counting(name, getattr(certificates, name)))
+        got = vaxmpc.certify(params, cfg, samples, 0)
+        assert [r.to_json() for r in got] == [r.to_json() for r in want]
+        assert sorted(calls) == sorted(names)  # one draw serves both state checks
 
 
 class TestInvariance:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         sample = draw_terminal_sample(cert, preset_params, 2000, 11, v_bar=55191.0)
-        report = vaxmpc.check_invariance(cert, preset_params, sample)
+        report = check_invariance(cert, preset_params, sample)
         assert report.passed
         assert report.n_samples == 2000
         assert report.worst_margin >= 0
@@ -366,7 +418,7 @@ class TestInvariance:
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         sample = draw_terminal_sample(cert, preset_params, 50, 2, v_bar=55191.0)
-        report = vaxmpc.check_invariance(cert, preset_params, sample)
+        report = check_invariance(cert, preset_params, sample)
         payload = json.loads(report.to_json())
         assert set(payload) >= {"n_samples", "n_violations", "worst_margin", "seed"}
         assert payload["seed"] == 2
@@ -376,7 +428,7 @@ class TestLyapunovDecrease:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         sample = draw_terminal_sample(cert, preset_params, 2000, 4, v_bar=55191.0)
-        report = vaxmpc.check_lyapunov_decrease(cert, preset_params, sample)
+        report = check_lyapunov_decrease(cert, preset_params, sample)
         assert report.passed
 
     def test_scalar_threshold_example(self):
@@ -511,8 +563,8 @@ class TestRandomInstances:
             v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
             sample = draw_terminal_sample(cert, params, 500, k, v_bar=v_bar)
             checks = [
-                (vaxmpc.check_invariance, reference_invariance),
-                (vaxmpc.check_lyapunov_decrease, reference_lyapunov),
+                (check_invariance, reference_invariance),
+                (check_lyapunov_decrease, reference_lyapunov),
             ]
             for check, reference in checks:
                 report = check(cert, params, sample)
@@ -538,7 +590,7 @@ class TestRandomInstances:
         assert np.all(s[:, 2] == 0.0)
         assert np.all(np.delete(s, 2, axis=1).any(axis=1))
         sample = draw_terminal_sample(cert, params, 2000, 0, v_bar=0.05 * population.sum())
-        for check in (vaxmpc.check_invariance, vaxmpc.check_lyapunov_decrease):
+        for check in (check_invariance, check_lyapunov_decrease):
             report = check(cert, params, sample)
             assert np.isfinite(report.worst_margin) and report.passed, report
 

@@ -208,6 +208,23 @@ class TestSimulate:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["simulate", "--out", "x"], 1),
+        (["certify", "--config", "x", "--samples", "abc"], 1),
+        (["--help"], 0),
+        (["certify", "--help"], 0),
+    ],
+    ids=["simulate-without-config", "certify-non-integer-samples", "help", "certify-help"],
+)
+def test_usage_errors_exit_one(argv, code, capsys):
+    """A usage error exits 1, not argparse's 2, which is a solver failure."""
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert ("usage:" in captured.err) == (code == 1)
+
+
 class TestCompare:
     def test_compares_two_runs(self, desk_config_path, tmp_path, capsys):
         for policy in ("national", "mpc"):
@@ -722,6 +739,8 @@ class TestMalformedInput:
                 {**payload, "metrics": {**payload["metrics"], "eradication_day": "9"}}
             ),
             lambda payload: json.dumps({**payload, "fingerprint": [1, 2]}),
+            lambda payload: json.dumps({k: v for k, v in payload.items() if k != "fingerprint"}),
+            lambda payload: json.dumps({**payload, "fingerprint": None}),
             lambda payload: json.dumps(
                 {**payload, "metrics": {**payload["metrics"], "deaths_total": "1.0"}}
             ),
@@ -740,7 +759,8 @@ class TestMalformedInput:
             ),
         ],
         ids=["not-json", "not-an-object", "no-metrics", "unknown-metric",
-             "string-eradication-day", "list-fingerprint", "string-deaths-total",
+             "string-eradication-day", "list-fingerprint", "no-fingerprint",
+             "null-fingerprint", "string-deaths-total",
              "string-start-day", "integer-policy", "boolean-vaccines-used",
              "policy-differs", "latch-day-differs", "policy-and-latch-day-differ"],
     )
