@@ -45,7 +45,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def _check_vector(x: np.ndarray, n: int, name: str) -> None:
     if x.shape != (n,):
         raise ContractViolation(f"{name}: expected shape ({n},), got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValidationError(f"{name}: non-finite entries")
 
 
@@ -130,7 +130,8 @@ class EpidemicState:
     step 0, i.e. day 1 in the one-based day convention used for reporting).
     ``applied_u`` holds the vaccination actually applied by the step that
     produced this state, after clamping; it is None for initial states.
-    Its compartments are checked finite and nonnegative when it is built.
+    Its compartments are read-only float64 rows of one block, copied from
+    the inputs and checked finite and nonnegative once, when it is built.
     """
 
     s: np.ndarray
@@ -141,19 +142,24 @@ class EpidemicState:
     applied_u: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("s", "i", "r", "d"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+        try:  # one copy: the four vectors become the rows of one read-only block
+            block = _freeze((self.s, self.i, self.r, self.d))
+        except ValueError:  # ragged: the vectors have several shapes
+            if len({np.shape(getattr(self, name)) for name in "sird"}) == 1:
+                raise  # one shape, so a non-number: numpy's own conversion error
+            block = None
         if self.applied_u is not None:
             object.__setattr__(self, "applied_u", _freeze(self.applied_u))
-        compartments = (self.s, self.i, self.r, self.d)
-        if any(vec.shape != (self.s.size,) for vec in compartments):
+        if block is None or block.ndim != 2:
             raise ContractViolation("state vectors must be 1-D and share one length")
-        stacked = np.array(compartments)
-        if not (np.isfinite(stacked).all() and (stacked >= 0).all()):
-            for name, vec in zip("sird", compartments):  # name the first bad one
-                if not np.all(np.isfinite(vec)):
+        for name, vec in zip("sird", block):
+            object.__setattr__(self, name, vec)
+        # min is NaN if any entry is; initial=0 lets a 0-group block reduce
+        if not (block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) < np.inf):
+            for name, vec in zip("sird", block):  # name the first bad one
+                if not np.isfinite(vec).all():
                     raise ValidationError(f"{name}: non-finite entries")
-                if np.any(vec < 0):
+                if (vec < 0).any():
                     raise ValidationError(f"{name}: negative compartment")
         if self.time_step < 0:
             raise ValidationError("time_step must be nonnegative")
@@ -191,7 +197,7 @@ def validate_control(u: np.ndarray, n_a: int, v_bar: float | None = None) -> np.
     """
     u = np.asarray(u, dtype=float)
     _check_vector(u, n_a, "u")
-    if np.any(u < 0):
+    if (u < 0).any():
         raise ValidationError("u: vaccination counts must be nonnegative")
     if v_bar is not None and u.sum() > v_bar * (1 + 1e-12):
         raise ValidationError(f"u: total {u.sum()} exceeds daily capacity {v_bar}")
@@ -295,7 +301,8 @@ class Trajectory:
         return self.applied_u.shape[0]
 
     def state(self, t: int) -> EpidemicState:
-        """Materialize the state at trajectory index t."""
+        """Materialize the state at index t; a negative t counts from the end."""
+        t = range(len(self))[t]  # an index out of range raises IndexError
         return EpidemicState(
             s=self.s[t],
             i=self.i[t],

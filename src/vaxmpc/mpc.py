@@ -557,7 +557,7 @@ def run_policy_loop(
         record = DayRecord(day=day)
         if day < cfg.vaccination_start_day or latch_day is not None:
             pass  # gated: the zero control
-        elif np.all(state.i <= cfg.eradication_threshold):
+        elif (state.i <= cfg.eradication_threshold).all():
             latch_day = day
         elif policy == "national":
             controls[t] = strategies.national_allocate(state, cfg.v_bar)

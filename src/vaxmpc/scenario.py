@@ -508,10 +508,6 @@ def run_scenario(config: ScenarioConfig, policy: str | None = None) -> ScenarioR
     )
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_run(
     run: ScenarioResult,
     out_dir: str | Path,
@@ -529,18 +525,17 @@ def write_run(
         _same_scenario([fingerprint, payload.fingerprint])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    traj = run.trajectory
-    n_days = traj.n_steps
-    first_day = traj.state(0).day
+    traj, n, n_days = run.trajectory, run.params.n_a, run.n_days
+    first_day = traj.start_time_step + 1
+    # (days + 1, n_a, 4) compartments; each day that doses leave gets a fifth column
+    states = np.stack([traj.s, traj.i, traj.r, traj.d], axis=-1, dtype=float)
+    doses = np.concatenate([states[:-1], traj.applied_u[..., None]], axis=-1)
+    rows = [*doses.reshape(n_days, 5 * n).tolist(), states[-1].ravel().tolist()]
     lines = ["day,group,S,I,R,D,applied_u"]
-    for t in range(n_days + 1):
-        day = first_day + t
-        for g in range(run.params.n_a):
-            applied = _fmt_float(traj.applied_u[t][g]) if t < n_days else ""
-            lines.append(
-                f"{day},{g},{_fmt_float(traj.s[t][g])},{_fmt_float(traj.i[t][g])},"
-                f"{_fmt_float(traj.r[t][g])},{_fmt_float(traj.d[t][g])},{applied}"
-            )
+    for t, row in enumerate(rows):  # one template a day; each cell is repr() of a float64
+        cells = "%r,%r,%r,%r," + ("%r" if t < n_days else "")
+        template = "\n".join(f"{first_day + t},{g},{cells}" for g in range(n))
+        lines.append(template % tuple(row))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "metrics.json").write_text(
         json.dumps(asdict(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"

@@ -18,6 +18,30 @@ import pytest
 from vaxmpc import scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src"
+
+#: How far the peak RSS may rise from the first baseline-sweep operation to
+#: the fourth, in MiB.  On a 2-core x86-64 host it rose by 0.3 MiB with
+#: trajectory.csv written a day at a time, or a cell at a time, and by
+#: 2.1-2.9 MiB (and kept rising) with the whole file formatted by one template.
+SWEEP_RSS_GROWTH_MIB = 1.5
+
+# The child reads its peak RSS as VmHWM: its ru_maxrss would start at the
+# test runner's own peak, which a child inherits on Linux, and hide growth.
+_SWEEP_RSS_SCRIPT = """
+import re, shutil, sys, tempfile
+from pathlib import Path
+sys.path[:0] = sys.argv[1:3]
+import workloads
+with tempfile.TemporaryDirectory() as tmp:
+    sweep = workloads.BaselineSweep(0, Path(tmp))
+    for k in range(4):
+        out = Path(tmp) / f"op{k}"
+        assert sweep.check(sweep.run(out), out).failed == 0
+        shutil.rmtree(out)
+        status = Path("/proc/self/status").read_text()
+        print(re.search(r"VmHWM:\\s*(\\d+) kB", status).group(1))
+"""
 
 
 def _perfbench_module(name):
@@ -51,6 +75,19 @@ def test_workload_runs_clean_under_the_tracer(name, tmp_path):
     elif name == "baseline-sweep":
         assert counts["model.step"] == 7_000  # 50 runs of 140 days
         assert counts["strategies.national_allocate"] > 0
+
+
+def test_sweep_peak_rss_levels_off():
+    """Repeated baseline-sweep operations, as the benchmark times them, keep
+    the process's peak RSS (its ``peak_rss_mb``) level: it grows by at most
+    ``SWEEP_RSS_GROWTH_MIB`` from the first operation to the fourth."""
+    done = subprocess.run(
+        [sys.executable, "-c", _SWEEP_RSS_SCRIPT, str(SRC), str(PERFBENCH)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    first, *_, fourth = (int(line) / 1024 for line in done.stdout.split())
+    assert fourth - first <= SWEEP_RSS_GROWTH_MIB
 
 
 def test_setup_snippet_runs_on_the_preset(tmp_path):

@@ -178,6 +178,39 @@ class TestStateValidation:
             vaxmpc.EpidemicState(**vectors)
 
 
+class TestStateIsAValue:
+    """A built state holds read-only float64 copies of what it was given."""
+
+    @pytest.mark.parametrize("name", ["s", "i", "r", "d", "applied_u"])
+    def test_vectors_are_read_only(self, name, desk_params, desk_state0):
+        state = vaxmpc.step(desk_state0, np.array([10.0, 1.0]), desk_params)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(state, name)[0] = 0.0
+
+    def test_later_writes_to_the_inputs_leave_it_unchanged(self):
+        vectors = {**TestStateValidation.compartments(), "applied_u": np.array([2.0, 1.0])}
+        before = {name: vec.tolist() for name, vec in vectors.items()}
+        state = vaxmpc.EpidemicState(**vectors)
+        for vec in vectors.values():
+            vec[:] = 7.0
+        assert {name: getattr(state, name).tolist() for name in before} == before
+
+    def test_integer_inputs_become_float64(self):
+        state = vaxmpc.EpidemicState(
+            s=[3, 4], i=np.array([1, 0]), r=np.zeros(2, dtype=int), d=[0, 2],
+            applied_u=np.array([5, 6]),
+        )
+        for name in ("s", "i", "r", "d", "applied_u"):
+            assert getattr(state, name).dtype == np.float64
+        assert state.s.tolist() == [3.0, 4.0] and state.applied_u.tolist() == [5.0, 6.0]
+
+    def test_zero_group_state_builds(self):
+        empty = np.zeros(0)
+        state = vaxmpc.EpidemicState(s=empty, i=empty, r=empty, d=empty, time_step=2)
+        assert state.n_a == 0 and state.day == 3
+        assert state.total_by_group().shape == (0,)
+
+
 class TestRollout:
     def test_constant_when_nothing_happens(self, desk_params):
         state = vaxmpc.initial_state(desk_params, np.zeros(2))
@@ -223,6 +256,26 @@ class TestRollout:
         assert days[0] == 4
         assert traj.row(int(days[2])) == 2
         assert np.array_equal(traj.row(days), np.arange(len(traj)))
+
+    @pytest.mark.parametrize("start_day", [1, 4])
+    def test_state_counts_negative_indices_from_the_end(
+        self, start_day, desk_params, desk_state0
+    ):
+        first = vaxmpc.rollout(desk_state0, np.zeros((5, 2)), desk_params).state(start_day - 1)
+        traj = vaxmpc.rollout(first, np.full((4, 2), 3.0), desk_params)
+        for t in range(-len(traj), 0):
+            got, want = traj.state(t), traj.state(t + len(traj))
+            assert (got.time_step, got.day) == (want.time_step, want.day)
+            assert [got.s.tolist(), got.d.tolist()] == [want.s.tolist(), want.d.tolist()]
+            if want.applied_u is None:
+                assert got.applied_u is None
+            else:
+                assert got.applied_u.tolist() == want.applied_u.tolist()
+        assert traj.state(-1).day == start_day + 4
+        assert traj.state(-len(traj)).applied_u is None
+        for t in (len(traj), -len(traj) - 1):
+            with pytest.raises(IndexError):
+                traj.state(t)
 
     def test_error_carries_step_index(self, desk_params, desk_state0):
         controls = np.zeros((3, 2))

@@ -535,6 +535,25 @@ class TestWriters:
         for day, value in by_day.items():
             assert value == pytest.approx(total, rel=1e-9)
 
+    def test_csv_cells_are_float_reprs(self, desk_run, tmp_path):
+        values = np.array([5e-324, 1e-5, 0.1 + 0.2, 100.0, 1e16, 1.5e16])
+        rows = [np.roll(values, k).reshape(3, 2) for k in range(5)]  # 2 days, 2 groups
+        traj = Trajectory(*rows[:4], applied_u=rows[4][:2], start_time_step=0)
+        write_run(dataclasses.replace(desk_run, trajectory=traj), tmp_path)
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert len(lines) == 6
+        for line, (t, g) in zip(lines, np.ndindex(3, 2)):
+            day, group, *cells = line.split(",")
+            assert (int(day), int(group)) == (t + 1, g)
+            want = [row[t, g] for row in rows[:4]]
+            if t < 2:
+                want.append(rows[4][t, g])
+            else:  # no dose leaves the last day
+                assert cells.pop() == ""
+            for cell, x in zip(cells, want, strict=True):
+                assert cell == repr(float(x))
+                assert float(cell).hex() == float(x).hex()
+
     def test_metrics_payload_round_trips(self, desk_run, tmp_path):
         metrics = write_run(desk_run, tmp_path)
         payload = json.loads((tmp_path / "metrics.json").read_text())
