@@ -18,10 +18,17 @@ These facts hold symbolically; this module verifies them numerically on
 seeded random samples, :func:`certify` composing the three checks into the
 one suite that ``vaxmpc certify`` runs, and audits finished closed-loop runs
 against the optimal-value death bound.  Checks return reports; violations
-are report content, never exceptions.  The susceptible part of X_f's first
-branch, {0 <= S <= P : Ct_Lam . S <= Gamma}, is convex and holds S = 0, so
-the sampled states are drawn without rejection at any group count: each is
-a random direction scaled by a random share of its reach to the boundary.
+are report content, never exceptions.  The Lyapunov decrease
+V_f(x+) - V_f(x) <= -gamma_d' I of V_f = (1/epsilon) gamma_d' I is the
+contraction divided by epsilon, so one sampled inequality checks both.
+
+The sampled states are (S, I) pairs, the compartments the dynamics of I
+read, each with one admissible control.  The susceptible part of X_f's
+first branch, {0 <= S <= P : Ct_Lam . S <= Gamma}, is convex and holds
+S = 0, so they are drawn without rejection at any group count: each is a
+random direction scaled by a random share of its reach to the boundary.
+:func:`certify` draws them and the growth-bound rollouts from two
+independent streams spawned from its one seed.
 
 Closed forms that are documented here but deliberately not constructed in
 code: the comparison functions bounding the stage cost and value function are
@@ -45,10 +52,15 @@ from .results import ScenarioResult
 if TYPE_CHECKING:
     from .mpc import MpcConfig
 
+    #: What a sampled check seeds its generator with: the integer a report
+    #: names, or a seed sequence spawned from it.  Only for annotations, so
+    #: importing this module does not load numpy.random.
+    Seed = int | np.random.SeedSequence
+
 #: Absolute tolerance below which an infected vector counts as disease-free.
 XSTAR_ATOL = 1e-12
 
-#: Relative slack absorbing float accumulation in the decrease inequalities.
+#: Relative slack absorbing float accumulation in the decrease inequality.
 LYAPUNOV_RTOL = 1e-9
 
 #: Relative slack for the per-step growth bound check.
@@ -65,7 +77,7 @@ ETA_I0_FRACTION = 0.02
 #: terminal-set sample and its controls are (samples, n_a) arrays each, and
 #: the growth-bound check steps samples // 100 rollouts over every day of
 #: the strategy horizon.
-#: At this cap a preset certify call takes ~3 s and peaks at ~590 MiB on a
+#: At this cap a preset certify call takes ~2-3 s and peaks at ~560 MiB on a
 #: 2-core host, and both grow linearly past it.
 MAX_SAMPLES = 1_000_000
 
@@ -218,8 +230,8 @@ def sample_terminal_states(
     params: ModelParams,
     n: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Draw n random full states inside X_f; returns (S, I, R, D) rows.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n random (S, I) states inside X_f; returns (S, I) rows.
 
     Each row of S is a direction d, uniform on :func:`susceptible_box`, times
     a share of its reach to the boundary of the susceptible region: the
@@ -230,9 +242,8 @@ def sample_terminal_states(
     The region is convex and holds S = 0, so no draw is rejected at any
     group count; a zero direction stays at S = 0.  Rows that rounding puts
     above P are clipped to it, and those a hair outside the constraint are
-    nudged back.  Infected are uniform on [0, P - S], recovered uniform on
-    the remainder, deceased the rest, so every sample has 0 <= S <= P,
-    nonnegative I, R, D and conserves population exactly.
+    nudged back.  Infected are uniform on [0, P - S], so every sample has
+    0 <= S, 0 <= I and S + I <= P.
     """
     n_a = params.n_a
     s = rng.random((n, n_a))
@@ -257,9 +268,7 @@ def sample_terminal_states(
         s[bad] *= 1.0 - 1e-14
 
     i = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s)
-    r = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s - i)
-    d = params.population - s - i - r
-    return s, i, r, d
+    return s, i
 
 
 def _sample_controls(
@@ -291,8 +300,9 @@ def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
 
 @dataclass(frozen=True)
 class TerminalSample:
-    """Read-only states in X_f, one admissible control each, and the seed
-    they were drawn from; the invariance and decrease checks share one."""
+    """Read-only (S, I) states in X_f, one admissible control each, and the
+    integer seed they were drawn from; the invariance and decrease checks
+    share one."""
 
     s: np.ndarray
     i: np.ndarray
@@ -300,18 +310,24 @@ class TerminalSample:
     seed: int
 
 
+def _entropy(rng_seed: Seed) -> int:
+    """The integer seed a report names: ``rng_seed`` itself, or the entropy
+    of a seed sequence, which a spawned child shares with its parent."""
+    return getattr(rng_seed, "entropy", rng_seed)
+
+
 def draw_terminal_sample(
-    cert: CertificateParams, params: ModelParams, samples: int, rng_seed: int, *, v_bar: float
+    cert: CertificateParams, params: ModelParams, samples: int, rng_seed: Seed, *, v_bar: float
 ) -> TerminalSample:
     """Draw ``samples`` states in X_f (boundary points included) with
     :func:`sample_terminal_states`, then one random admissible control per
     state, both from one generator seeded with ``rng_seed``."""
     rng = np.random.default_rng(rng_seed)
-    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    s, i = sample_terminal_states(cert, params, samples, rng)
     u = _sample_controls(samples, params.n_a, v_bar, rng)
     for a in (s, i, u):
         a.setflags(write=False)
-    return TerminalSample(s=s, i=i, u=u, seed=rng_seed)
+    return TerminalSample(s=s, i=i, u=u, seed=_entropy(rng_seed))
 
 
 def check_invariance(
@@ -330,40 +346,34 @@ def check_invariance(
 def check_lyapunov_decrease(
     cert: CertificateParams, params: ModelParams, sample: TerminalSample
 ) -> CheckReport:
-    """Sampled check of the one-step decrease inequalities inside X_f.
+    """Sampled check of the one-step decrease inequality inside X_f.
 
     For the sampled states and zero input, verifies
 
-        gamma_d' I(n+1) - gamma_d' I(n) <= -epsilon gamma_d' I(n)
+        gamma_d' I(n+1) <= (1 - epsilon) gamma_d' I(n)
 
-    and the terminal-cost analogue V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n),
-    both with relative slack 1e-9.  A state with no infections (S = P
-    leaves no room for any) meets both with equality and has margin 0.
-    Also re-steps each state under its sampled control, with margin -inf
-    unless the infected successor is bitwise identical: the decrease
-    condition must not depend on the input.
+    with relative slack :data:`LYAPUNOV_RTOL`.  With the terminal cost
+    V_f = gamma_d' I / epsilon and the stage cost gamma_d' I, the
+    terminal-cost decrease V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n) is this
+    inequality divided by epsilon, so the one test covers both.  A state
+    with no infections (S = P leaves no room for any) meets it with
+    equality and has margin 0.  Also re-steps each state under its sampled
+    control, with margin -inf unless the infected successor is bitwise
+    identical: the decrease condition must not depend on the input.
     """
-    s, i, gd, eps = sample.s, sample.i, params.gamma_d, cert.epsilon
-    cost_now = matvec_rows(gd, i)
+    s, i = sample.s, sample.i
+    cost_now = matvec_rows(params.gamma_d, i)
     _, i1, _ = si_step(s, i, np.zeros_like(s), params)
-    cost_next = matvec_rows(gd, i1)
-    # one-step decrease with margin epsilon; relative margins are 0 / 1e-300
-    # where there are no infections
-    margin_dec = (1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next
-    margin_dec /= np.maximum(cost_now, 1e-300)
-    # terminal-cost decrease: (1/eps)(cost_next - cost_now) <= -cost_now
-    vf_now = cost_now / eps
-    vf_next = cost_next / eps
-    margin_vf = -cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)
-    margin_vf /= np.maximum(vf_now, 1e-300)
-    margin = np.minimum(margin_dec, margin_vf)
+    # relative margins are 0 / 1e-300 where there are no infections
+    margin = (1.0 - cert.epsilon + LYAPUNOV_RTOL) * cost_now - matvec_rows(params.gamma_d, i1)
+    margin /= np.maximum(cost_now, 1e-300)
     _, i1_u, _ = si_step(s, i, sample.u, params)
     margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
     return _report("lyapunov_decrease", margin, sample.seed)
 
 
 def check_eta_bound(
-    params: ModelParams, rollouts: int, days: int, rng_seed: int, *, v_bar: float
+    params: ModelParams, rollouts: int, days: int, rng_seed: Seed, *, v_bar: float
 ) -> CheckReport:
     """Check gamma_d' I(n+1) <= eta * gamma_d' I(n) along random rollouts.
 
@@ -384,26 +394,29 @@ def check_eta_bound(
     cost = matvec_rows(params.gamma_d, i)
     bound = compute_eta(params) * cost[:-1]
     margin = (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
-    return _report("growth_factor_bound", margin, rng_seed)
+    return _report("growth_factor_bound", margin, _entropy(rng_seed))
 
 
 def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> list[CheckReport]:
     """The sampled certificate suite for one instance: invariance, decrease
     and growth-bound reports, in that order.
 
-    One ``samples``-state draw in X_f, seeded with ``seed``, serves the
-    invariance and decrease checks; the growth-bound check steps
-    ``max(1, samples // 100)`` rollouts over ``cfg.strategy_horizon`` days
-    from the same seed.  The draw and the checks are looked up on this
-    module at call time, so a caller can substitute any of them.
+    ``seed`` spawns two independent streams.  From the first, one
+    ``samples``-state draw in X_f serves the invariance and decrease checks;
+    from the second, the growth-bound check steps ``max(1, samples // 100)``
+    rollouts over ``cfg.strategy_horizon`` days.  Every report names
+    ``seed``.  The draw and the checks are looked up on this module at call
+    time, so a caller can substitute any of them.
     """
     cert = CertificateParams.from_model(params, cfg.epsilon)
-    sample = draw_terminal_sample(cert, params, samples, seed, v_bar=cfg.v_bar)
+    # SeedSequence.spawn, not Generator.spawn, which needs numpy 1.25
+    states, rollouts = np.random.SeedSequence(seed).spawn(2)
+    sample = draw_terminal_sample(cert, params, samples, states, v_bar=cfg.v_bar)
     return [
         check_invariance(cert, params, sample),
         check_lyapunov_decrease(cert, params, sample),
         check_eta_bound(
-            params, max(1, samples // 100), cfg.strategy_horizon, seed, v_bar=cfg.v_bar
+            params, max(1, samples // 100), cfg.strategy_horizon, rollouts, v_bar=cfg.v_bar
         ),
     ]
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -29,7 +30,7 @@ from vaxmpc.certificates import (
     validate_epsilon,
 )
 from vaxmpc.errors import ContractViolation, ValidationError
-from vaxmpc.model import matvec_rows, si_step
+from vaxmpc.model import matvec_rows, new_infections, si_step
 
 from conftest import random_desk_instance
 
@@ -136,19 +137,16 @@ class TestSampling:
     def test_samples_live_in_terminal_set(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         rng = np.random.default_rng(0)
-        s, i, r, d = sample_terminal_states(cert, preset_params, 500, rng)
-        for row in zip(s, i, r, d):
-            state = vaxmpc.EpidemicState(*row)
+        s, i = sample_terminal_states(cert, preset_params, 500, rng)
+        for row_s, row_i in zip(s, i):
+            state = vaxmpc.EpidemicState(s=row_s, i=row_i, r=np.zeros(6), d=np.zeros(6))
             assert vaxmpc.in_terminal_set(state, cert)
-        assert np.all(s >= 0) and np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
-        assert np.allclose(
-            s + i + r + d, preset_params.population, rtol=1e-12, atol=0
-        )
+        assert np.all(s >= 0) and np.all(i >= 0)
 
     def test_boundary_fraction_sits_on_boundary(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         rng = np.random.default_rng(1)
-        s, _, _, _ = sample_terminal_states(cert, preset_params, 1000, rng)
+        s, _ = sample_terminal_states(cert, preset_params, 1000, rng)
         n_boundary = round(BOUNDARY_FRACTION * 1000)
         margins = np.array(
             [np.min(cert.gamma_vec - cert.ct_lam @ row) for row in s[:n_boundary]]
@@ -172,9 +170,9 @@ class TestSampling:
         # boundary rows where the population cap binds must not round above P
         cert = CertificateParams.from_model(preset_params, 0.1)
         rng = np.random.default_rng(seed)
-        s, i, r, d = sample_terminal_states(cert, preset_params, 20_000, rng)
+        s, i = sample_terminal_states(cert, preset_params, 20_000, rng)
         assert np.all(s >= 0) and np.all(s <= preset_params.population)
-        assert np.all(i >= 0) and np.all(r >= 0) and np.all(d >= 0)
+        assert np.all(i >= 0) and np.all(s + i <= preset_params.population)
 
 
 def reference_margin(s, cert):
@@ -236,7 +234,7 @@ class TestConstraintMargin:
 def reference_invariance(cert, params, samples, rng_seed, v_bar):
     """Per-sample loop over the invariance check, one si_step per state."""
     rng = np.random.default_rng(rng_seed)
-    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    s, i = sample_terminal_states(cert, params, samples, rng)
     u = _sample_controls(samples, params.n_a, v_bar, rng)
     violations, worst = 0, np.inf
     for k in range(samples):
@@ -251,7 +249,7 @@ def reference_invariance(cert, params, samples, rng_seed, v_bar):
 def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
     """Per-sample loop over the decrease check, one si_step pair per state."""
     rng = np.random.default_rng(rng_seed)
-    s, i, _, _ = sample_terminal_states(cert, params, samples, rng)
+    s, i = sample_terminal_states(cert, params, samples, rng)
     u_rand = _sample_controls(samples, params.n_a, v_bar, rng)
     gd, eps = params.gamma_d, cert.epsilon
     violations, worst = 0, np.inf
@@ -259,10 +257,7 @@ def reference_lyapunov(cert, params, samples, rng_seed, v_bar):
         cost_now = float(gd @ i[k])
         _, i1, _ = si_step(s[k], i[k], np.zeros(params.n_a), params)
         cost_next = float(gd @ i1)
-        margin_dec = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / max(cost_now, 1e-300)
-        vf_now, vf_next = cost_now / eps, cost_next / eps
-        margin_vf = (-cost_now + LYAPUNOV_RTOL * vf_now - (vf_next - vf_now)) / max(vf_now, 1e-300)
-        margin = min(margin_dec, margin_vf)
+        margin = ((1.0 - eps + LYAPUNOV_RTOL) * cost_now - cost_next) / max(cost_now, 1e-300)
         _, i1_u, _ = si_step(s[k], i[k], u_rand[k], params)
         if not np.array_equal(i1, i1_u):
             margin = -np.inf
@@ -355,7 +350,8 @@ class TestBatchedChecks:
 
 
 class TestCertify:
-    """``certify`` is the shared draw and the three checks, nothing more."""
+    """``certify`` is the shared draw and the three checks, nothing more,
+    with the draw and the growth-bound rollouts on separate streams."""
 
     @pytest.mark.parametrize(
         "instance, samples, rollouts", [("preset", 10_000, 100), ("groups-12", 50, 1)]
@@ -372,11 +368,12 @@ class TestCertify:
                 v_bar=0.05 * float(params.population.sum()),
             )
         cert = CertificateParams.from_model(params, cfg.epsilon)
-        sample = draw_terminal_sample(cert, params, samples, 0, v_bar=cfg.v_bar)
+        states, growth = np.random.SeedSequence(0).spawn(2)
+        sample = draw_terminal_sample(cert, params, samples, states, v_bar=cfg.v_bar)
         want = [
             check_invariance(cert, params, sample),
             check_lyapunov_decrease(cert, params, sample),
-            check_eta_bound(params, rollouts, cfg.strategy_horizon, 0, v_bar=cfg.v_bar),
+            check_eta_bound(params, rollouts, cfg.strategy_horizon, growth, v_bar=cfg.v_bar),
         ]
         names = (
             "sample_terminal_states",
@@ -398,6 +395,78 @@ class TestCertify:
         got = vaxmpc.certify(params, cfg, samples, 0)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
         assert sorted(calls) == sorted(names)  # one draw serves both state checks
+        assert [r.seed for r in got] == [0, 0, 0]
+
+    def test_growth_bound_draws_apart_from_the_terminal_states(
+        self, preset_config, monkeypatch
+    ):
+        """The rollouts' first infections are not a rescaling of the terminal
+        draw's first direction uniforms, as they were when both checks
+        seeded one generator with the same integer."""
+        params, cfg = preset_config.params, preset_config.mpc
+        samples, rollouts = 1000, 10
+        directions, first_i = [], []
+        sampler, kernel = certificates.sample_terminal_states, certificates.si_step
+
+        def sampling(cert, params, n, rng):
+            directions.append(copy.deepcopy(rng).random((rollouts, params.n_a)))
+            return sampler(cert, params, n, rng)
+
+        def stepping(s, i, u, params):
+            if i.shape[0] == rollouts and not first_i:
+                first_i.append(i.copy())
+            return kernel(s, i, u, params)
+
+        monkeypatch.setattr(certificates, "sample_terminal_states", sampling)
+        monkeypatch.setattr(certificates, "si_step", stepping)
+        assert all(r.passed for r in vaxmpc.certify(params, cfg, samples, 0))
+        rescaled = ETA_I0_FRACTION * directions[0] * params.population
+        assert not np.allclose(first_i[0], rescaled)
+
+
+def mutated_si_step(mutation):
+    """``si_step`` with one deliberate defect."""
+
+    def step(s, i, u, params):
+        new_inf = new_infections(s, i, params)
+        if mutation == "infection sign":
+            new_inf = -new_inf
+        room = s - new_inf
+        u_eff = u if mutation == "no clamp" else np.minimum(u, np.maximum(0.0, room))
+        i_next = i + new_inf - params.removal * i
+        if mutation == "input leak":
+            i_next = i_next + 1e-9 * u_eff
+        return room - u_eff, i_next, u_eff
+
+    return step
+
+
+@pytest.mark.parametrize(
+    "mutation, violations",
+    [
+        ("infection sign", [5886, 0, 13899]),
+        ("no clamp", [0, 0, 5314]),
+        ("input leak", [0, 20_000, 2]),
+    ],
+)
+def test_suite_catches_kernel_mutations(preset_config, monkeypatch, mutation, violations):
+    """Each defect in the kernel shows as violations of the checks that read
+    it: invariance, decrease and growth bound, in that order, on the preset
+    at 20 000 samples and seed 0.  Dropping the clamp is caught by the
+    growth bound alone, and only the input-independence re-step catches a
+    control leaking into I'.
+
+    Blind spots at epsilon = 0.1: a halved removal rate, or a zero
+    infection term, gives no violation in any of the three checks.
+    Invariance reads S', which the removal rate does not touch and a zero
+    infection term only keeps larger inside the down-closed X_f; the
+    decrease has room for the halved removal, and a zero infection term
+    only shrinks I'; and neither brings the growth near eta.
+    """
+    monkeypatch.setattr(certificates, "si_step", mutated_si_step(mutation))
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = vaxmpc.certify(preset_config.params, preset_config.mpc, 20_000, 0)
+    assert [r.n_violations for r in reports] == violations
 
 
 class TestInvariance:
@@ -582,8 +651,8 @@ class TestRandomInstances:
         population[2] = 0.0
         params = dataclasses.replace(params, population=population)
         cert = CertificateParams.from_model(params, 0.5 * float(np.min(params.removal)))
-        s, i, r, d = sample_terminal_states(cert, params, 2000, np.random.default_rng(0))
-        for a in (s, i, r, d):
+        s, i = sample_terminal_states(cert, params, 2000, np.random.default_rng(0))
+        for a in (s, i):
             assert np.all(np.isfinite(a))
         assert np.all(_constraint_margin(s, cert) >= 0)
         assert np.all(s >= 0) and np.all(s <= population)
