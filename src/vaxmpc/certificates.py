@@ -17,10 +17,11 @@ componentwise.
 These facts hold symbolically; this module verifies them numerically on
 seeded random samples, :func:`certify` composing the three checks into the
 one suite that ``vaxmpc certify`` runs, and audits finished closed-loop runs
-against the optimal-value death bound.  Checks return reports; violations
-are report content, never exceptions.  The Lyapunov decrease
-V_f(x+) - V_f(x) <= -gamma_d' I of V_f = (1/epsilon) gamma_d' I is the
-contraction divided by epsilon, so one sampled inequality checks both.
+against the optimal-value death bound.  Checks return margins, which
+:func:`certify` reports; violations are report content, never
+exceptions.  The Lyapunov decrease V_f(x+) - V_f(x) <= -gamma_d' I of
+V_f = (1/epsilon) gamma_d' I is the contraction divided by epsilon, so one
+sampled inequality checks both.
 
 The sampled states are (S, I) pairs, the compartments the dynamics of I
 read, each with one admissible control.  The susceptible part of X_f's
@@ -51,11 +52,6 @@ from .results import ScenarioResult
 
 if TYPE_CHECKING:
     from .mpc import MpcConfig
-
-    #: What a sampled check seeds its generator with: the integer a report
-    #: names, or a seed sequence spawned from it.  Only for annotations, so
-    #: importing this module does not load numpy.random.
-    Seed = int | np.random.SeedSequence
 
 #: Absolute tolerance below which an infected vector counts as disease-free.
 XSTAR_ATOL = 1e-12
@@ -148,7 +144,7 @@ def compute_eta(params: ModelParams) -> float:
     return float(np.max(params.gamma_d @ growth / params.gamma_d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertificateParams:
     """The epsilon-dependent matrices of the terminal-set construction.
 
@@ -298,57 +294,25 @@ def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class TerminalSample:
-    """Read-only (S, I) states in X_f, one admissible control each, and the
-    integer seed they were drawn from; the invariance and decrease checks
-    share one."""
-
-    s: np.ndarray
-    i: np.ndarray
-    u: np.ndarray
-    seed: int
-
-
-def _entropy(rng_seed: Seed) -> int:
-    """The integer seed a report names: ``rng_seed`` itself, or the entropy
-    of a seed sequence, which a spawned child shares with its parent."""
-    return getattr(rng_seed, "entropy", rng_seed)
-
-
-def draw_terminal_sample(
-    cert: CertificateParams, params: ModelParams, samples: int, rng_seed: Seed, *, v_bar: float
-) -> TerminalSample:
-    """Draw ``samples`` states in X_f (boundary points included) with
-    :func:`sample_terminal_states`, then one random admissible control per
-    state, both from one generator seeded with ``rng_seed``."""
-    rng = np.random.default_rng(rng_seed)
-    s, i = sample_terminal_states(cert, params, samples, rng)
-    u = _sample_controls(samples, params.n_a, v_bar, rng)
-    for a in (s, i, u):
-        a.setflags(write=False)
-    return TerminalSample(s=s, i=i, u=u, seed=_entropy(rng_seed))
-
-
 def check_invariance(
-    cert: CertificateParams, params: ModelParams, sample: TerminalSample
-) -> CheckReport:
+    cert: CertificateParams, params: ModelParams, s: np.ndarray, i: np.ndarray, u: np.ndarray
+) -> np.ndarray:
     """Sampled check that X_f is invariant under every admissible input.
 
-    Steps each sampled state once under its control and counts a violation
-    where the successor's :func:`_terminal_margin` is negative: outside X_f
-    by the same exact comparisons as :func:`in_terminal_set`.
+    Steps each state (S, I) in X_f once under its control and returns the
+    successor's :func:`_terminal_margin`, one per state: negative outside
+    X_f by the same exact comparisons as :func:`in_terminal_set`.
     """
-    s1, i1, _ = si_step(sample.s, sample.i, sample.u, params)
-    return _report("terminal_set_invariance", _terminal_margin(s1, i1, cert), sample.seed)
+    s1, i1, _ = si_step(s, i, u, params)
+    return _terminal_margin(s1, i1, cert)
 
 
 def check_lyapunov_decrease(
-    cert: CertificateParams, params: ModelParams, sample: TerminalSample
-) -> CheckReport:
+    cert: CertificateParams, params: ModelParams, s: np.ndarray, i: np.ndarray, u: np.ndarray
+) -> np.ndarray:
     """Sampled check of the one-step decrease inequality inside X_f.
 
-    For the sampled states and zero input, verifies
+    For states (S, I) in X_f and zero input, returns the relative margin of
 
         gamma_d' I(n+1) <= (1 - epsilon) gamma_d' I(n)
 
@@ -357,34 +321,33 @@ def check_lyapunov_decrease(
     terminal-cost decrease V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n) is this
     inequality divided by epsilon, so the one test covers both.  A state
     with no infections (S = P leaves no room for any) meets it with
-    equality and has margin 0.  Also re-steps each state under its sampled
-    control, with margin -inf unless the infected successor is bitwise
+    equality and has margin 0.  Also re-steps each state under its control
+    ``u``, with margin -inf unless the infected successor is bitwise
     identical: the decrease condition must not depend on the input.
     """
-    s, i = sample.s, sample.i
     cost_now = matvec_rows(params.gamma_d, i)
     _, i1, _ = si_step(s, i, np.zeros_like(s), params)
     # relative margins are 0 / 1e-300 where there are no infections
     margin = (1.0 - cert.epsilon + LYAPUNOV_RTOL) * cost_now - matvec_rows(params.gamma_d, i1)
     margin /= np.maximum(cost_now, 1e-300)
-    _, i1_u, _ = si_step(s, i, sample.u, params)
+    _, i1_u, _ = si_step(s, i, u, params)
     margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
-    return _report("lyapunov_decrease", margin, sample.seed)
+    return margin
 
 
 def check_eta_bound(
-    params: ModelParams, rollouts: int, days: int, rng_seed: Seed, *, v_bar: float
-) -> CheckReport:
+    params: ModelParams, rollouts: int, days: int, rng: np.random.Generator, *, v_bar: float
+) -> np.ndarray:
     """Check gamma_d' I(n+1) <= eta * gamma_d' I(n) along random rollouts.
 
     Each rollout starts from random infections (uniform up to
     :data:`ETA_I0_FRACTION` of each group) and applies random admissible controls
     every day.  The bound carries relative slack 1e-12 for float rounding.
-    Every rollout's first infections are drawn, then every day's controls
-    in one :func:`_sample_controls` call; then all rollouts step as one
-    batch per day.
+    Every rollout's first infections are drawn from ``rng``, then every
+    day's controls in one :func:`_sample_controls` call; then all rollouts
+    step as one batch per day.  Returns the relative margins, shape
+    (days, rollouts).
     """
-    rng = np.random.default_rng(rng_seed)
     i = np.empty((days + 1, rollouts, params.n_a))
     i[0] = rng.uniform(0.0, ETA_I0_FRACTION, size=(rollouts, params.n_a)) * params.population
     u = _sample_controls((days, rollouts), params.n_a, v_bar, rng)
@@ -393,8 +356,7 @@ def check_eta_bound(
         s, i[day + 1], _ = si_step(s, i[day], u[day], params)
     cost = matvec_rows(params.gamma_d, i)
     bound = compute_eta(params) * cost[:-1]
-    margin = (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
-    return _report("growth_factor_bound", margin, _entropy(rng_seed))
+    return (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
 
 
 def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> list[CheckReport]:
@@ -405,20 +367,24 @@ def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> lis
     ``samples``-state draw in X_f serves the invariance and decrease checks;
     from the second, the growth-bound check steps ``max(1, samples // 100)``
     rollouts over ``cfg.strategy_horizon`` days.  Every report names
-    ``seed``.  The draw and the checks are looked up on this module at call
-    time, so a caller can substitute any of them.
+    ``seed``.  The sampler and the checks are looked up on this module at
+    call time, so a caller can substitute any of them.
     """
     cert = CertificateParams.from_model(params, cfg.epsilon)
     # SeedSequence.spawn, not Generator.spawn, which needs numpy 1.25
-    states, rollouts = np.random.SeedSequence(seed).spawn(2)
-    sample = draw_terminal_sample(cert, params, samples, states, v_bar=cfg.v_bar)
-    return [
-        check_invariance(cert, params, sample),
-        check_lyapunov_decrease(cert, params, sample),
-        check_eta_bound(
+    states, rollouts = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+    s, i = sample_terminal_states(cert, params, samples, states)
+    u = _sample_controls(samples, params.n_a, cfg.v_bar, states)
+    for a in (s, i, u):  # the two state checks share them
+        a.setflags(write=False)
+    margins = {
+        "terminal_set_invariance": check_invariance(cert, params, s, i, u),
+        "lyapunov_decrease": check_lyapunov_decrease(cert, params, s, i, u),
+        "growth_factor_bound": check_eta_bound(
             params, max(1, samples // 100), cfg.strategy_horizon, rollouts, v_bar=cfg.v_bar
         ),
-    ]
+    }
+    return [_report(name, margin, seed) for name, margin in margins.items()]
 
 
 def audit_death_bound(run: ScenarioResult) -> BoundAudit:

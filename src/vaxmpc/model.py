@@ -49,7 +49,7 @@ def _check_vector(x: np.ndarray, n: int, name: str) -> None:
         raise ValidationError(f"{name}: non-finite entries")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Per-group epidemic rates, populations and the normalized contact matrix.
 
@@ -76,7 +76,7 @@ class ModelParams:
     gamma_d: np.ndarray
     population: np.ndarray
     contact: np.ndarray
-    removal: np.ndarray = field(init=False, repr=False, compare=False)
+    removal: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("lam", "gamma_r", "gamma_d", "population"):
@@ -122,7 +122,7 @@ class ModelParams:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EpidemicState:
     """Compartment counts for every age group at one time step.
 
@@ -278,7 +278,7 @@ def initial_state(params: ModelParams, i0: np.ndarray) -> EpidemicState:
     return EpidemicState(s=params.population - i0, i=i0, r=zeros, d=zeros, time_step=0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """A rollout: compartment arrays of shape (T+1, n_a), controls (T, n_a).
 

@@ -140,7 +140,7 @@ class MpcConfig:
             raise ValidationError("rng_seed must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiTrajectory:
     """Predicted susceptible/infected paths, shape (N+1, ..., n_a) each, and
     the doses the clamp let through on each day, shape (N, ..., n_a), as
@@ -156,7 +156,7 @@ class SiTrajectory:
         return SiTrajectory(*(np.take(x, plans, axis=1) for x in (self.s, self.i, self.u)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcpProblem:
     """One day's finite-horizon problem: the start state, the model, the
     controller's settings and the terminal set they fix."""
@@ -180,7 +180,7 @@ class OcpProblem:
         return HARD_MODE_WEIGHT if self.cfg.terminal_mode == "hard" else PENALTY_WEIGHT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OcpSolution:
     controls: np.ndarray
     predicted: SiTrajectory

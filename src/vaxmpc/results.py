@@ -63,7 +63,7 @@ class DayRecord:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
     """Everything produced by one closed-loop run.
 

@@ -24,7 +24,6 @@ from vaxmpc.certificates import (
     check_invariance,
     check_lyapunov_decrease,
     constraint_excess,
-    draw_terminal_sample,
     sample_terminal_states,
     susceptible_box,
     validate_epsilon,
@@ -126,11 +125,11 @@ class TestComputeEta:
         assert vaxmpc.compute_eta(params) == pytest.approx(expected, rel=1e-12)
 
     def test_bound_holds_on_random_rollouts(self, preset_params):
-        report = check_eta_bound(
-            preset_params, rollouts=20, days=60, rng_seed=3, v_bar=55191.0
+        margin = check_eta_bound(
+            preset_params, rollouts=20, days=60, rng=np.random.default_rng(3), v_bar=55191.0
         )
-        assert report.passed
-        assert report.n_samples == 20 * 60
+        assert np.all(margin >= 0)
+        assert margin.shape == (60, 20)
 
 
 class TestSampling:
@@ -231,6 +230,19 @@ class TestConstraintMargin:
             assert np.all(np.isnan(_constraint_margin(rows[:50], with_nan)))
 
 
+def certify_streams(seed):
+    """The two generators ``certify`` spawns from ``seed``: terminal states
+    and their controls, then growth-bound rollouts."""
+    return map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+
+
+def terminal_draw(cert, params, samples, rng, v_bar):
+    """(S, I, u) as ``certify`` draws them from its first stream: states in
+    X_f, then one admissible control each."""
+    s, i = sample_terminal_states(cert, params, samples, rng)
+    return s, i, _sample_controls(samples, params.n_a, v_bar, rng)
+
+
 def reference_invariance(cert, params, samples, rng_seed, v_bar):
     """Per-sample loop over the invariance check, one si_step per state."""
     rng = np.random.default_rng(rng_seed)
@@ -313,9 +325,10 @@ class TestBatchedChecks:
         params = request.getfixturevalue(f"{instance}_params")
         v_bar = 55191.0 if instance == "preset" else 1200.0
         for seed, rollouts, days in [(0, 30, 140), (5, 7, 25), (1, 0, 140), (2, 30, 0)]:
-            got = check_eta_bound(
-                params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
+            margin = check_eta_bound(
+                params, rollouts=rollouts, days=days, rng=np.random.default_rng(seed), v_bar=v_bar
             )
+            got = _report("growth_factor_bound", margin, seed)
             want = reference_eta_bound(params, rollouts, days, seed, v_bar)
             assert got.to_json() == want.to_json()
 
@@ -326,9 +339,10 @@ class TestBatchedChecks:
         v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
         rollouts, days = int(rng.integers(0, 12)), int(rng.integers(0, 40))
         for seed in (0, 7):
-            got = check_eta_bound(
-                params, rollouts=rollouts, days=days, rng_seed=seed, v_bar=v_bar
+            margin = check_eta_bound(
+                params, rollouts=rollouts, days=days, rng=np.random.default_rng(seed), v_bar=v_bar
             )
+            got = _report("growth_factor_bound", margin, seed)
             want = reference_eta_bound(params, rollouts, days, seed, v_bar)
             assert got.to_json() == want.to_json()
 
@@ -338,12 +352,13 @@ class TestBatchedChecks:
         v_bar = 55191.0 if instance == "preset" else 1200.0
         cert = CertificateParams.from_model(params, 0.1)
         for seed in (0, 5):
-            sample = draw_terminal_sample(cert, params, 3000, seed, v_bar=v_bar)
-            inv = check_invariance(cert, params, sample)
+            s, i, u = terminal_draw(cert, params, 3000, np.random.default_rng(seed), v_bar)
+            inv = _report("terminal_set_invariance", check_invariance(cert, params, s, i, u), seed)
             assert (inv.n_violations, inv.worst_margin) == reference_invariance(
                 cert, params, 3000, seed, v_bar
             )
-            lyap = check_lyapunov_decrease(cert, params, sample)
+            margin = check_lyapunov_decrease(cert, params, s, i, u)
+            lyap = _report("lyapunov_decrease", margin, seed)
             assert (lyap.n_violations, lyap.worst_margin) == reference_lyapunov(
                 cert, params, 3000, seed, v_bar
             )
@@ -368,12 +383,16 @@ class TestCertify:
                 v_bar=0.05 * float(params.population.sum()),
             )
         cert = CertificateParams.from_model(params, cfg.epsilon)
-        states, growth = np.random.SeedSequence(0).spawn(2)
-        sample = draw_terminal_sample(cert, params, samples, states, v_bar=cfg.v_bar)
+        states, growth = certify_streams(0)
+        s, i, u = terminal_draw(cert, params, samples, states, cfg.v_bar)
         want = [
-            check_invariance(cert, params, sample),
-            check_lyapunov_decrease(cert, params, sample),
-            check_eta_bound(params, rollouts, cfg.strategy_horizon, growth, v_bar=cfg.v_bar),
+            _report("terminal_set_invariance", check_invariance(cert, params, s, i, u), 0),
+            _report("lyapunov_decrease", check_lyapunov_decrease(cert, params, s, i, u), 0),
+            _report(
+                "growth_factor_bound",
+                check_eta_bound(params, rollouts, cfg.strategy_horizon, growth, v_bar=cfg.v_bar),
+                0,
+            ),
         ]
         names = (
             "sample_terminal_states",
@@ -431,9 +450,12 @@ def mutated_si_step(mutation):
         new_inf = new_infections(s, i, params)
         if mutation == "infection sign":
             new_inf = -new_inf
+        elif mutation == "zero infection":
+            new_inf = np.zeros_like(new_inf)
         room = s - new_inf
         u_eff = u if mutation == "no clamp" else np.minimum(u, np.maximum(0.0, room))
-        i_next = i + new_inf - params.removal * i
+        removal = 0.5 * params.removal if mutation == "halved removal" else params.removal
+        i_next = i + new_inf - removal * i
         if mutation == "input leak":
             i_next = i_next + 1e-9 * u_eff
         return room - u_eff, i_next, u_eff
@@ -447,6 +469,8 @@ def mutated_si_step(mutation):
         ("infection sign", [5886, 0, 13899]),
         ("no clamp", [0, 0, 5314]),
         ("input leak", [0, 20_000, 2]),
+        ("halved removal", [0, 0, 0]),
+        ("zero infection", [0, 0, 0]),
     ],
 )
 def test_suite_catches_kernel_mutations(preset_config, monkeypatch, mutation, violations):
@@ -462,6 +486,7 @@ def test_suite_catches_kernel_mutations(preset_config, monkeypatch, mutation, vi
     infection term only keeps larger inside the down-closed X_f; the
     decrease has room for the halved removal, and a zero infection term
     only shrinks I'; and neither brings the growth near eta.
+    :class:`TestKernelClosedForm` catches both.
     """
     monkeypatch.setattr(certificates, "si_step", mutated_si_step(mutation))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -469,14 +494,70 @@ def test_suite_catches_kernel_mutations(preset_config, monkeypatch, mutation, vi
     assert [r.n_violations for r in reports] == violations
 
 
+MUTATIONS = ("infection sign", "no clamp", "input leak", "halved removal", "zero infection")
+
+
+def reference_si_step(s, i, u, params):
+    """The kernel's closed form, computed apart from ``si_step``: the removal
+    rate as gamma_r + gamma_d and the contact sums as i @ C'."""
+    new = params.lam * s * (i @ params.contact.T)
+    room = s - new
+    u_eff = np.minimum(u, np.maximum(0.0, room))
+    return room - u_eff, i + new - (params.gamma_r + params.gamma_d) * i, u_eff
+
+
+def matches_closed_form(step, s, i, u, params):
+    """Whether ``step`` gives (S', I', u_eff) within relative 1e-12 of
+    :func:`reference_si_step`.  S' = S - new - u_eff cancels where S' is
+    much smaller than S, so its rounding is of the order of ulp(S), and it
+    gets an absolute floor of 1e-12 S."""
+    got, want = step(s, i, u, params), reference_si_step(s, i, u, params)
+    floors = (1e-12 * s, 0.0, 0.0)
+    return all(
+        np.all(np.abs(g - w) <= 1e-12 * np.abs(w) + f) for g, w, f in zip(got, want, floors)
+    )
+
+
+class TestKernelClosedForm:
+    """``si_step`` equals its closed form on certify's terminal sample and on
+    random states where the clamp binds, and each kernel mutation, the two
+    the sampled suite misses included, breaks the equality.
+
+    Measured at 20 000 states per input set: the unmutated kernel stays
+    below 0.003 of the tolerance, and the smallest mutation effect (the
+    input leak, on I') is above 10^4 times it."""
+
+    @pytest.mark.parametrize("n_a", [1, 2, 6, 12, 16])
+    def test_matches_and_every_mutation_breaks_it(self, preset_config, n_a):
+        if n_a == 6:
+            params, cfg = preset_config.params, preset_config.mpc
+        else:
+            params = random_params(n_a, np.random.default_rng(3000 + n_a))
+            cfg = vaxmpc.MpcConfig(
+                epsilon=0.5 * float(np.min(params.removal)),
+                v_bar=0.05 * float(params.population.sum()),
+            )
+        cert = CertificateParams.from_model(params, cfg.epsilon)
+        states, _ = certify_streams(0)
+        rng = np.random.default_rng(n_a)
+        s = rng.uniform(0.0, 1.0, (20_000, n_a)) * params.population
+        i = rng.uniform(0.0, 1.0, s.shape) * (params.population - s)
+        u = rng.uniform(0.0, 2.0, s.shape) * s
+        assert np.any(reference_si_step(s, i, u, params)[2] < u)  # the clamp binds
+        for inputs in (terminal_draw(cert, params, 20_000, states, cfg.v_bar), (s, i, u)):
+            assert matches_closed_form(si_step, *inputs, params)
+            for mutation in MUTATIONS:
+                mutated = mutated_si_step(mutation)
+                assert not matches_closed_form(mutated, *inputs, params), mutation
+
+
 class TestInvariance:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        sample = draw_terminal_sample(cert, preset_params, 2000, 11, v_bar=55191.0)
-        report = check_invariance(cert, preset_params, sample)
-        assert report.passed
-        assert report.n_samples == 2000
-        assert report.worst_margin >= 0
+        draw = terminal_draw(cert, preset_params, 2000, np.random.default_rng(11), 55191.0)
+        margin = check_invariance(cert, preset_params, *draw)
+        assert np.all(margin >= 0)
+        assert margin.shape == (2000,)
 
     def test_disease_free_state_stays(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
@@ -486,8 +567,9 @@ class TestInvariance:
 
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        sample = draw_terminal_sample(cert, preset_params, 50, 2, v_bar=55191.0)
-        report = check_invariance(cert, preset_params, sample)
+        draw = terminal_draw(cert, preset_params, 50, np.random.default_rng(2), 55191.0)
+        margin = check_invariance(cert, preset_params, *draw)
+        report = _report("terminal_set_invariance", margin, 2)
         payload = json.loads(report.to_json())
         assert set(payload) >= {"n_samples", "n_violations", "worst_margin", "seed"}
         assert payload["seed"] == 2
@@ -496,9 +578,8 @@ class TestInvariance:
 class TestLyapunovDecrease:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
-        sample = draw_terminal_sample(cert, preset_params, 2000, 4, v_bar=55191.0)
-        report = check_lyapunov_decrease(cert, preset_params, sample)
-        assert report.passed
+        draw = terminal_draw(cert, preset_params, 2000, np.random.default_rng(4), 55191.0)
+        assert np.all(check_lyapunov_decrease(cert, preset_params, *draw) >= 0)
 
     def test_scalar_threshold_example(self):
         params = scalar_params()
@@ -630,13 +711,13 @@ class TestRandomInstances:
             if n_a == 1 and k >= 5:
                 assert susceptible_box(cert, params)[0] == params.population[0]
             v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
-            sample = draw_terminal_sample(cert, params, 500, k, v_bar=v_bar)
+            draw = terminal_draw(cert, params, 500, np.random.default_rng(k), v_bar)
             checks = [
                 (check_invariance, reference_invariance),
                 (check_lyapunov_decrease, reference_lyapunov),
             ]
             for check, reference in checks:
-                report = check(cert, params, sample)
+                report = _report(check.__name__, check(cert, params, *draw), k)
                 assert np.isfinite(report.worst_margin), (k, report)
                 assert report.n_violations == 0, (k, report)
                 # each reference draws on its own, from the shared draw's stream
@@ -658,9 +739,9 @@ class TestRandomInstances:
         assert np.all(s >= 0) and np.all(s <= population)
         assert np.all(s[:, 2] == 0.0)
         assert np.all(np.delete(s, 2, axis=1).any(axis=1))
-        sample = draw_terminal_sample(cert, params, 2000, 0, v_bar=0.05 * population.sum())
+        draw = terminal_draw(cert, params, 2000, np.random.default_rng(0), 0.05 * population.sum())
         for check in (check_invariance, check_lyapunov_decrease):
-            report = check(cert, params, sample)
+            report = _report(check.__name__, check(cert, params, *draw), 0)
             assert np.isfinite(report.worst_margin) and report.passed, report
 
 

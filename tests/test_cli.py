@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vaxmpc import certificates, cli, scenario
-from vaxmpc.certificates import CheckReport
 from vaxmpc.errors import SolverFailure
 
 
@@ -366,7 +365,7 @@ class TestCertify:
         def no_draw(*args, **kwargs):
             raise AssertionError("sampled despite the cap")
 
-        for name in ("sample_terminal_states", "draw_terminal_sample", "check_eta_bound"):
+        for name in ("sample_terminal_states", "_sample_controls", "check_eta_bound"):
             monkeypatch.setattr(certificates, name, no_draw)
         code = cli.main(
             ["--quiet", "certify", "--config", str(desk_config_path), "--samples", str(samples)]
@@ -435,13 +434,7 @@ class TestCertify:
         assert all(c["n_violations"] == 0 for c in payload["checks"])
 
     def test_violations_exit_three(self, desk_config_path, monkeypatch):
-        failing = CheckReport(
-            name="terminal_set_invariance",
-            n_samples=10,
-            n_violations=2,
-            worst_margin=-1.0,
-            seed=0,
-        )
+        failing = np.array([0.5, -1.0, 2.0])
         monkeypatch.setattr(
             certificates, "check_invariance", lambda *a, **k: failing
         )

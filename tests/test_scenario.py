@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import vaxmpc
-from vaxmpc.certificates import validate_epsilon
+from vaxmpc.certificates import CheckReport, validate_epsilon
 from vaxmpc.errors import ContractViolation, ValidationError
 from vaxmpc.model import Trajectory
+from vaxmpc.mpc import OcpSolution, SiTrajectory
 from vaxmpc.results import ScenarioResult
 from vaxmpc.scenario import (
     BUILTIN_MATRIX,
@@ -680,3 +681,34 @@ class TestWriters:
         for line, rec in zip(lines, run.day_records):
             assert json.loads(line)["iterations"] == rec.iterations
         assert first["iterations"] > 0
+
+
+class TestRecordEquality:
+    """Records that hold arrays compare by identity, so ``==`` and ``hash``
+    never touch the arrays; records of scalars keep value equality."""
+
+    def test_records_holding_arrays_compare_by_identity(
+        self, desk_params, desk_state0, desk_cfg
+    ):
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "national")
+        problem = vaxmpc.build_ocp(desk_state0, desk_cfg, desk_params)
+        predicted = SiTrajectory(desk_state0.s[None], desk_state0.i[None], np.zeros((0, 2)))
+        solution = OcpSolution(np.zeros((0, 2)), predicted, 0.0, True, 0.0, 0)
+        records = [
+            desk_params, desk_state0, run.trajectory, predicted, problem, solution,
+            problem.cert, run,
+        ]
+        for record in records:
+            twin = dataclasses.replace(record)
+            assert record == record and record != twin
+            assert hash(record) == hash(record) and hash(record) != hash(twin)
+
+    def test_scalar_records_compare_by_value(self, desk_cfg):
+        assert desk_cfg == dataclasses.replace(desk_cfg)
+        assert hash(desk_cfg) == hash(dataclasses.replace(desk_cfg))
+        report = CheckReport("check", 10, 0, 0.5, 0)
+        assert report == dataclasses.replace(report)
+        assert hash(report) == hash(dataclasses.replace(report))
+        config = get_preset("wallonia-2020")
+        assert config == dataclasses.replace(config)
+        assert hash(config) == hash(dataclasses.replace(config))
