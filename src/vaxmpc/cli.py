@@ -133,7 +133,11 @@ def _parse_vary(spec: str) -> tuple[list[str], list]:
 
 
 def _cmd_sweep(args) -> int:
-    base = scenario.load_config(args.config)
+    raw = scenario.read_json(Path(args.config))
+    base_dir = Path(args.config).parent
+    scenario.config_from_dict(raw, base_dir=base_dir)  # a bad base fails before any value
+    if args.seed is not None:  # laid under the values, so a varied mpc.rng_seed wins
+        raw = scenario.overlay(raw, {"mpc": {"rng_seed": args.seed}})
     keys, values = _parse_vary(args.vary)
     field = ".".join(keys)
     if keys[0] == "preset":
@@ -150,9 +154,7 @@ def _cmd_sweep(args) -> int:
         patch = value
         for key in reversed(keys):
             patch = {key: patch}
-        data = scenario.overlay(base.to_dict(), patch)
-        config = scenario.config_from_dict(data, base_dir=Path(args.config).parent)
-        config = _with_seed(config, args.seed)
+        config = scenario.config_from_dict(scenario.overlay(raw, patch), base_dir=base_dir)
         mpc.check_loop_inputs(config.state0, config.mpc, config.params, config.policy)
         runs[run_dir] = (value, config)
     if out_root.is_dir():  # it may hold this sweep's own entries and nothing else

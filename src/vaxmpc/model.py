@@ -188,19 +188,14 @@ class EpidemicState:
             )
 
 
-def validate_control(u: np.ndarray, n_a: int, v_bar: float | None = None) -> np.ndarray:
-    """Validate a daily vaccination vector; returns it as a float array.
-
-    Nonnegativity and dimension are always required; the capacity bound
-    ``sum(u) <= v_bar`` is checked only when ``v_bar`` is given (it lives in
-    the scenario configuration, not in the control itself).
-    """
+def validate_control(u: np.ndarray, n_a: int) -> np.ndarray:
+    """Validate a daily vaccination vector's dimension and signs; returns it
+    as a float array.  The capacity bound ``sum(u) <= v_bar`` lives in the
+    scenario configuration and is not checked here."""
     u = np.asarray(u, dtype=float)
     _check_vector(u, n_a, "u")
     if (u < 0).any():
         raise ValidationError("u: vaccination counts must be nonnegative")
-    if v_bar is not None and u.sum() > v_bar * (1 + 1e-12):
-        raise ValidationError(f"u: total {u.sum()} exceeds daily capacity {v_bar}")
     return u
 
 

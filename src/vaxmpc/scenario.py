@@ -112,14 +112,11 @@ CONFIG_KEYS = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A built scenario: its model and first state, each checked as it was
-    built, the contact-matrix source the model was loaded from, the policy
-    and the controller."""
+    built, the policy and the controller.  The config format is known only
+    to :data:`CONFIG_KEYS` and :func:`config_from_dict`."""
 
-    name: str
     params: ModelParams
     state0: EpidemicState
-    contact_matrix_path: str
-    contact_matrix_is_raw: bool
     policy: str
     mpc: mpc_mod.MpcConfig
 
@@ -129,26 +126,6 @@ class ScenarioConfig:
         ``perfbench/workloads.py`` reads it; dropping it would change the
         benchmark."""
         return self.params.population
-
-    def to_dict(self) -> dict:
-        params = self.params
-        return {
-            "name": self.name,
-            "model": {
-                "lambda": params.lam.tolist(),
-                "gamma_r": params.gamma_r.tolist(),
-                "gamma_d": params.gamma_d.tolist(),
-                "population": params.population.tolist(),
-            },
-            "i0": self.state0.i.tolist(),
-            "contact_matrix_path": self.contact_matrix_path,
-            "contact_matrix_is_raw": self.contact_matrix_is_raw,
-            "policy": self.policy,
-            "mpc": asdict(self.mpc),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def build_params(self) -> ModelParams:
         """``params``, built when the config was loaded.  The method stays
@@ -240,8 +217,7 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> Scenario
         mpc_cfg = mpc_mod.MpcConfig(**mpc_raw)
     except ValidationError as exc:
         raise ValidationError(f"mpc.{exc}") from exc
-    name = merged.get("name", preset_name or "scenario")
-    _require(isinstance(name, str), "name", "expected a string")
+    _require(isinstance(merged.get("name", ""), str), "name", "expected a string")
 
     contact = load_contact_matrix(matrix_path, is_raw, np.asarray(population), base_dir)
     params = ModelParams(lam, gamma_r, gamma_d, population, contact)
@@ -250,16 +226,16 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> Scenario
         validate_epsilon(mpc_cfg.epsilon, params.removal)
     except ValidationError as exc:
         raise ValidationError(f"mpc.{exc}") from exc
-    return ScenarioConfig(name, params, state0, matrix_path, is_raw, policy, mpc_cfg)
+    return ScenarioConfig(params, state0, policy, mpc_cfg)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Read, validate and build a JSON scenario config from disk."""
     path = Path(path)
-    return config_from_dict(_read_json(path), base_dir=path.parent)
+    return config_from_dict(read_json(path), base_dir=path.parent)
 
 
-def _read_json(path: Path):
+def read_json(path: Path):
     """A file's JSON value; a file that is not UTF-8 JSON is a ValidationError."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -556,7 +532,7 @@ def load_metrics(run_dir: str | Path) -> MetricsPayload:
     """Read back a run directory's metrics.json; a malformed one is a
     ValidationError that names the file."""
     path = Path(run_dir) / "metrics.json"
-    raw = _read_json(path)
+    raw = read_json(path)
     metrics = raw.get("metrics") if isinstance(raw, dict) else None
     _require(isinstance(metrics, dict), str(path), "expected an object with a metrics object")
     try:

@@ -438,9 +438,6 @@ class TestCertify:
         monkeypatch.setattr(
             certificates, "check_invariance", lambda *a, **k: failing
         )
-        monkeypatch.setattr(
-            "vaxmpc.cli.certificates.check_invariance", lambda *a, **k: failing
-        )
         code = cli.main(
             ["--quiet", "certify", "--config", str(desk_config_path), "--samples", "50"]
         )
@@ -542,6 +539,33 @@ class TestSweep:
         )
         assert code == 0
         assert events == ["load", "load", "load", "run 600", "run 1200"]
+
+    def test_value_the_file_holds_runs_as_simulate(self, desk_config_path, tmp_path):
+        """A sweep builds each value from the config file's own JSON, so the
+        value the file already holds writes what ``simulate`` of the file writes."""
+        out, alone = tmp_path / "sweep", tmp_path / "alone"
+        assert cli.main(["--quiet", "sweep", "--config", str(desk_config_path),
+                         "--vary", "mpc.v_bar=1200.0", "--out", str(out)]) == 0
+        assert cli.main(["--quiet", "simulate", "--config", str(desk_config_path),
+                         "--out", str(alone)]) == 0
+        for name in ("trajectory.csv", "metrics.json", "diagnostics.jsonl"):
+            assert (out / "mpc.v_bar=1200.0" / name).read_bytes() == (alone / name).read_bytes()
+
+    def test_varied_seed_wins_over_global_seed(self, desk_config_path, tmp_path, capsys):
+        """``--seed 5`` used to replace every varied ``mpc.rng_seed``, so
+        ``mpc.rng_seed=1/`` and ``mpc.rng_seed=2/`` both ran seed 5."""
+        def sweep(out, vary, *seed):
+            return cli.main(["--quiet", *seed, "sweep", "--config", str(desk_config_path),
+                             "--vary", vary, "--out", str(out)])
+
+        assert sweep(tmp_path / "seeded", "mpc.rng_seed=1,2", "--seed", "5") == 0
+        assert sweep(tmp_path / "plain", "mpc.rng_seed=1,2") == 0
+        for name in ("mpc.rng_seed=1", "mpc.rng_seed=2"):
+            seeded = (tmp_path / "seeded" / name / "trajectory.csv").read_bytes()
+            assert seeded == (tmp_path / "plain" / name / "trajectory.csv").read_bytes()
+        assert sweep(tmp_path / "negative", "mpc.v_bar=600", "--seed", "-1") == 1
+        assert one_error_line(capsys) == "error: mpc.rng_seed must be nonnegative"
+        assert not (tmp_path / "negative").exists()
 
     def test_entry_of_another_sweep_refused(self, desk_config_path, tmp_path, capsys):
         """A narrower sweep into an earlier sweep's --out used to leave the

@@ -463,10 +463,6 @@ class TestModelParamsValidation:
 
 
 class TestValidateControl:
-    def test_capacity_enforced_when_given(self):
-        with pytest.raises(ValidationError):
-            vaxmpc.validate_control(np.array([60.0, 50.0]), 2, v_bar=100.0)
-
     def test_capacity_ignored_when_absent(self):
         u = vaxmpc.validate_control(np.array([60.0, 50.0]), 2)
         assert u.sum() == 110.0
