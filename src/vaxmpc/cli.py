@@ -7,6 +7,12 @@ Subcommands::
     vaxmpc certify  --config cfg.json --samples 5000 --seed 0
     vaxmpc sweep    --config cfg.json --vary mpc.v_bar=40000,55191 --out runs/sweep
 
+Every override (``--seed``, ``simulate --policy``, each ``sweep --vary``
+value) is a patch laid over the ``--config`` file's JSON by
+:func:`scenario.overlay`, after the file as written has been built and
+checked, so an override is checked as the same value written in the file.
+Every seed, global or ``certify --seed``, must be nonnegative.
+
 Exit codes: 0 success, 1 usage, validation or config error (or an array
 too large to allocate), 2 solver failure, 3 certificate violation.
 """
@@ -14,12 +20,11 @@ too large to allocate), 2 solver failure, 3 certificate violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from . import certificates, mpc, scenario, strategies
+from . import certificates, mpc, scenario
 from .errors import SolverFailure, ValidationError, VaxmpcError
 
 
@@ -34,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run one policy's closed loop")
     sim.add_argument("--config", required=True)
-    sim.add_argument("--policy", choices=strategies.POLICIES, default=None)
+    sim.add_argument("--policy", default=None, help="override the config's policy")
     sim.add_argument("--out", required=True)
 
     cmp_cmd = sub.add_parser("compare", help="compare finished run directories")
@@ -59,17 +64,23 @@ def _say(args, message: str) -> None:
         print(message)
 
 
-def _with_seed(config: scenario.ScenarioConfig, seed: int | None):
-    if seed is None:
-        return config
-    return dataclasses.replace(
-        config, mpc=dataclasses.replace(config.mpc, rng_seed=seed)
-    )
+def _config_json(args) -> tuple[dict, Path]:
+    """The ``--config`` file's JSON with a global ``--seed`` laid over it,
+    and the file's directory.  The file as written is built first, so a bad
+    file fails before any override is read."""
+    raw = scenario.read_json(Path(args.config))
+    base_dir = Path(args.config).parent
+    scenario.config_from_dict(raw, base_dir=base_dir)
+    if args.seed is not None:
+        raw = scenario.overlay(raw, {"mpc": {"rng_seed": args.seed}})
+    return raw, base_dir
 
 
 def _cmd_simulate(args) -> int:
-    config = _with_seed(scenario.load_config(args.config), args.seed)
-    run = scenario.run_scenario(config, policy=args.policy)
+    raw, base_dir = _config_json(args)
+    patch = {} if args.policy is None else {"policy": args.policy}
+    config = scenario.config_from_dict(scenario.overlay(raw, patch), base_dir=base_dir)
+    run = scenario.run_scenario(config)
     metrics = scenario.write_run(run, args.out)
     _say(args, f"policy={run.policy} -> {args.out}")
     _say(args, json.dumps(metrics.to_dict(), sort_keys=True, indent=2))
@@ -93,8 +104,6 @@ def _cmd_certify(args) -> int:
     if args.samples > certificates.MAX_SAMPLES:
         raise ValidationError(f"--samples must be at most {certificates.MAX_SAMPLES}")
     seed = args.cert_seed if args.cert_seed is not None else (args.seed or 0)
-    if seed < 0:
-        raise ValidationError("--seed must be nonnegative")
     config = scenario.load_config(args.config)
     reports = certificates.certify(config.params, config.mpc, args.samples, seed)
     payload = {
@@ -133,11 +142,7 @@ def _parse_vary(spec: str) -> tuple[list[str], list]:
 
 
 def _cmd_sweep(args) -> int:
-    raw = scenario.read_json(Path(args.config))
-    base_dir = Path(args.config).parent
-    scenario.config_from_dict(raw, base_dir=base_dir)  # a bad base fails before any value
-    if args.seed is not None:  # laid under the values, so a varied mpc.rng_seed wins
-        raw = scenario.overlay(raw, {"mpc": {"rng_seed": args.seed}})
+    raw, base_dir = _config_json(args)  # the seed lies under the values: a varied one wins
     keys, values = _parse_vary(args.vary)
     field = ".".join(keys)
     if keys[0] == "preset":
@@ -187,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error; 2 is a solver failure
         return 1 if exc.code else 0
     try:
+        if min(args.seed or 0, getattr(args, "cert_seed", None) or 0) < 0:
+            raise ValidationError("--seed must be nonnegative")
         return _HANDLERS[args.command](args)
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

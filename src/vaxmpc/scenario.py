@@ -477,11 +477,11 @@ def _compare(payloads: list[MetricsPayload]) -> ComparisonReport:
     return ComparisonReport(start_day, metrics, improvements)
 
 
-def run_scenario(config: ScenarioConfig, policy: str | None = None) -> ScenarioResult:
-    """Simulate a config's policy's closed loop from its built model and first state."""
-    return mpc_mod.run_policy_loop(
-        config.state0, config.mpc, config.params, policy=policy or config.policy
-    )
+def run_scenario(config: ScenarioConfig) -> ScenarioResult:
+    """Simulate the closed loop of a config's own policy from its built model
+    and first state.  Another policy is another config: lay
+    ``{"policy": ...}`` over the config's JSON with :func:`overlay`."""
+    return mpc_mod.run_policy_loop(config.state0, config.mpc, config.params, config.policy)
 
 
 def write_run(

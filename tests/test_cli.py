@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vaxmpc import certificates, cli, scenario
-from vaxmpc.errors import SolverFailure
+from vaxmpc.errors import SolverFailure, ValidationError
 
 
 @pytest.fixture()
@@ -109,12 +109,49 @@ class TestSimulate:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
-    def test_negative_seed_exits_one(self, desk_config_path, tmp_path, capsys):
-        out = str(tmp_path / "run")
-        code = cli.main(["--seed", "-1", "simulate", "--config", str(desk_config_path),
-                         "--out", out])
+    @pytest.mark.parametrize(
+        "global_flags, flags, patch",
+        [
+            (["--seed", "4"], [], {"mpc": {"rng_seed": 4}}),
+            ([], ["--policy", "national"], {"policy": "national"}),
+        ],
+        ids=["seed", "policy"],
+    )
+    def test_override_writes_what_the_same_value_in_the_file_writes(
+        self, desk_config_path, tmp_path, global_flags, flags, patch
+    ):
+        """An override is a patch on the file's JSON, so it runs as a copy of
+        the file that holds the same value."""
+        config = scenario.overlay(json.loads(desk_config_path.read_text()), patch)
+        copy = tmp_path / "copy.json"
+        copy.write_text(json.dumps(config))
+        override, written = tmp_path / "override", tmp_path / "written"
+        assert cli.main(["--quiet", *global_flags, "simulate", "--config",
+                         str(desk_config_path), *flags, "--out", str(override)]) == 0
+        assert cli.main(["--quiet", "simulate", "--config", str(copy),
+                         "--out", str(written)]) == 0
+        names = sorted(path.name for path in written.iterdir())
+        assert sorted(path.name for path in override.iterdir()) == names
+        assert all((override / n).read_bytes() == (written / n).read_bytes() for n in names)
+
+    @pytest.mark.parametrize(
+        "in_file, flag", [("magic", "none"), ("mpc", "magic")], ids=["in-file", "override"]
+    )
+    def test_bad_policy_exits_one(self, desk_config_path, tmp_path, capsys, in_file, flag):
+        """The file is built as written before ``--policy`` is laid over it,
+        so a bad policy in the file fails even where the flag would replace it,
+        and a bad flag fails by the file's own rule."""
+        config = json.loads(desk_config_path.read_text())
+        config["policy"] = in_file
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(path), "--policy", flag, "--out", str(out)])
         assert code == 1
-        assert "error: rng_seed must be nonnegative" in capsys.readouterr().err
+        assert one_error_line(capsys) == (
+            "error: policy: must be one of none|national|mpc, got 'magic'"
+        )
+        assert not out.exists()
 
     def test_bad_config_exits_one(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -200,7 +237,6 @@ class TestSimulate:
             raise SolverFailure("numerical blow-up")
 
         monkeypatch.setattr("vaxmpc.scenario.run_scenario", boom)
-        monkeypatch.setattr("vaxmpc.cli.scenario.run_scenario", boom)
         code = cli.main(
             ["simulate", "--config", str(desk_config_path), "--out", "x"]
         )
@@ -259,6 +295,14 @@ class TestCompare:
 
     def test_missing_run_dir_exits_one(self, tmp_path):
         assert cli.main(["compare", "--runs", str(tmp_path / "ghost")]) == 1
+
+    def test_quiet_without_out_prints_the_json_report(self, desk_config_path, tmp_path, capsys):
+        runs = [str(tmp_path / policy) for policy in ("none", "national")]
+        for policy, out in zip(("none", "national"), runs):
+            assert cli.main(["--quiet", "simulate", "--config", str(desk_config_path),
+                             "--policy", policy, "--out", out]) == 0
+        assert cli.main(["--quiet", "compare", "--runs", *runs]) == 0
+        assert capsys.readouterr().out == scenario.compare_run_dirs(runs).to_json() + "\n"
 
 
 class TestCertify:
@@ -345,18 +389,6 @@ class TestCertify:
         )
         assert code == 1
         assert "error: --samples must be a positive integer" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "seed_args",
-        [["certify", "--seed", "-1"], ["--seed", "-1", "certify"]],
-        ids=["certify-seed", "global-seed"],
-    )
-    def test_negative_seed_exits_one(self, desk_config_path, capsys, seed_args):
-        code = cli.main(
-            ["--quiet", *seed_args, "--config", str(desk_config_path), "--samples", "10"]
-        )
-        assert code == 1
-        assert "error: --seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", [certificates.MAX_SAMPLES + 1, 10**12])
     def test_too_many_samples_exit_one_before_drawing(
@@ -460,6 +492,28 @@ def test_epsilon_outside_the_configs_rates_fails_on_load(command, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1", "simulate"],
+        ["--seed", "-1", "sweep", "--vary", "mpc.v_bar=600"],
+        ["--seed", "-1", "sweep", "--vary", "mpc.rng_seed=1,2"],
+        ["--seed", "-1", "certify"],
+        ["certify", "--seed", "-1"],
+    ],
+    ids=["simulate", "sweep", "sweep-varied-seed", "certify-global-seed", "certify-seed"],
+)
+def test_negative_seed_exits_one(argv, desk_config_path, tmp_path, capsys):
+    """One seed rule for every command, checked before the command runs.  A
+    sweep that varies ``mpc.rng_seed`` used to run without reading the
+    negative global ``--seed`` it laid each value over."""
+    out = tmp_path / "out"
+    code = cli.main(["--quiet", *argv, "--config", str(desk_config_path), "--out", str(out)])
+    assert code == 1
+    assert one_error_line(capsys) == "error: --seed must be nonnegative"
+    assert not out.exists()
+
+
 class TestSweep:
     def test_sweeps_capacity_values(self, desk_config_path, tmp_path):
         out = tmp_path / "sweep"
@@ -517,6 +571,10 @@ class TestSweep:
     def test_vary_values_parsed(self, vary, values):
         assert cli._parse_vary(vary)[1] == values
 
+    def test_vary_without_equals_rejected(self):
+        with pytest.raises(ValidationError, match=r"^--vary expects FIELD=V1,V2,\.\.\.$"):
+            cli._parse_vary("mpc.v_bar")
+
     def test_builds_each_values_model_once(self, desk_config_path, tmp_path, monkeypatch):
         """The matrix is read once for the base config and once per value,
         and never again while the runs go."""
@@ -551,7 +609,7 @@ class TestSweep:
         for name in ("trajectory.csv", "metrics.json", "diagnostics.jsonl"):
             assert (out / "mpc.v_bar=1200.0" / name).read_bytes() == (alone / name).read_bytes()
 
-    def test_varied_seed_wins_over_global_seed(self, desk_config_path, tmp_path, capsys):
+    def test_varied_seed_wins_over_global_seed(self, desk_config_path, tmp_path):
         """``--seed 5`` used to replace every varied ``mpc.rng_seed``, so
         ``mpc.rng_seed=1/`` and ``mpc.rng_seed=2/`` both ran seed 5."""
         def sweep(out, vary, *seed):
@@ -563,9 +621,6 @@ class TestSweep:
         for name in ("mpc.rng_seed=1", "mpc.rng_seed=2"):
             seeded = (tmp_path / "seeded" / name / "trajectory.csv").read_bytes()
             assert seeded == (tmp_path / "plain" / name / "trajectory.csv").read_bytes()
-        assert sweep(tmp_path / "negative", "mpc.v_bar=600", "--seed", "-1") == 1
-        assert one_error_line(capsys) == "error: mpc.rng_seed must be nonnegative"
-        assert not (tmp_path / "negative").exists()
 
     def test_entry_of_another_sweep_refused(self, desk_config_path, tmp_path, capsys):
         """A narrower sweep into an earlier sweep's --out used to leave the

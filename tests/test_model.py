@@ -177,6 +177,10 @@ class TestStateValidation:
         with pytest.raises(ContractViolation):
             vaxmpc.EpidemicState(**vectors)
 
+    def test_negative_time_step_rejected(self):
+        with pytest.raises(ValidationError, match="^time_step must be nonnegative$"):
+            vaxmpc.EpidemicState(**self.compartments(), time_step=-1)
+
 
 class TestStateIsAValue:
     """A built state holds read-only float64 copies of what it was given."""
@@ -212,6 +216,11 @@ class TestStateIsAValue:
 
 
 class TestRollout:
+    def test_controls_of_another_width_rejected(self, desk_params, desk_state0):
+        message = r"^controls: expected shape \(T, 2\), got \(3, 3\)$"
+        with pytest.raises(ContractViolation, match=message):
+            vaxmpc.rollout(desk_state0, np.zeros((3, 3)), desk_params)
+
     def test_constant_when_nothing_happens(self, desk_params):
         state = vaxmpc.initial_state(desk_params, np.zeros(2))
         traj = vaxmpc.rollout(state, np.zeros((10, 2)), desk_params)
@@ -460,6 +469,30 @@ class TestModelParamsValidation:
                 population=np.array([100.0]),
                 contact=np.array([[0.05]]),
             )
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"lam": np.array([1.5])}, ValidationError,
+             "lam: transmission probabilities must be <= 1"),
+            ({"contact": np.array([[0.001, 0.0]])}, ContractViolation,
+             r"contact: expected shape \(1, 1\), got \(1, 2\)"),
+            ({"contact": np.array([[-0.001]])}, ValidationError,
+             "contact: entries must be finite and nonnegative"),
+        ],
+        ids=["lam-above-one", "contact-shape", "contact-negative"],
+    )
+    def test_rejects_bad_rate_or_contact(self, change, error, message):
+        fields = {
+            "lam": np.array([0.1]),
+            "gamma_r": np.array([0.5]),
+            "gamma_d": np.array([0.1]),
+            "population": np.array([100.0]),
+            "contact": np.array([[0.001]]),
+        }
+        with pytest.raises(error, match=f"^{message}$") as caught:
+            vaxmpc.ModelParams(**{**fields, **change})
+        assert type(caught.value) is error
 
 
 class TestValidateControl:

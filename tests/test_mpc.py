@@ -147,6 +147,10 @@ class TestBuildOcp:
         with pytest.raises(ContractViolation, match=r"expected \(40, \.\.\., 6\)"):
             predict(problem, np.zeros(shape))
 
+    def test_params_of_another_group_count_rejected(self, desk_state0, preset_params):
+        with pytest.raises(ContractViolation, match="^state and params disagree on group count$"):
+            build_ocp(desk_state0, vaxmpc.MpcConfig(), preset_params)
+
     def test_prediction_matches_plant_stepping_bitwise(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
             horizon=5, v_bar=700.0, vaccination_start_day=1, strategy_horizon=5
@@ -900,6 +904,13 @@ class TestSolveOcp:
         assert not solution.controls.any()
         assert solution.feasible
 
+    def test_misshaped_warm_start_rejected(self, desk_params, desk_state0, desk_cfg):
+        problem = build_ocp(desk_state0, desk_cfg, desk_params)
+        with pytest.raises(
+            ContractViolation, match=r"^warm start: expected shape \(6, 2\), got \(5, 2\)$"
+        ):
+            solve_ocp(problem, warm_start=np.zeros((5, 2)))
+
     def test_scalar_fine_grid_oracle(self):
         params, state0, _ = random_desk_instance(1)  # n_a == 1 instance
         assert params.n_a == 1
@@ -997,6 +1008,16 @@ class TestClosedLoop:
         assert np.array_equal(run.trajectory.d, reference.d)
         assert not run.controls.any()
         assert run.latch_day == 1
+
+    def test_start_state_must_conserve_populations(self, desk_params, desk_cfg):
+        state0 = vaxmpc.EpidemicState(
+            s=np.array([7000.0, 2000.0]), i=np.array([20.0, 5.0]),
+            r=np.zeros(2), d=np.zeros(2),
+        )
+        with pytest.raises(
+            ValidationError, match="^compartments do not sum to the group populations$"
+        ):
+            vaxmpc.run_policy_loop(state0, desk_cfg, desk_params, "none")
 
     def test_eradication_latch_sticks(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(

@@ -16,6 +16,8 @@ from vaxmpc.results import ScenarioResult
 from vaxmpc.scenario import (
     BUILTIN_MATRIX,
     CONFIG_KEYS,
+    ComparisonReport,
+    ScenarioMetrics,
     WALLONIA_2020,
     compare_run_dirs,
     config_from_dict,
@@ -98,6 +100,10 @@ class TestConfig:
                     "contact_matrix_path": BUILTIN_MATRIX,
                 }
             )
+
+    def test_root_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValidationError, match="^config root must be a JSON object$"):
+            config_from_dict([{"preset": "wallonia-2020"}])
 
     def test_missing_matrix_file_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -314,6 +320,17 @@ class TestContactMatrixLoading:
         with pytest.raises(ValidationError, match="nonnegative"):
             load_contact_matrix(str(path), False, np.array([10.0, 10.0]))
 
+    def test_unknown_builtin_rejected(self):
+        message = "^unknown builtin contact matrix 'builtin:nope'$"
+        with pytest.raises(ValidationError, match=message):
+            load_contact_matrix("builtin:nope", False, np.array([10.0, 10.0]))
+
+    def test_raw_matrix_needs_positive_populations(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,1.0\n1.0,1.0\n")
+        with pytest.raises(ValidationError, match="^populations must be positive to normalize$"):
+            load_contact_matrix(str(path), True, np.array([10.0, 0.0]))
+
 
 def synthetic_run(d_day61, d_day140, policy="national"):
     """A run whose only meaningful content is the total-deceased series."""
@@ -468,7 +485,8 @@ class TestCompare:
 
     def test_run_carries_its_config_fingerprint(self, tmp_path):
         preset = get_preset("wallonia-2020")
-        assert run_scenario(preset, policy="none").fingerprint == preset.fingerprint()
+        unvaccinated = config_from_dict({"preset": "wallonia-2020", "policy": "none"})
+        assert run_scenario(unvaccinated).fingerprint == preset.fingerprint()
         (tmp_path / "contacts.csv").write_text("8.0,0.5\n2.0,3.0\n")
         desk = config_from_dict(
             {
@@ -491,6 +509,12 @@ class TestCompare:
             base_dir=str(tmp_path),
         )
         assert run_scenario(desk).fingerprint == desk.fingerprint()
+
+    def test_text_gives_eradication_day_and_days_since_start(self):
+        metrics = ScenarioMetrics("mpc", 90.0, 40.0, 1000.0, 75, 5000.0)
+        text = ComparisonReport(61, [metrics], []).to_text()
+        assert text.splitlines()[1].split() == ["mpc", "40.0000", "1000.0000", "75", "(+14d)",
+                                                "5000.0000"]
 
     def test_report_renders_text_and_json(self, desk_params, desk_state0):
         cfg = vaxmpc.MpcConfig(
