@@ -215,7 +215,7 @@ def new_infections(s: np.ndarray, i: np.ndarray, params: ModelParams) -> np.ndar
 
 
 def si_step(
-    s: np.ndarray, i: np.ndarray, u: np.ndarray, params: ModelParams
+    s: np.ndarray, i: np.ndarray, u: np.ndarray, params: ModelParams, out=(None,) * 3
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the (S, I) block one day; returns (s_next, i_next, u_applied).
 
@@ -223,13 +223,18 @@ def si_step(
     full model step, the controller's prediction rollout and the sampled
     certificates, so predicted and realized trajectories agree bitwise.  The
     removal rate gamma_r + gamma_d is read precomputed from
-    ``params.removal``.  Inputs may carry leading batch axes.
+    ``params.removal``.  Inputs may carry leading batch axes.  ``out`` may
+    name three float arrays of the result's shape, none of them an input,
+    that receive the results in place of new arrays.
     """
     new_inf = new_infections(s, i, params)
     room = s - new_inf
-    u_eff = np.minimum(u, np.maximum(0.0, room))
-    s_next = room - u_eff
-    i_next = i + new_inf - params.removal * i
+    s_next, i_next, u_eff = out
+    u_eff = np.minimum(u, np.maximum(0.0, room), out=u_eff)
+    s_next = np.subtract(room, u_eff, out=s_next)
+    # add, then subtract in place: no third temporary on wide batches
+    i_next = np.add(i, new_inf, out=i_next)
+    i_next -= params.removal * i
     return s_next, i_next, u_eff
 
 

@@ -31,7 +31,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,8 +231,13 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
     i = np.empty_like(s)
     u = np.empty(controls.shape)
     s[0], i[0] = problem.s0, problem.i0
-    for t in range(big_n):
-        s[t + 1], i[t + 1], u[t] = si_step(s[t], i[t], controls[t], problem.params)
+    params, shape = problem.params, controls.shape[1:]
+    # the rates si_step reads, lam and removal copied into every row: numpy
+    # runs a product of same-shape arrays faster, with the same bits
+    rates = SimpleNamespace(lam=np.full(shape, params.lam), contact=params.contact,
+                            removal=np.full(shape, params.removal))
+    for s_t, i_t, plan_t, *rows in zip(s, i, controls, s[1:], i[1:], u):
+        si_step(s_t, i_t, plan_t, rates, out=rows)
     return SiTrajectory(s, i, u)
 
 
@@ -273,11 +280,17 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
         return clipped.reshape(shape)
     rows = controls[over]
     n = rows.shape[1]
-    ordered = np.sort(rows, axis=1)[:, ::-1]
-    excess = np.cumsum(ordered, axis=1) - v_bar
-    idx = np.arange(1, n + 1)
-    rho = np.count_nonzero(ordered - excess / idx > 0, axis=1)
-    theta = excess[np.arange(rows.shape[0]), rho - 1] / rho
+    # column j of the rows sorted in descending order is ordered[j]; the
+    # running sums are cumsum's adds in cumsum's order, one per column
+    ordered = np.sort(rows, axis=1)[:, ::-1].T
+    excess = np.empty(ordered.shape)
+    excess[0] = ordered[0]
+    for j in range(1, n):
+        np.add(excess[j - 1], ordered[j], out=excess[j])
+    excess -= v_bar
+    # a - b > 0 exactly when a > b; rho counts the columns that pass
+    rho = (ordered > excess / np.arange(1, n + 1)[:, None]).sum(axis=0)
+    theta = excess[rho - 1, np.arange(rows.shape[0])] / rho
     out = clipped
     out[over] = np.maximum(rows - theta[:, None], 0.0)
     return out.reshape(shape)
@@ -320,22 +333,24 @@ def _gradient(
     rate = lam * matvec_rows(params.contact, i[:big_n])  # as in si_step
     hold = 1.0 - rate
     lam_s = lam * s[:big_n]
-    decay = 1.0 - params.removal
+    # copied into every row, as predict's rates are
+    gd_rows, decay = (np.full(controls.shape[1:], x) for x in (gd, 1.0 - params.removal))
     contact_t = params.contact.T
     violated = _terminal_overshoot(problem, predicted) > 0
     p_i = gd / problem.cfg.epsilon
 
-    # p_s_path[t] is p_s on day t + 1.  Where the clamp emptied a group, the
-    # day before keeps its zero: +0.0, not the -0.0 of 0.0 * p_s for p_s < 0.
-    p_s_path = np.zeros(u_eff.shape)
-    p_s_path[-1] = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
-    for t in range(big_n - 1, -1, -1):
-        p_s = p_s_path[t]
-        if t:  # p_s on day 0 enters no gradient entry
-            p_s_next = np.multiply(hold[t], p_s, out=p_s_path[t - 1], where=keep[t])
-            p_s_next += rate[t] * p_i
-        flow = lam_s[t] * (p_i - keep[t] * p_s)
-        p_i = gd + decay * p_i + matvec_rows(contact_t, flow)
+    # p_s_path[t] is p_s on day t + 1, and day t's adjoints read p_s where
+    # the clamp left room, q: where it emptied a group, q is +0.0, not the
+    # -0.0 of 0.0 * p_s for p_s < 0.  Day 0 is not stepped: p_s on day 0
+    # enters no gradient entry.
+    p_s_path = np.empty(u_eff.shape)
+    p_s = p_s_path[-1]
+    p_s[...] = problem.effective_weight * matvec_rows(cert.ct_lam.T, violated.astype(float))
+    days = (x[:0:-1] for x in (keep, hold, rate, lam_s))  # days N-1 down to 1
+    for keep_t, hold_t, rate_t, lam_s_t, p_s_before in zip(*days, p_s_path[-2::-1]):
+        q = np.where(keep_t, p_s, 0.0)
+        p_s = np.add(hold_t * q, rate_t * p_i, out=p_s_before)
+        p_i = gd_rows + decay * p_i + matvec_rows(contact_t, lam_s_t * (p_i - q))
     return np.where(free_u, -p_s_path, 0.0)
 
 
@@ -347,7 +362,7 @@ def _norms(plans: np.ndarray) -> np.ndarray:
     alone (a strided row can sum in another order).
     """
     big_n, count, n = plans.shape
-    flat = np.ascontiguousarray(np.moveaxis(plans, 1, 0)).reshape(count, big_n * n)
+    flat = np.ascontiguousarray(plans.transpose(1, 0, 2)).reshape(count, big_n * n)
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
@@ -378,73 +393,72 @@ def _descend(
     if bad.any():
         raise SolverFailure(f"non-finite objective {value[bad][0]} at the start point")
     grad = _gradient(problem, controls, path)
-    count = starts.shape[1]
-    scale = np.max(np.abs(grad), axis=(0, 2))
-    step_len = np.ones(count)
-    step_len[scale > 0] = v_bar / scale[scale > 0]
-    iterations = np.zeros(count, dtype=int)
-    stalls = np.zeros(count, dtype=int)
-    backtracks = np.zeros(count, dtype=int)  # failed trials this iteration
-    live = np.ones(count, dtype=bool)
-    while live.any():
-        rows = np.flatnonzero(live)
-        iterations[rows[backtracks[rows] == 0]] += 1
+    # per-start state is Python numbers, which a round reads and writes one
+    # start at a time faster than numpy scalars
+    step_len = [v_bar / x if x > 0 else 1.0 for x in np.max(np.abs(grad), axis=(0, 2)).tolist()]
+    # backtracks counts the failed trials of the start's current iteration
+    iterations, stalls, backtracks = ([0] * len(step_len) for _ in range(3))
+    live = list(range(len(step_len)))
+    while live:
         # each start's next trials, s, s/2, ..., no more than its backtracks left
-        depth = np.minimum(_SPECULATION, _MAX_BACKTRACKS - backtracks[rows])
-        tried = np.arange(_SPECULATION) < depth[:, None]
-        halving = np.full(tried.shape, 0.5)
-        halving[:, 0] = step_len[rows]
-        lengths = np.cumprod(halving, axis=1)  # halved one at a time, as the search does
-        owner, trial_len = rows[np.nonzero(tried)[0]], lengths[tried]
+        owner, trial_len, reads = [], [], []
+        for k in live:
+            iterations[k] += backtracks[k] == 0  # a new iteration, not a backtrack
+            depth = min(_SPECULATION, _MAX_BACKTRACKS - backtracks[k])
+            reads.append((k, range(len(owner), len(owner) + depth)))
+            owner += [k] * depth
+            # halved one at a time, as the search does
+            trial_len += itertools.accumulate([step_len[k]] + [0.5] * (depth - 1), operator.mul)
         base = np.take(controls, owner, axis=1)
-        trial = project_capacity(base - trial_len[:, None] * np.take(grad, owner, axis=1), v_bar)
+        steps = np.array(trial_len)[:, None] * np.take(grad, owner, axis=1)
+        trial = project_capacity(base - steps, v_bar)
         displacement = _norms(trial - base)
         moved = displacement != 0.0
         trial_value = value[owner]  # a trial that does not move is not rolled out
         if moved.any():
             trial_path = predict(problem, np.compress(moved, trial, axis=1))
             trial_value[moved] = _penalized_value(problem, trial_path)
-        # float ** 2 is libm's pow, which can differ from numpy's x * x
-        squared = np.array([d**2 for d in displacement.tolist()])
-        passed = trial_value <= value[owner] - _ARMIJO_C / trial_len * squared
+        moves, values = displacement.tolist(), trial_value.tolist()
         # a start reads its trials in order, up to the first that decides
-        decides = np.zeros(tried.shape, dtype=bool)
-        decides[tried] = ~moved | ~np.isfinite(trial_value) | passed
-        decided = decides.any(axis=1)
-
-        # a start whose trials all fail halves its step once per trial
-        failed = rows[~decided]
-        step_len[failed] = lengths[~decided, depth[~decided] - 1] * 0.5
-        backtracks[failed] += depth[~decided]
-        live[failed[backtracks[failed] == _MAX_BACKTRACKS]] = False
-
-        # each decided start's deciding trial, as an index into the batch
-        pick = (np.cumsum(depth) - depth + decides.argmax(axis=1))[decided]
-        # a non-finite trial decides, so only one a start reads can fail it
-        if not np.all(np.isfinite(trial_value[pick])):
-            raise SolverFailure("non-finite objective during line search")
-        live[owner[pick[~moved[pick]]]] = False
-        pick = pick[moved[pick]]
-        took = owner[pick]
-        drop = value[took] - trial_value[pick]
+        ended, took, pick = set(), [], []
+        for k, trials in reads:
+            for j in trials:
+                if moves[j] == 0.0:  # a trial that does not move ends the start
+                    ended.add(k)
+                    break
+                if not math.isfinite(values[j]):
+                    raise SolverFailure("non-finite objective during line search")
+                # float ** 2 is libm's pow, which can differ from numpy's x * x
+                if values[j] <= value[k] - _ARMIJO_C / trial_len[j] * moves[j] ** 2:
+                    took.append(k)
+                    pick.append(j)
+                    break
+            else:  # every trial failed: the step halves once per trial
+                step_len[k], backtracks[k] = trial_len[j] * 0.5, backtracks[k] + len(trials)
+                if backtracks[k] == _MAX_BACKTRACKS:
+                    ended.add(k)
         taken = np.take(trial, pick, axis=1)
-        controls[:, took], value[took] = taken, trial_value[pick]
-        step_len[took], backtracks[took] = trial_len[pick], 0
-        settled = displacement[pick] <= _STEP_TOLERANCE * (1.0 + _norms(taken))
-        stalled = drop <= _COST_TOLERANCE * (1.0 + np.abs(value[took]))
-        stalls[took] = np.where(stalled, stalls[took] + 1, 0)
-        ended = settled | (stalls[took] >= 3) | (iterations[took] == _MAX_ITERATIONS)
-        live[took[ended]] = False
-        going = ~ended
-        took = took[going]
-        if took.size:
-            step_len[took] = np.minimum(step_len[took] * 2.0, 1e6 * v_bar)
+        controls[:, took] = taken
+        going = []  # positions in took of the starts that go on
+        for n, (k, j, norm) in enumerate(zip(took, pick, _norms(taken).tolist())):
+            drop = value[k] - values[j]
+            value[k], step_len[k], backtracks[k] = values[j], trial_len[j], 0
+            stalls[k] = stalls[k] + 1 if drop <= _COST_TOLERANCE * (1.0 + abs(values[j])) else 0
+            settled = moves[j] <= _STEP_TOLERANCE * (1.0 + norm)
+            if settled or stalls[k] >= 3 or iterations[k] == _MAX_ITERATIONS:
+                ended.add(k)
+            else:
+                step_len[k] = min(step_len[k] * 2.0, 1e6 * v_bar)
+                going.append(n)
+        if going:
             # the trials rolled out are the ones that moved, in batch order
-            moving_path = trial_path.take(np.cumsum(moved)[pick[going]] - 1)
-            grad[:, took] = _gradient(problem, np.compress(going, taken, axis=1), moving_path)
+            moving_path = trial_path.take((np.cumsum(moved) - 1)[np.take(pick, going)])
+            taken = np.take(taken, going, axis=1)
+            grad[:, np.take(took, going)] = _gradient(problem, taken, moving_path)
+        live = [k for k in live if k not in ended]
         # let the round's trial batch go before the next one is built
-        base = trial = taken = trial_path = moving_path = None
-    return controls, value, iterations
+        base = steps = trial = taken = trial_path = moving_path = None
+    return controls, value, np.array(iterations)
 
 
 #: Enumerate every bang-bang day pattern as extra starts while

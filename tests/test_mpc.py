@@ -72,7 +72,100 @@ def penalized_value(problem, solution: OcpSolution) -> float:
     return solution.optimal_value + problem.effective_weight * solution.terminal_slack
 
 
+def reference_project(controls, v_bar):
+    """The sort/cumsum ``project_capacity`` the column-wise one replaced, kept verbatim."""
+    controls = np.atleast_2d(np.asarray(controls, dtype=float))
+    shape = controls.shape
+    controls = controls.reshape(-1, shape[-1])
+    clipped = np.maximum(controls, 0.0)
+    over = clipped.sum(axis=1) > v_bar
+    if not np.any(over):
+        return clipped.reshape(shape)
+    rows = controls[over]
+    n = rows.shape[1]
+    ordered = np.sort(rows, axis=1)[:, ::-1]
+    excess = np.cumsum(ordered, axis=1) - v_bar
+    idx = np.arange(1, n + 1)
+    rho = np.count_nonzero(ordered - excess / idx > 0, axis=1)
+    theta = excess[np.arange(rows.shape[0]), rho - 1] / rho
+    out = clipped
+    out[over] = np.maximum(rows - theta[:, None], 0.0)
+    return out.reshape(shape)
+
+
+def passing_columns(rows, v_bar):
+    """The reference's test ordered - excess / idx > 0, per sorted column of each row."""
+    ordered = np.sort(rows, axis=1)[:, ::-1]
+    excess = np.cumsum(ordered, axis=1) - v_bar
+    return ordered - excess / np.arange(1, rows.shape[1] + 1) > 0
+
+
+def adversarial_rows(rng, n, magnitude):
+    """Rows of n entries near ``magnitude``: ties drawn from a few values
+    that include 0.0 and -0.0, entries spread over fifteen decades, some
+    negative, and rows of one value give or take an ulp or two."""
+    picks = magnitude * np.array([1.0, 1.0, 0.5, 0.0, -0.0, -0.25])
+    ties = rng.choice(picks, size=(64, n))
+    spread = rng.uniform(-0.2, 1.0, (64, n)) * 10.0 ** rng.integers(-15, 1, (64, n))
+    ulps = 1.0 + rng.integers(-2, 3, (64, n)) * np.finfo(float).eps
+    return np.concatenate([ties, magnitude * spread, magnitude * rng.uniform(0, 1, (64, 1)) * ulps])
+
+
 class TestProjectCapacity:
+    @pytest.mark.parametrize("n", [1, 2, 6, 16])
+    def test_adversarial_batches_equal_reference_bytes(self, n):
+        """Ties, signed zeros, sums one ulp either side of v_bar and 1e-3 to
+        1e7 magnitudes give the reference's bytes.  Some rows pass the test
+        ordered - excess / idx > 0 on a column after failing it on an
+        earlier one, and some on none (rho = 0, a division by zero in both):
+        a threshold read off the last passing column, not the count of them,
+        would move their bits."""
+        rng = np.random.default_rng(n)
+        nonprefix = unreached = 0
+        for magnitude in 10.0 ** np.arange(-3, 8):
+            rows = adversarial_rows(rng, n, magnitude)
+            sums = np.maximum(rows, 0.0).sum(axis=1)
+            bars = [magnitude * f for f in (1e-17, 1e-9, 0.3, n / 2, 1e3 * n)]
+            for k in rng.choice(len(rows), 3):
+                bars += [np.nextafter(sums[k], -np.inf), sums[k], np.nextafter(sums[k], np.inf)]
+            for v_bar in bars:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    got = project_capacity(rows, v_bar)
+                    want = reference_project(rows, v_bar)
+                assert got.tobytes() == want.tobytes(), (magnitude, v_bar)
+                passing = passing_columns(rows[sums > v_bar], v_bar)
+                nonprefix += int((passing[:, 1:] & ~passing[:, :-1]).any(axis=1).sum())
+                unreached += int((~passing.any(axis=1)).sum())
+        assert unreached > 0
+        assert nonprefix > 0 or n <= 2  # none came up with one or two columns
+
+    def test_all_over_and_none_over(self):
+        rng = np.random.default_rng(9)
+        plans = rng.uniform(0.0, 1.0, (40, 33, 6))
+        for v_bar in (1e-3, 1e3):  # every row over capacity, then none
+            got = project_capacity(plans, v_bar)
+            assert got.tobytes() == reference_project(plans, v_bar).tobytes()
+        assert np.array_equal(project_capacity(plans, 1e3), plans)
+
+    def test_preset_solve_batches_equal_reference_bytes(
+        self, preset_config, preset_params, preset_state0, monkeypatch
+    ):
+        """Every batch the day-61 solve projects, its first (40, 33, 6)
+        trial batch among them, gives the reference's bytes."""
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        batches = []
+
+        def recording(controls, v_bar, _inner=project_capacity):
+            batches.append((controls.copy(), v_bar))
+            return _inner(controls, v_bar)
+
+        monkeypatch.setattr(mpc, "project_capacity", recording)
+        solve_ocp(build_ocp(day61, preset_config.mpc, preset_params))
+        assert (40, 33, 6) in [controls.shape for controls, _ in batches]
+        for controls, v_bar in batches:
+            got = project_capacity(controls, v_bar)
+            assert got.tobytes() == reference_project(controls, v_bar).tobytes()
+
     def test_matches_brute_force_euclidean_projection(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
@@ -151,19 +244,26 @@ class TestBuildOcp:
         with pytest.raises(ContractViolation, match="^state and params disagree on group count$"):
             build_ocp(desk_state0, vaxmpc.MpcConfig(), preset_params)
 
-    def test_prediction_matches_plant_stepping_bitwise(self, desk_params, desk_state0):
-        cfg = vaxmpc.MpcConfig(
-            horizon=5, v_bar=700.0, vaccination_start_day=1, strategy_horizon=5
-        )
-        problem = build_ocp(desk_state0, cfg, desk_params)
-        rng = np.random.default_rng(3)
-        controls = project_capacity(rng.uniform(0, 700, (5, 2)), 700.0)
-        pred = predict(problem, controls)
-        s, i = desk_state0.s, desk_state0.i
-        for t in range(5):
-            s, i, _ = si_step(s, i, controls[t], desk_params)
-            assert np.array_equal(pred.s[t + 1], s)
-            assert np.array_equal(pred.i[t + 1], i)
+    def test_prediction_matches_plant_stepping_bitwise(
+        self, preset_config, preset_params, preset_state0
+    ):
+        """The rollout gives the plant's S, I and applied doses byte for byte
+        (signed zeros included) on the preset's day 61, for a plan alone and
+        inside a batch, with plans that empty a group so the clamp binds."""
+        day61 = vaxmpc.rollout(preset_state0, np.zeros((60, 6)), preset_params).state(60)
+        problem = build_ocp(day61, preset_config.mpc, preset_params)
+        plans = np.array(list(random_plans(problem, np.random.default_rng(3), 4)))
+        batch = predict(problem, day_first(plans))
+        binding = 0
+        for k, plan in enumerate(plans):
+            plant = vaxmpc.rollout(day61, plan, preset_params)
+            in_batch = SiTrajectory(batch.s[:, k], batch.i[:, k], batch.u[:, k])
+            for path in (predict(problem, plan), in_batch):
+                assert path.s.tobytes() == plant.s.tobytes()
+                assert path.i.tobytes() == plant.i.tobytes()
+                assert path.u.tobytes() == plant.applied_u.tobytes()
+            binding += bool((plant.applied_u < plan).any())
+        assert binding >= problem.n_a  # each plan that spends on one group empties it
 
 
 def gradient_problems(preset_config, preset_params, preset_state0):
@@ -1059,10 +1159,18 @@ class TestClosedLoop:
         assert np.all(applied.sum(axis=1) <= desk_cfg.v_bar * (1 + 1e-12))
 
     def test_bitwise_reproducible(self, desk_params, desk_state0, desk_cfg):
-        first = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
-        second = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params)
-        assert np.array_equal(first.trajectory.d, second.trajectory.d)
-        assert np.array_equal(first.controls, second.controls)
+        """Two runs give the same bytes in every array and every day record
+        (a float by its hex form, which tells -0.0 and NaN apart)."""
+        runs = [vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params) for _ in range(2)]
+        first, second = (
+            [getattr(run.trajectory, name).tobytes() for name in ("s", "i", "r", "d", "applied_u")]
+            + [run.controls.tobytes()]
+            + [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(record)]
+               for record in run.day_records]
+            for run in runs
+        )
+        assert first == second
+        assert any(record.v_n0 is not None for record in runs[0].day_records)
 
     def test_solver_failure_names_its_day(
         self, monkeypatch, desk_params, desk_state0, desk_cfg
