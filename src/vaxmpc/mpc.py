@@ -147,15 +147,29 @@ class SiTrajectory:
     """Predicted susceptible/infected paths, shape (N+1, ..., n_a) each, and
     the doses the clamp let through on each day, shape (N, ..., n_a), as
     C-contiguous arrays; the axes between the day and the group axis, if
-    any, are those of the plans rolled out (none for a single plan)."""
+    any, are those of the plans rolled out (none for a single plan).
+
+    Each plan's scores come with its path, with the plan axes leading:
+    ``cost`` is the predicted deaths plus the terminal cost, ``overshoot``
+    max(0, Ct_Lam . S_N - Gamma) per terminal constraint (zero where I_N is
+    disease-free), and ``value`` the cost plus the weighted total
+    overshoot, the objective the descent minimizes.  For a single plan
+    ``cost`` and ``value`` are numpy scalars.
+    """
 
     s: np.ndarray
     i: np.ndarray
     u: np.ndarray
+    cost: np.ndarray
+    overshoot: np.ndarray
+    value: np.ndarray
 
     def take(self, plans: np.ndarray) -> "SiTrajectory":
-        """The paths of the given plans (an index into the plan axis, axis 1)."""
-        return SiTrajectory(*(np.take(x, plans, axis=1) for x in (self.s, self.i, self.u)))
+        """The paths and scores of the given plans (an index into the plan
+        axis: axis 1 of a path, axis 0 of a score)."""
+        paths = (np.take(x, plans, axis=1) for x in (self.s, self.i, self.u))
+        scores = (np.take(x, plans, axis=0) for x in (self.cost, self.overshoot, self.value))
+        return SiTrajectory(*paths, *scores)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,6 +198,17 @@ class OcpProblem:
 
 @dataclass(frozen=True, eq=False)
 class OcpSolution:
+    """The day problem's solution: the winning start's plan and its path.
+
+    The winner is the start with the lowest penalized value (ties go to
+    the earlier start).  ``optimal_value`` is that plan's cost, predicted
+    deaths plus terminal cost without the penalty; it is the best value
+    the starts found, not one the solver certifies as optimal.
+    ``terminal_slack`` is the plan's total terminal overshoot, zero
+    exactly when it is ``feasible``, and ``iterations`` the descent
+    iterations summed over the starts.
+    """
+
     controls: np.ndarray
     predicted: SiTrajectory
     optimal_value: float
@@ -211,18 +236,15 @@ def build_ocp(
     )
 
 
-def _per_plan(values: np.ndarray):
-    """A float for one plan, the array over the leading axes for a batch."""
-    return float(values) if np.ndim(values) == 0 else values
-
-
 def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
-    """The horizon's S and I paths and the applied doses of each plan.
+    """The horizon's S and I paths, the applied doses and the scores of
+    each plan.
 
     ``controls`` is one (N, n_a) plan or a day-first batch (N, ..., n_a)
-    of them.  This is the planner's only pass over the dynamics; it steps
-    with the plant's :func:`si_step`, so prediction equals plant stepping
-    bitwise, and a plan's path is the same alone or in a batch.
+    of them.  This is the planner's only pass over the dynamics and the
+    only place a plan is scored; it steps with the plant's :func:`si_step`,
+    so prediction equals plant stepping bitwise, and a plan's path and
+    scores are the same alone or in a batch.
     """
     big_n, n = problem.cfg.horizon, problem.n_a
     if controls.ndim < 2 or (controls.shape[0], controls.shape[-1]) != (big_n, n):
@@ -238,31 +260,14 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
                             removal=np.full(shape, params.removal))
     for s_t, i_t, plan_t, *rows in zip(s, i, controls, s[1:], i[1:], u):
         si_step(s_t, i_t, plan_t, rates, out=rows)
-    return SiTrajectory(s, i, u)
-
-
-def plan_cost(problem: OcpProblem, predicted: SiTrajectory):
-    """Predicted deaths over the horizon plus the terminal cost, per plan."""
-    gd, big_n = problem.params.gamma_d, problem.cfg.horizon
     # one gemv per plan and a pairwise sum along its row of day costs keep the
     # bits of V_N0 (per-day gemvs, and a sum over the day axis, round otherwise)
-    running = (np.moveaxis(predicted.i[:big_n], 0, -2) @ gd).sum(axis=-1)
-    terminal = matvec_rows(gd, predicted.i[big_n]) / problem.cfg.epsilon
-    return _per_plan(running + terminal)
-
-
-def _terminal_overshoot(problem: OcpProblem, predicted: SiTrajectory) -> np.ndarray:
-    """max(0, Ct_Lam . S_N - Gamma) per constraint and plan; zero for a plan
-    whose I_N is disease-free."""
-    big_n = problem.cfg.horizon
-    excess = constraint_excess(predicted.s[big_n], problem.cert)
-    free = disease_free(predicted.i[big_n])[..., None]
-    return np.where(free, 0.0, np.maximum(0.0, excess))
-
-
-def terminal_slack(problem: OcpProblem, predicted: SiTrajectory):
-    """Total violation of the terminal-set constraint at the horizon end, per plan."""
-    return _per_plan(_terminal_overshoot(problem, predicted).sum(axis=-1))
+    cost = (np.moveaxis(i[:big_n], 0, -2) @ params.gamma_d).sum(axis=-1)
+    cost += matvec_rows(params.gamma_d, i[big_n]) / problem.cfg.epsilon
+    excess = constraint_excess(s[big_n], problem.cert)
+    overshoot = np.where(disease_free(i[big_n])[..., None], 0.0, np.maximum(0.0, excess))
+    value = cost + problem.effective_weight * overshoot.sum(axis=-1)
+    return SiTrajectory(s, i, u, cost, overshoot, value)
 
 
 def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
@@ -288,25 +293,21 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
     for j in range(1, n):
         np.add(excess[j - 1], ordered[j], out=excess[j])
     excess -= v_bar
-    # a - b > 0 exactly when a > b; rho counts the columns that pass
-    rho = (ordered > excess / np.arange(1, n + 1)[:, None]).sum(axis=0)
+    # a - b > 0 exactly when a > b; rho counts the columns that pass, and a
+    # row none passes (v_bar below half an ulp of its largest entry, or 0)
+    # takes the first: its threshold leaves no dose rather than excess / 0
+    rho = np.maximum((ordered > excess / np.arange(1, n + 1)[:, None]).sum(axis=0), 1)
     theta = excess[rho - 1, np.arange(rows.shape[0])] / rho
     out = clipped
     out[over] = np.maximum(rows - theta[:, None], 0.0)
     return out.reshape(shape)
 
 
-def _penalized_value(problem: OcpProblem, predicted: SiTrajectory):
-    """Plan cost plus the weighted terminal slack of each predicted path."""
-    value = plan_cost(problem, predicted)
-    value += problem.effective_weight * terminal_slack(problem, predicted)
-    return value
-
-
 def _gradient(
     problem: OcpProblem, controls: np.ndarray, predicted: SiTrajectory
 ) -> np.ndarray:
-    """Adjoint-propagated gradient of :func:`_penalized_value`, per plan.
+    """Adjoint-propagated gradient of each plan's penalized value, the
+    ``value`` :func:`predict` scores.
 
     The backward pass runs on ``predicted``, the rollout of ``controls``
     (one plan or a batch): in the descent that is the path the line search
@@ -336,7 +337,7 @@ def _gradient(
     # copied into every row, as predict's rates are
     gd_rows, decay = (np.full(controls.shape[1:], x) for x in (gd, 1.0 - params.removal))
     contact_t = params.contact.T
-    violated = _terminal_overshoot(problem, predicted) > 0
+    violated = predicted.overshoot > 0
     p_i = gd / problem.cfg.epsilon
 
     # p_s_path[t] is p_s on day t + 1, and day t's adjoints read p_s where
@@ -388,7 +389,7 @@ def _descend(
     v_bar = problem.cfg.v_bar
     controls = project_capacity(starts, v_bar)
     path = predict(problem, controls)
-    value = _penalized_value(problem, path)
+    value = path.value
     bad = ~np.isfinite(value)
     if bad.any():
         raise SolverFailure(f"non-finite objective {value[bad][0]} at the start point")
@@ -417,7 +418,7 @@ def _descend(
         trial_value = value[owner]  # a trial that does not move is not rolled out
         if moved.any():
             trial_path = predict(problem, np.compress(moved, trial, axis=1))
-            trial_value[moved] = _penalized_value(problem, trial_path)
+            trial_value[moved] = trial_path.value
         moves, values = displacement.tolist(), trial_value.tolist()
         # a start reads its trials in order, up to the first that decides
         ended, took, pick = set(), [], []
@@ -510,11 +511,11 @@ def solve_ocp(
     controls, values, iterations = _descend(problem, _start_points(problem, warm_start))
     best = int(np.argmin(values))  # the first lowest: ties go to the earlier start
     predicted = predict(problem, controls[:, best])
-    slack = terminal_slack(problem, predicted)
+    slack = float(predicted.overshoot.sum())
     return OcpSolution(
         controls=controls[:, best].copy(),
         predicted=predicted,
-        optimal_value=plan_cost(problem, predicted),
+        optimal_value=float(predicted.cost),
         feasible=slack == 0.0,
         terminal_slack=slack,
         iterations=int(iterations.sum()),

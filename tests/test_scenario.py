@@ -11,7 +11,7 @@ import vaxmpc
 from vaxmpc.certificates import CheckReport, validate_epsilon
 from vaxmpc.errors import ContractViolation, ValidationError
 from vaxmpc.model import Trajectory
-from vaxmpc.mpc import OcpSolution, SiTrajectory
+from vaxmpc.mpc import OcpSolution, predict
 from vaxmpc.results import ScenarioResult
 from vaxmpc.scenario import (
     BUILTIN_MATRIX,
@@ -709,8 +709,9 @@ class TestRecordEquality:
     ):
         run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "national")
         problem = vaxmpc.build_ocp(desk_state0, desk_cfg, desk_params)
-        predicted = SiTrajectory(desk_state0.s[None], desk_state0.i[None], np.zeros((0, 2)))
-        solution = OcpSolution(np.zeros((0, 2)), predicted, 0.0, True, 0.0, 0)
+        plan = np.zeros((desk_cfg.horizon, 2))
+        predicted = predict(problem, plan)
+        solution = OcpSolution(plan, predicted, 0.0, True, 0.0, 0)
         records = [
             desk_params, desk_state0, run.trajectory, predicted, problem, solution,
             problem.cert, run,
