@@ -15,6 +15,8 @@ the susceptibles left after that day's infections, so S never goes negative:
     u_eff_k = min(u_k, max(0, S_k - new_infections_k))
 
 The clamped value is recorded on the returned state (``applied_u``).
+:func:`advance` is the one full-state update, on rows with any leading
+batch axes; :func:`step`, :func:`rollout` and the closed loop call it.
 
 The update is the one-day forward-Euler step of the continuous-time balance
 equations (dS = -infections - u, dI = infections - (gr + gd) I,
@@ -154,13 +156,9 @@ class EpidemicState:
             raise ContractViolation("state vectors must be 1-D and share one length")
         for name, vec in zip("sird", block):
             object.__setattr__(self, name, vec)
-        # min is NaN if any entry is; initial=0 lets a 0-group block reduce
-        if not (block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) < np.inf):
-            for name, vec in zip("sird", block):  # name the first bad one
-                if not np.isfinite(vec).all():
-                    raise ValidationError(f"{name}: non-finite entries")
-                if (vec < 0).any():
-                    raise ValidationError(f"{name}: negative compartment")
+        fault = compartment_fault(block[None])
+        if fault is not None:
+            raise ValidationError(fault[1])
         if self.time_step < 0:
             raise ValidationError("time_step must be nonnegative")
 
@@ -186,6 +184,21 @@ class EpidemicState:
             raise ValidationError(
                 "compartments do not sum to the group populations"
             )
+
+
+def compartment_fault(block: np.ndarray) -> tuple[int, str] | None:
+    """The first non-finite or negative compartment of a day-first
+    (T+1, 4, ..., n_a) S, I, R, D block, as (day row, message), or None
+    if every entry is finite and nonnegative."""
+    # min is NaN if any entry is; initial=0 lets a 0-group block reduce
+    if block.min(initial=0.0) >= 0.0 and block.max(initial=0.0) < np.inf:
+        return None
+    for t, rows in enumerate(block):
+        for name, vec in zip("sird", rows):  # name the first bad one
+            if not np.isfinite(vec).all():
+                return t, f"{name}: non-finite entries"
+            if (vec < 0).any():
+                return t, f"{name}: negative compartment"
 
 
 def validate_control(u: np.ndarray, n_a: int) -> np.ndarray:
@@ -238,6 +251,23 @@ def si_step(
     return s_next, i_next, u_eff
 
 
+def advance(now: np.ndarray, u: np.ndarray, params, out: np.ndarray, applied: np.ndarray) -> None:
+    """The plant update: from the (4, ..., n_a) S, I, R, D rows ``now``,
+    write the next day's rows into ``out`` and the doses the clamp let
+    through into ``applied``, under vaccination ``u``.
+
+    This is the one full-state update, shared by :func:`step`,
+    :func:`rollout` and the closed loop; rows may carry leading batch axes
+    and each gets the bits it gets alone.  ``params`` may hold one rate row
+    per batch row (``contact`` as (..., n_a, n_a)).  It checks nothing.
+    """
+    (s, i, r, d), (s_next, i_next, r_next, d_next) = now, out
+    si_step(s, i, u, params, out=(s_next, i_next, applied))
+    np.add(r, params.gamma_r * i, out=r_next)
+    r_next += applied
+    np.add(d, params.gamma_d * i, out=d_next)
+
+
 def step(
     state: EpidemicState,
     u: np.ndarray,
@@ -255,17 +285,9 @@ def step(
             f"state has {state.n_a} groups, params has {params.n_a}"
         )
     u = validate_control(u, params.n_a)
-    s_next, i_next, u_eff = si_step(state.s, state.i, u, params)
-    r_next = state.r + params.gamma_r * state.i + u_eff
-    d_next = state.d + params.gamma_d * state.i
-    return EpidemicState(
-        s=s_next,
-        i=i_next,
-        r=r_next,
-        d=d_next,
-        time_step=state.time_step + 1,
-        applied_u=u_eff,
-    )
+    out, applied = np.empty((4, params.n_a)), np.empty(params.n_a)
+    advance(np.array([state.s, state.i, state.r, state.d]), u, params, out, applied)
+    return EpidemicState(*out, time_step=state.time_step + 1, applied_u=applied)
 
 
 def initial_state(params: ModelParams, i0: np.ndarray) -> EpidemicState:
@@ -321,18 +343,12 @@ class Trajectory:
         return float(self.d[t].sum())
 
     @classmethod
-    def from_states(cls, states: list[EpidemicState]) -> "Trajectory":
-        """Stack consecutive states, the first being the start of the run."""
-        n_steps, n = len(states) - 1, states[0].n_a
-        applied = np.array([state.applied_u for state in states[1:]])
-        return cls(
-            s=np.array([state.s for state in states]),
-            i=np.array([state.i for state in states]),
-            r=np.array([state.r for state in states]),
-            d=np.array([state.d for state in states]),
-            applied_u=applied.reshape(n_steps, n),
-            start_time_step=states[0].time_step,
-        )
+    def from_block(cls, block: np.ndarray, applied_u: np.ndarray, start_time_step: int):
+        """A run's day-first (T+1, 4, n_a) S, I, R, D block and its (T, n_a)
+        applied doses, as C-contiguous (T+1, n_a) compartments.  A view of
+        compartment-first storage, as the loops step, is kept without a copy."""
+        s, i, r, d = np.ascontiguousarray(np.swapaxes(block, 0, 1))
+        return cls(s, i, r, d, np.ascontiguousarray(applied_u), start_time_step)
 
 
 def rollout(
@@ -340,17 +356,27 @@ def rollout(
     controls: np.ndarray,
     params: ModelParams,
 ) -> Trajectory:
-    """Iterate :func:`step` over a (T, n_a) array of daily controls."""
+    """Advance ``state0`` over a (T, n_a) array of daily controls, as
+    chained :func:`step` calls do, with the same checks: an error names
+    the step it arose in."""
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     n = params.n_a
     if controls.shape[1] != n:
         raise ContractViolation(
             f"controls: expected shape (T, {n}), got {controls.shape}"
         )
-    states = [state0]
+    if state0.n_a != n:
+        raise ContractViolation(f"state has {state0.n_a} groups, params has {n}")
+    block = np.empty((4, len(controls) + 1, n)).swapaxes(0, 1)  # stepped day-first
+    block[0] = state0.s, state0.i, state0.r, state0.d
+    applied = np.empty(controls.shape)
     for t, u in enumerate(controls):
         try:
-            states.append(step(states[-1], u, params))
-        except (ValidationError, ContractViolation) as exc:
-            raise type(exc)(f"rollout step {t}: {exc}") from exc
-    return Trajectory.from_states(states)
+            validate_control(u, n)
+        except ValidationError as exc:
+            raise ValidationError(f"rollout step {t}: {exc}") from exc
+        advance(block[t], u, params, block[t + 1], applied[t])
+    fault = compartment_fault(block)
+    if fault is not None:
+        raise ValidationError(f"rollout step {fault[0] - 1}: {fault[1]}")
+    return Trajectory.from_block(block, applied, state0.time_step)

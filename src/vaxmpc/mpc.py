@@ -24,6 +24,11 @@ stop rules are kept per start, so each start follows the path it would
 follow on its own, one trial at a time.  Batches are day-first, plans
 (N, ..., n_a) and paths (N+1, ..., n_a), so the rollout and the adjoint
 each step over one contiguous block of every plan a day.
+
+The closed loop applies the same idea one layer up: :func:`run_policy_loop`
+steps a batch of runs (one run is a batch of one) in lockstep, one day at a
+time for all of them, into one day-first (T+1, 4, K, n_a) block, and each
+run gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -40,7 +45,10 @@ import numpy as np
 from . import strategies
 from .certificates import CertificateParams, constraint_excess, disease_free, validate_epsilon
 from .errors import ContractViolation, SolverFailure, ValidationError
-from .model import EpidemicState, ModelParams, Trajectory, matvec_rows, si_step, step
+# step is not called here, but perfbench/tracing.py patches vaxmpc.mpc.step
+# by name, and every traced run would raise AttributeError without it
+from .model import (EpidemicState, ModelParams, Trajectory, advance, compartment_fault,
+                    matvec_rows, si_step, step, validate_control)  # noqa: F401
 from .results import DayRecord, ScenarioResult
 
 #: Weight of the terminal hinge penalty in penalty mode.
@@ -537,12 +545,18 @@ def check_loop_inputs(
         raise ValidationError("vaccination_start_day lies beyond the simulated horizon")
 
 
-def run_policy_loop(
-    state0: EpidemicState,
-    cfg: MpcConfig,
-    params: ModelParams,
-    policy: str = "mpc",
-) -> ScenarioResult:
+def _check_controls(u: np.ndarray, days: np.ndarray) -> None:
+    """Check a day's (K, n_a) controls by :func:`validate_control`'s rule;
+    an error names the day of the first bad row."""
+    if not (u.min(initial=0.0) >= 0.0 and u.max(initial=0.0) < np.inf):
+        for row, day in zip(u, days):
+            try:
+                validate_control(row, u.shape[-1])
+            except ValidationError as exc:
+                raise ValidationError(f"day {day}: {exc}") from exc
+
+
+def run_policy_loop(state0, cfg, params, policy="mpc"):
     """Simulate the closed loop for any policy with shared gate semantics.
 
     Every policy sees the same start-day gate and the same eradication
@@ -557,47 +571,78 @@ def run_policy_loop(
     - ``mpc``: the day's problem is solved, warm-started with the previous
       plan shifted by one day and padded with zeros, and the plan's first
       day is applied and the solve recorded.
+
+    Given lists of first states, configs, models and policies, one entry
+    per run, it simulates the runs in lockstep and returns their results
+    in order; a single run is a batch of one.  The runs, which must share
+    one group count, fill one day-first (T+1, 4, K, n_a) block a day at a
+    time for all of them (it is stored run-first, so each result keeps its
+    rows without a copy): the gate and latch are row masks, the
+    ``national`` rows are allocated in one call, each ``mpc`` row solves
+    its own problem with its own warm start, and one :func:`advance` steps
+    every row with its own rates.  Each run gets the bits it gets alone.
+    Each day's controls are checked before they are applied, and the block
+    once, at the end; an error names the day.
     """
-    check_loop_inputs(state0, cfg, params, policy)
-    n = params.n_a
-    n_days = cfg.strategy_horizon
-    controls = np.zeros((n_days, n))
-    records: list[DayRecord] = []
-    states = [state0]
-    warm = None
-    latch_day = None
-    for t in range(n_days):
-        state = states[-1]
-        day = state.day
-        record = DayRecord(day=day)
-        if day < cfg.vaccination_start_day or latch_day is not None:
-            pass  # gated: the zero control
-        elif (state.i <= cfg.eradication_threshold).all():
-            latch_day = day
-        elif policy == "national":
-            controls[t] = strategies.national_allocate(state, cfg.v_bar)
-        elif policy == "mpc":
+    single = not isinstance(state0, list)
+    if single:
+        state0, cfg, params, policy = [state0], [cfg], [params], [policy]
+    for run in zip(state0, cfg, params, policy, strict=True):
+        check_loop_inputs(*run)
+    count, n = len(state0), params[0].n_a
+    if any(p.n_a != n for p in params):
+        raise ContractViolation("the runs of one batch must share one group count")
+    horizon, start, v_bar = (np.array([getattr(c, name) for c in cfg]) for name in (
+        "strategy_horizon", "vaccination_start_day", "v_bar"))
+    threshold = np.array([[c.eradication_threshold] for c in cfg])
+    first_day = np.array([x.day for x in state0])
+    national = np.array(policy) == "national"
+    predictive = np.array(policy) == "mpc"
+    # one rate row per run; contact is (K, n_a, n_a), one gemv per run
+    rates = SimpleNamespace(**{name: np.array([getattr(p, name) for p in params])
+                               for name in ("lam", "contact", "removal", "gamma_r", "gamma_d")})
+    n_days = int(horizon.max())
+    # stored run-first, so a run's compartments, doses and controls are
+    # C-contiguous blocks its result keeps; stepped day-first through views
+    block = np.empty((count, 4, n_days + 1, n)).transpose(2, 1, 0, 3)
+    block[0] = np.array([[x.s, x.i, x.r, x.d] for x in state0]).swapaxes(0, 1)
+    controls, applied = (np.zeros((count, n_days, n)).swapaxes(0, 1) for _ in range(2))
+    latch_day, warm, solved = [None] * count, [None] * count, {}
+    days = first_day + np.arange(n_days)[:, None]  # (T, K): each run's day at each step
+    window = (days >= start) & (days - first_day < horizon)  # the gate's open days
+    unlatched = np.ones(count, dtype=bool)
+    for t, day in enumerate(days):
+        u = controls[t]
+        ungated = unlatched & window[t]
+        latch = ungated & (block[t, 1] <= threshold).all(axis=1)
+        if latch.any():
+            for k in np.flatnonzero(latch).tolist():
+                latch_day[k] = int(day[k])
+            unlatched &= ~latch
+            ungated &= ~latch
+        rows = ungated & national
+        if rows.any():
+            u[rows] = strategies.national_allocate(block[t, 0, rows], v_bar[rows])
+        for k in np.flatnonzero(ungated & predictive).tolist():
+            state = EpidemicState(*block[t, :, k], time_step=int(day[k]) - 1)
             try:
-                solution = solve_ocp(build_ocp(state, cfg, params), warm_start=warm)
+                solution = solve_ocp(build_ocp(state, cfg[k], params[k]), warm_start=warm[k])
             except SolverFailure as exc:
-                raise SolverFailure(f"day {day}: {exc}") from exc
-            controls[t] = solution.controls[0]
-            warm = np.vstack([solution.controls[1:], np.zeros((1, n))])
-            record = DayRecord(
-                day=day,
-                v_n0=solution.optimal_value,
-                feasible=solution.feasible,
-                terminal_slack=solution.terminal_slack,
-                iterations=solution.iterations,
-            )
-        states.append(step(state, controls[t], params))
-        records.append(record)
-    return ScenarioResult(
-        policy=policy,
-        trajectory=Trajectory.from_states(states),
-        controls=controls,
-        params=params,
-        cfg=cfg,
-        day_records=records,
-        latch_day=latch_day,
-    )
+                raise SolverFailure(f"day {day[k]}: {exc}") from exc
+            u[k] = solution.controls[0]
+            warm[k] = np.vstack([solution.controls[1:], np.zeros((1, n))])
+            solved[k, t] = DayRecord(int(day[k]), solution.optimal_value, solution.feasible,
+                                     solution.terminal_slack, solution.iterations)
+        _check_controls(u, day)
+        advance(block[t], u, rates, block[t + 1], applied[t])
+    results = []
+    for k, n_steps in enumerate(horizon.tolist()):
+        fault = compartment_fault(block[: n_steps + 1, :, k])
+        if fault is not None:
+            raise ValidationError(f"day {first_day[k] + fault[0]}: {fault[1]}")
+        trajectory = Trajectory.from_block(
+            block[: n_steps + 1, :, k], applied[:n_steps, k], state0[k].time_step)
+        records = [solved.get((k, t)) or DayRecord(int(first_day[k]) + t) for t in range(n_steps)]
+        results.append(ScenarioResult(policy[k], trajectory, controls[:n_steps, k],
+                                      params[k], cfg[k], records, latch_day[k]))
+    return results[0] if single else results

@@ -484,6 +484,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     return mpc_mod.run_policy_loop(config.state0, config.mpc, config.params, config.policy)
 
 
+def run_scenarios(configs: list[ScenarioConfig]) -> list[ScenarioResult]:
+    """The closed loops of several configs, simulated in lockstep; each
+    result is bitwise the one :func:`run_scenario` gives."""
+    names = ("state0", "mpc", "params", "policy")
+    return mpc_mod.run_policy_loop(*([getattr(c, name) for c in configs] for name in names))
+
+
 def write_run(
     run: ScenarioResult,
     out_dir: str | Path,

@@ -9,13 +9,14 @@ test suite, rather than only when the benchmark runs.
 import collections
 import importlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from vaxmpc import scenario
+from vaxmpc import cli, scenario
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SRC = PERFBENCH.parent / "src"
@@ -67,13 +68,18 @@ def test_workload_runs_clean_under_the_tracer(name, tmp_path):
     # a hook the loop reached under another name (an alias bound at import)
     # would drop out of these counts
     counts = collections.Counter(span.name for span in tracer.spans)
+    # the closed loop steps every run of its batch with one si_step a day
+    loop_days = sum(span.leaves.get(("model.si_step", "mpc.run_policy_loop"), [0])[0]
+                    for span in tracer.spans)
     if name == "preset-mpc":
         solved = sum(rec.v_n0 is not None for rec in raw.day_records)
         assert solved == 2  # days 61 and 62
-        assert counts["model.step"] == 62
+        assert counts["mpc.run_policy_loop"] == 1 and loop_days == 62
         assert counts["mpc.build_ocp"] == counts["mpc.solve_ocp"] == solved
     elif name == "baseline-sweep":
-        assert counts["model.step"] == 7_000  # 50 runs of 140 days
+        batches = math.ceil(workloads.SWEEP_VALUES / cli.SWEEP_BATCH)
+        assert counts["mpc.run_policy_loop"] == batches == 5
+        assert loop_days == batches * 140  # 50 runs of 140 days, 10 a batch
         assert counts["strategies.national_allocate"] > 0
 
 

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vaxmpc import certificates, cli, scenario
+from vaxmpc import certificates, cli, mpc, scenario
 from vaxmpc.errors import SolverFailure, ValidationError
 
 
@@ -579,24 +579,24 @@ class TestSweep:
         """The matrix is read once for the base config and once per value,
         and never again while the runs go."""
         events = []
-        load, run = scenario.load_contact_matrix, scenario.run_scenario
+        load, run = scenario.load_contact_matrix, scenario.run_scenarios
 
         def loading(*args, **kwargs):
             events.append("load")
             return load(*args, **kwargs)
 
-        def running(config, *args, **kwargs):
-            events.append(f"run {config.mpc.v_bar}")
-            return run(config, *args, **kwargs)
+        def running(configs, *args, **kwargs):
+            events.append(f"run {[config.mpc.v_bar for config in configs]}")
+            return run(configs, *args, **kwargs)
 
         monkeypatch.setattr(scenario, "load_contact_matrix", loading)
-        monkeypatch.setattr(scenario, "run_scenario", running)
+        monkeypatch.setattr(scenario, "run_scenarios", running)
         code = cli.main(
             ["--quiet", "sweep", "--config", str(desk_config_path), "--vary",
              "mpc.v_bar=600,1200", "--out", str(tmp_path / "sweep")]
         )
         assert code == 0
-        assert events == ["load", "load", "load", "run 600", "run 1200"]
+        assert events == ["load", "load", "load", "run [600, 1200]"]
 
     def test_value_the_file_holds_runs_as_simulate(self, desk_config_path, tmp_path):
         """A sweep builds each value from the config file's own JSON, so the
@@ -844,3 +844,70 @@ class TestMalformedInput:
         metrics.write_text(corrupt(json.loads(metrics.read_text())))
         assert cli.main(["compare", "--runs", str(run)]) == 1
         assert str(metrics) in one_error_line(capsys)
+
+
+class TestSweepLockstep:
+    """A sweep simulates its values together, in lockstep batches of the
+    closed loop; each run directory holds the bytes ``simulate`` of that
+    value alone writes."""
+
+    @pytest.mark.parametrize(
+        "vary",
+        [
+            "mpc.v_bar=600,1200,2500",
+            "policy=none,national,mpc",
+            "mpc.strategy_horizon=3,12,7",
+            "mpc.vaccination_start_day=1,4,9",
+            "model.lambda=[0.05,0.08],[0.1,0.02],[0.03,0.1]",
+        ],
+    )
+    def test_runs_equal_simulate_alone(self, desk_config_path, tmp_path, vary):
+        self.assert_equal_alone(desk_config_path, tmp_path, vary)
+
+    def test_batches_of_national_runs_equal_simulate_alone(self, desk_config_path, tmp_path):
+        values = [300 * k for k in range(1, cli.SWEEP_BATCH + 3)]  # two batches
+        config = json.loads(desk_config_path.read_text())
+        desk_config_path.write_text(json.dumps({**config, "policy": "national"}))
+        self.assert_equal_alone(
+            desk_config_path, tmp_path, "mpc.v_bar=" + ",".join(map(str, values))
+        )
+
+    def test_solver_failure_keeps_earlier_batches(self, desk_config_path, tmp_path,
+                                                  monkeypatch, capsys):
+        solve = mpc.solve_ocp
+
+        def failing_at_1400(problem, warm_start=None):
+            if problem.cfg.v_bar == 1400:
+                raise SolverFailure("boom")
+            return solve(problem, warm_start=warm_start)
+
+        monkeypatch.setattr(cli, "SWEEP_BATCH", 2)
+        monkeypatch.setattr(mpc, "solve_ocp", failing_at_1400)
+        out = tmp_path / "sweep"
+        code = cli.main(["--quiet", "sweep", "--config", str(desk_config_path), "--vary",
+                         "mpc.v_bar=1100,1200,1300,1400", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "solver failure: day 1: boom\n"
+        # the first batch stays written; the failing batch writes neither of its runs
+        assert sorted(path.name for path in out.iterdir()) == ["mpc.v_bar=1100", "mpc.v_bar=1200"]
+
+    def assert_equal_alone(self, config_path, tmp_path, vary):
+        out = tmp_path / "sweep"
+        assert cli.main(["--quiet", "sweep", "--config", str(config_path), "--vary", vary,
+                         "--out", str(out)]) == 0
+        keys, values = cli._parse_vary(vary)
+        raw = json.loads(config_path.read_text())
+        for value in values:
+            patch = value
+            for key in reversed(keys):
+                patch = {key: patch}
+            alone_config = tmp_path / "alone.json"  # beside contacts.csv
+            alone_config.write_text(json.dumps(scenario.overlay(raw, patch)))
+            alone = tmp_path / "alone" / str(value)
+            assert cli.main(["--quiet", "simulate", "--config", str(alone_config),
+                             "--out", str(alone)]) == 0
+            swept = out / f"{'.'.join(keys)}={value}"
+            names = sorted(path.name for path in alone.iterdir())
+            assert sorted(path.name for path in swept.iterdir()) == names
+            for name in names:
+                assert (swept / name).read_bytes() == (alone / name).read_bytes(), (value, name)

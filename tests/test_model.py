@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import vaxmpc
+from vaxmpc import model
 from vaxmpc.errors import ContractViolation, ValidationError
 from vaxmpc.model import matvec_rows, si_step
 
@@ -291,6 +292,21 @@ class TestRollout:
         controls[2, 0] = -4.0
         with pytest.raises(ValidationError, match="step 2"):
             vaxmpc.rollout(desk_state0, controls, desk_params)
+
+    def test_bad_compartment_names_its_step(self, monkeypatch, desk_params, desk_state0):
+        """The block is checked once, after the last step; the error still
+        names the step that wrote the first bad compartment."""
+        advance, calls = model.advance, []
+
+        def corrupting_third(now, u, params, out, applied):
+            advance(now, u, params, out, applied)
+            calls.append(None)
+            if len(calls) == 3:
+                out[1, 0] = -1.0
+
+        monkeypatch.setattr(model, "advance", corrupting_third)
+        with pytest.raises(ValidationError, match="^rollout step 2: i: negative compartment$"):
+            vaxmpc.rollout(desk_state0, np.zeros((5, 2)), desk_params)
 
 
 class TestNewInfections:

@@ -1253,6 +1253,131 @@ class TestClosedLoop:
             vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "greedy")
 
 
+def assert_same_run(got, want):
+    """Two closed-loop results hold the same bytes in every array, the same
+    day records (floats by their hex form) and the same latch day."""
+    for name in ("s", "i", "r", "d", "applied_u"):
+        a, b = getattr(got.trajectory, name), getattr(want.trajectory, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.controls.tobytes() == want.controls.tobytes()
+    assert got.trajectory.start_time_step == want.trajectory.start_time_step
+    assert [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rec)]
+            for rec in got.day_records] == [
+        [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(rec)]
+        for rec in want.day_records]
+    assert (got.policy, got.latch_day) == (want.policy, want.latch_day)
+
+
+def assert_chained_steps(run, params):
+    """The run's states are chained public ``step`` calls under its controls."""
+    state = run.trajectory.state(0)
+    for t, u in enumerate(run.controls):
+        state = vaxmpc.step(state, u, params)
+        for name in ("s", "i", "r", "d", "applied_u"):
+            want = getattr(state, name).tobytes()
+            got = getattr(run.trajectory, name)[t if name == "applied_u" else t + 1]
+            assert got.tobytes() == want, (t, name)
+
+
+class TestLockstepLoop:
+    """Runs simulated together in one lockstep batch."""
+
+    def test_national_preset_loop_equals_chained_steps(self, preset_params, preset_state0,
+                                                       preset_config):
+        run = vaxmpc.run_policy_loop(preset_state0, preset_config.mpc, preset_params, "national")
+        assert run.n_days == 140 and run.trajectory.applied_u.any()
+        assert_chained_steps(run, preset_params)
+
+    def test_mpc_desk_loop_equals_chained_steps(self, desk_params, desk_state0, desk_cfg):
+        run = vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "mpc")
+        assert any(rec.v_n0 is not None for rec in run.day_records)
+        assert_chained_steps(run, desk_params)
+
+    def test_mixed_batch_equals_runs_alone(self, desk_params, desk_state0, desk_cfg):
+        """Every row its own policy, model, first state (and first day),
+        capacity, start day and horizon."""
+        other = vaxmpc.ModelParams(
+            lam=np.array([0.09, 0.03]), gamma_r=desk_params.gamma_r,
+            gamma_d=desk_params.gamma_d, population=desk_params.population,
+            contact=desk_params.contact,
+        )
+        # an outbreak that dies out: its infected fall below 1 after about ten days
+        dying = dataclasses.replace(other, lam=np.array([0.01, 0.01]))
+        late = vaxmpc.rollout(desk_state0, np.zeros((3, 2)), desk_params).state(3)
+        replace = dataclasses.replace
+        runs = [
+            (desk_state0, desk_cfg, desk_params, "mpc"),
+            (late, replace(desk_cfg, strategy_horizon=9, vaccination_start_day=6), desk_params,
+             "national"),
+            (vaxmpc.initial_state(other, np.array([3.0, 9.0])), replace(desk_cfg, v_bar=400.0),
+             other, "mpc"),
+            (desk_state0, replace(desk_cfg, strategy_horizon=4), other, "none"),
+            (late, replace(desk_cfg, v_bar=700.0, strategy_horizon=30), desk_params,
+             "national"),
+            # latches on day 1; and would latch after its 4-day horizon
+            (vaxmpc.initial_state(dying, np.array([0.5, 0.5])),
+             replace(desk_cfg, eradication_threshold=1.0), dying, "national"),
+            (vaxmpc.initial_state(dying, np.array([20.0, 5.0])),
+             replace(desk_cfg, eradication_threshold=1.0, strategy_horizon=4), dying, "none"),
+        ]
+        batch = vaxmpc.run_policy_loop(*(list(column) for column in zip(*runs)))
+        assert len(batch) == len(runs)
+        assert [run.latch_day for run in batch[-2:]] == [1, None]
+        longer = dataclasses.replace(runs[-1][1], strategy_horizon=30)
+        assert vaxmpc.run_policy_loop(runs[-1][0], longer, dying, "none").latch_day > 4
+        for got, run in zip(batch, runs):
+            assert_same_run(got, vaxmpc.run_policy_loop(*run))
+
+    def test_runs_of_two_group_counts_refused(self, desk_params, desk_state0, desk_cfg,
+                                              preset_params, preset_state0):
+        with pytest.raises(ContractViolation, match="one group count"):
+            vaxmpc.run_policy_loop([desk_state0, preset_state0], [desk_cfg, desk_cfg],
+                                   [desk_params, preset_params], ["none", "none"])
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_bad_control_names_its_day(
+        self, monkeypatch, desk_params, desk_state0, desk_cfg, bad, batched
+    ):
+        allocate = vaxmpc.strategies.national_allocate
+        calls = []
+
+        def poisoned_third(s, v_bar):
+            calls.append(s)
+            u = allocate(s, v_bar)
+            if len(calls) == 3:
+                u[-1, 0] = bad  # the last national row, on day 3
+            return u
+
+        monkeypatch.setattr(vaxmpc.strategies, "national_allocate", poisoned_third)
+        message = "u: non-finite entries" if np.isnan(bad) else "u: vaccination counts"
+        count = 3 if batched else 1
+        args = [desk_state0] * count, [desk_cfg] * count, [desk_params] * count
+        with pytest.raises(ValidationError, match=f"^day 3: {message}"):
+            if batched:
+                vaxmpc.run_policy_loop(*args, ["none", "national", "national"])
+            else:
+                vaxmpc.run_policy_loop(desk_state0, desk_cfg, desk_params, "national")
+
+    @pytest.mark.parametrize("bad, message", [(np.inf, "non-finite entries"),
+                                              (-2.0, "negative compartment")])
+    def test_block_check_names_compartment_and_day(
+        self, monkeypatch, desk_params, desk_state0, desk_cfg, bad, message
+    ):
+        advance, calls = mpc.advance, []
+
+        def corrupting_fifth(now, u, params, out, applied):
+            advance(now, u, params, out, applied)
+            calls.append(None)
+            if len(calls) == 5:
+                out[2, -1, 1] = bad  # R of the last run on day 6
+
+        monkeypatch.setattr(mpc, "advance", corrupting_fifth)
+        with pytest.raises(ValidationError, match=f"^day 6: r: {message}$"):
+            vaxmpc.run_policy_loop([desk_state0] * 2, [desk_cfg] * 2, [desk_params] * 2,
+                                   ["none", "national"])
+
+
 class TestMpcConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
