@@ -399,7 +399,7 @@ def audit_death_bound(run: ScenarioResult) -> BoundAudit:
     controlled closed loop, not the uncontrolled run-out).  A predictive run
     eradicated before its first solve has nothing to bound.
     """
-    records = [rec for rec in run.day_records if rec.v_n0 is not None]
+    records = run.day_records  # the solved days
     if not records and run.policy != "mpc":
         raise ContractViolation(
             "run carries no recorded optimal values; the death-toll audit "

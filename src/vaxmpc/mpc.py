@@ -607,7 +607,7 @@ def run_policy_loop(state0, cfg, params, policy="mpc"):
     block = np.empty((count, 4, n_days + 1, n)).transpose(2, 1, 0, 3)
     block[0] = np.array([[x.s, x.i, x.r, x.d] for x in state0]).swapaxes(0, 1)
     controls, applied = (np.zeros((count, n_days, n)).swapaxes(0, 1) for _ in range(2))
-    latch_day, warm, solved = [None] * count, [None] * count, {}
+    latch_day, warm, solved = [None] * count, [None] * count, [[] for _ in range(count)]
     days = first_day + np.arange(n_days)[:, None]  # (T, K): each run's day at each step
     window = (days >= start) & (days - first_day < horizon)  # the gate's open days
     unlatched = np.ones(count, dtype=bool)
@@ -631,8 +631,8 @@ def run_policy_loop(state0, cfg, params, policy="mpc"):
                 raise SolverFailure(f"day {day[k]}: {exc}") from exc
             u[k] = solution.controls[0]
             warm[k] = np.vstack([solution.controls[1:], np.zeros((1, n))])
-            solved[k, t] = DayRecord(int(day[k]), solution.optimal_value, solution.feasible,
-                                     solution.terminal_slack, solution.iterations)
+            solved[k].append(DayRecord(int(day[k]), solution.optimal_value, solution.feasible,
+                                       solution.terminal_slack, solution.iterations))
         _check_controls(u, day)
         advance(block[t], u, rates, block[t + 1], applied[t])
     results = []
@@ -642,7 +642,6 @@ def run_policy_loop(state0, cfg, params, policy="mpc"):
             raise ValidationError(f"day {first_day[k] + fault[0]}: {fault[1]}")
         trajectory = Trajectory.from_block(
             block[: n_steps + 1, :, k], applied[:n_steps, k], state0[k].time_step)
-        records = [solved.get((k, t)) or DayRecord(int(first_day[k]) + t) for t in range(n_steps)]
         results.append(ScenarioResult(policy[k], trajectory, controls[:n_steps, k],
-                                      params[k], cfg[k], records, latch_day[k]))
+                                      params[k], cfg[k], solved[k], latch_day[k]))
     return results[0] if single else results

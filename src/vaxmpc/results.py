@@ -40,10 +40,10 @@ class DayRecord:
     """Diagnostics for one simulated day.
 
     ``v_n0`` is the optimal value of the finite-horizon problem solved that
-    day (None when no solve ran: before the start day, after the eradication
-    latch, or for non-predictive policies).  ``iterations`` is the solver's
-    descent iteration count summed over its starts, also None without a
-    solve.
+    day.  ``iterations`` is the solver's descent iteration count summed over
+    its starts.  A run records only the days that solve; on every other day
+    ``diagnostics.jsonl`` writes ``DayRecord(day)``, whose other fields are
+    None.
     """
 
     day: int
@@ -70,10 +70,12 @@ class ScenarioResult:
     ``cfg`` is the controller configuration the run was simulated under.
     ``controls`` are the commanded daily vaccinations; the clamped values
     actually applied are on ``trajectory.applied_u``.  ``day_records`` has one
-    entry per simulated day, in order.  ``latch_day`` is the day the
-    eradication latch closed, which is the run's eradication day (None if it
-    never closed).  ``fingerprint`` is the :func:`scenario_fingerprint` of
-    the run's inputs; runs are comparable exactly when theirs are equal.
+    entry per solved day, in order: none before the start day, after the
+    eradication latch, or for non-predictive policies.  ``latch_day`` is the
+    day the eradication latch closed, which is the run's eradication day
+    (None if it never closed).  ``fingerprint`` is the
+    :func:`scenario_fingerprint` of the run's inputs; runs are comparable
+    exactly when theirs are equal.
     """
 
     policy: str

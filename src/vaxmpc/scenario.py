@@ -18,11 +18,14 @@ for reproducible tests, not survey data.
 Outputs per run: ``trajectory.csv`` (day, group, S, I, R, D, applied_u),
 ``metrics.json`` (with the run's scenario fingerprint) and, for predictive
 runs, ``diagnostics.jsonl`` with one record per day.  All writers are
-deterministic byte for byte.
+deterministic byte for byte.  Each distinct day row of ``trajectory.csv`` is
+formatted once and reused from a bounded cache, so a sweep prints the days
+its runs share before vaccination starts once, with unchanged bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import warnings
@@ -35,7 +38,7 @@ from . import mpc as mpc_mod
 from .certificates import validate_epsilon
 from .errors import ContractViolation, ValidationError
 from .model import EpidemicState, ModelParams, initial_state, new_infections
-from .results import ScenarioResult, scenario_fingerprint
+from .results import DayRecord, ScenarioResult, scenario_fingerprint
 from .strategies import POLICIES
 
 BUILTIN_MATRIX = "builtin:synthetic-6x6"
@@ -491,6 +494,27 @@ def run_scenarios(configs: list[ScenarioConfig]) -> list[ScenarioResult]:
     return mpc_mod.run_policy_loop(*([getattr(c, name) for c in configs] for name in names))
 
 
+#: How many formatted day rows of ``trajectory.csv`` are kept.  The runs of
+#: one sweep share their days before vaccination starts, and a run's rows
+#: stay among the most recent until the next run reads them; a sweep has
+#: thousands of distinct rows, far more than are kept.
+ROW_CACHE_SIZE = 256
+
+
+def _lines(day: int, n: int, cells: str, values: list) -> str:
+    """One day's ``trajectory.csv`` lines, one a group; each cell is the
+    repr() of a float64."""
+    return "\n".join(f"{day},{g},{cells}" for g in range(n)) % tuple(values)
+
+
+@functools.lru_cache(maxsize=ROW_CACHE_SIZE)
+def _day_lines(day: int, n: int, row: bytes) -> str:
+    """The lines of a day that doses leave, from the bytes of its 5n float64
+    cells.  The key is the bytes, not the floats: -0.0 == 0.0, but the two
+    print differently."""
+    return _lines(day, n, "%r,%r,%r,%r,%r", np.frombuffer(row).tolist())
+
+
 def write_run(
     run: ScenarioResult,
     out_dir: str | Path,
@@ -513,22 +537,22 @@ def write_run(
     # (days + 1, n_a, 4) compartments; each day that doses leave gets a fifth column
     states = np.stack([traj.s, traj.i, traj.r, traj.d], axis=-1, dtype=float)
     doses = np.concatenate([states[:-1], traj.applied_u[..., None]], axis=-1)
-    rows = [*doses.reshape(n_days, 5 * n).tolist(), states[-1].ravel().tolist()]
     lines = ["day,group,S,I,R,D,applied_u"]
-    for t, row in enumerate(rows):  # one template a day; each cell is repr() of a float64
-        cells = "%r,%r,%r,%r," + ("%r" if t < n_days else "")
-        template = "\n".join(f"{first_day + t},{g},{cells}" for g in range(n))
-        lines.append(template % tuple(row))
+    lines += [_day_lines(first_day + t, n, row.tobytes())
+              for t, row in enumerate(doses.reshape(n_days, 5 * n))]
+    lines.append(_lines(first_day + n_days, n, "%r,%r,%r,%r,", states[-1].ravel().tolist()))
     (out / "trajectory.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "metrics.json").write_text(
         json.dumps(asdict(payload), sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
     diagnostics = out / "diagnostics.jsonl"
-    if run.policy == "mpc":  # every predictive run, solved or not
+    if run.policy == "mpc":  # every predictive run, solved or not: one line a day
+        solved = {rec.day: rec for rec in run.day_records}
         records = []
-        for t, rec in enumerate(run.day_records):
-            records.append(json.dumps(rec.to_dict(traj.applied_u[t]), sort_keys=True))
+        for day, u in enumerate(traj.applied_u, first_day):
+            rec = solved.get(day) or DayRecord(day)  # null fields on a day without a solve
+            records.append(json.dumps(rec.to_dict(u), sort_keys=True))
         diagnostics.write_text("\n".join(records) + "\n", encoding="utf-8")
     else:  # a predictive run written here before must not leave its records
         diagnostics.unlink(missing_ok=True)

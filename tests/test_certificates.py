@@ -638,7 +638,7 @@ class TestDeathBoundAudit:
         run = vaxmpc.run_policy_loop(state, desk_cfg, desk_params)
         # below-threshold start latches immediately: no solves to audit
         assert run.latch_day == 1
-        assert not any(rec.v_n0 is not None for rec in run.day_records)
+        assert run.day_records == []
         assert not run.controls.any()
         audit = vaxmpc.audit_death_bound(run)
         assert audit.passed and audit.n_samples == 0

@@ -864,10 +864,14 @@ class TestSweepLockstep:
     def test_runs_equal_simulate_alone(self, desk_config_path, tmp_path, vary):
         self.assert_equal_alone(desk_config_path, tmp_path, vary)
 
-    def test_batches_of_national_runs_equal_simulate_alone(self, desk_config_path, tmp_path):
+    @pytest.mark.parametrize("start_day", [1, 4])
+    def test_batches_of_national_runs_equal_simulate_alone(self, desk_config_path, tmp_path,
+                                                           start_day):
+        # with vaccination from day 4, the runs share the rows of days 1-3
         values = [300 * k for k in range(1, cli.SWEEP_BATCH + 3)]  # two batches
         config = json.loads(desk_config_path.read_text())
-        desk_config_path.write_text(json.dumps({**config, "policy": "national"}))
+        patch = {"policy": "national", "mpc": {"vaccination_start_day": start_day}}
+        desk_config_path.write_text(json.dumps(scenario.overlay(config, patch)))
         self.assert_equal_alone(
             desk_config_path, tmp_path, "mpc.v_bar=" + ",".join(map(str, values))
         )

@@ -530,6 +530,24 @@ class TestCompare:
         assert payload["improvements"][0]["baseline"] == "none"
 
 
+def assert_cells_are_reprs(path, traj):
+    """Each number cell of a ``trajectory.csv`` is the repr() of its float64."""
+    n_rows, n = traj.s.shape
+    lines = path.read_text().splitlines()[1:]
+    assert len(lines) == n_rows * n
+    for line, (t, g) in zip(lines, np.ndindex(n_rows, n)):
+        day, group, *cells = line.split(",")
+        assert (int(day), int(group)) == (traj.start_time_step + t + 1, g)
+        want = [traj.s[t, g], traj.i[t, g], traj.r[t, g], traj.d[t, g]]
+        if t < traj.n_steps:
+            want.append(traj.applied_u[t, g])
+        else:  # no dose leaves the last day
+            assert cells.pop() == ""
+        for cell, x in zip(cells, want, strict=True):
+            assert cell == repr(float(x))
+            assert float(cell).hex() == float(x).hex()
+
+
 class TestWriters:
     @pytest.fixture()
     def desk_run(self, desk_params, desk_state0):
@@ -558,19 +576,29 @@ class TestWriters:
         rows = [np.roll(values, k).reshape(3, 2) for k in range(5)]  # 2 days, 2 groups
         traj = Trajectory(*rows[:4], applied_u=rows[4][:2], start_time_step=0)
         write_run(dataclasses.replace(desk_run, trajectory=traj), tmp_path)
-        lines = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
-        assert len(lines) == 6
-        for line, (t, g) in zip(lines, np.ndindex(3, 2)):
-            day, group, *cells = line.split(",")
-            assert (int(day), int(group)) == (t + 1, g)
-            want = [row[t, g] for row in rows[:4]]
-            if t < 2:
-                want.append(rows[4][t, g])
-            else:  # no dose leaves the last day
-                assert cells.pop() == ""
-            for cell, x in zip(cells, want, strict=True):
-                assert cell == repr(float(x))
-                assert float(cell).hex() == float(x).hex()
+        assert_cells_are_reprs(tmp_path / "trajectory.csv", traj)
+
+    def test_cached_day_rows_keep_their_own_cells(self, desk_run, tmp_path):
+        values = np.arange(1.0, 21.0)
+        runs = []
+        for zero in (0.0, -0.0):  # day 1's rows differ only in the sign of a zero
+            rows = [np.roll(values[:6], k).reshape(3, 2) for k in range(5)]
+            rows[4][0, 1] = zero
+            runs.append(Trajectory(*rows[:4], applied_u=rows[4][:2]))
+        four = np.ones((5, 3, 4))  # S, I, R, D, u by day and group: 4 groups, 2 dose days
+        four[:, 1] = values.reshape(4, 5).T  # day 2: 20 cells
+        five = np.ones((4, 2, 5))  # S, I, R, D: 5 groups, 1 dose day
+        five[:, 1] = values.reshape(5, 4).T  # day 2, the last row: the same 20 cells
+        runs.append(Trajectory(*four[:4], applied_u=four[4, :2]))
+        runs.append(Trajectory(*five, applied_u=np.ones((1, 5))))
+        runs.append(runs[2])  # the day row again, after the last row
+        for k, traj in enumerate(runs):
+            n = traj.s.shape[1]
+            params = vaxmpc.ModelParams(np.full(n, 0.05), np.full(n, 0.3), np.full(n, 0.02),
+                                        np.full(n, 100.0), np.eye(n) / 100.0)
+            write_run(dataclasses.replace(desk_run, trajectory=traj, params=params),
+                      tmp_path / str(k))
+            assert_cells_are_reprs(tmp_path / str(k) / "trajectory.csv", traj)
 
     def test_metrics_payload_round_trips(self, desk_run, tmp_path):
         metrics = write_run(desk_run, tmp_path)
@@ -695,8 +723,10 @@ class TestWriters:
         assert {
             "day", "V_N0", "feasible", "terminal_slack", "iterations", "applied_u"
         } <= set(first)
-        for line, rec in zip(lines, run.day_records):
-            assert json.loads(line)["iterations"] == rec.iterations
+        iterations = {rec.day: rec.iterations for rec in run.day_records}
+        for line in lines:
+            record = json.loads(line)
+            assert record["iterations"] == iterations.get(record["day"])
         assert first["iterations"] > 0
 
 
