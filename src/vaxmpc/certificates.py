@@ -165,10 +165,25 @@ class CertificateParams:
         return cls(epsilon=float(epsilon), gamma_vec=gamma_vec, ct_lam=ct_lam)
 
 
+def _rows(op, x: np.ndarray) -> np.ndarray:
+    """``op`` (``np.maximum``, ``np.minimum`` or ``np.logical_or``) folded
+    over the last axis, column by column, into a new array.
+
+    Each is an exact selection, so this equals numpy's max, min or any
+    along the last axis, NaN propagating, and over short rows it is much
+    faster.  (Which zero a row mixing +0.0 and -0.0 returns may differ from
+    numpy's reduction, whose order depends on its SIMD width.)
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        op(out, x[..., j], out=out)
+    return out
+
+
 def disease_free(i: np.ndarray) -> np.ndarray:
     """Per row of I: True iff every |I_k| <= XSTAR_ATOL, so the state counts
     as X* = {I = 0}."""
-    return np.max(np.abs(i), axis=-1) <= XSTAR_ATOL
+    return _rows(np.maximum, np.abs(i)) <= XSTAR_ATOL
 
 
 def in_terminal_set(state: EpidemicState, cert: CertificateParams) -> bool:
@@ -186,25 +201,20 @@ def constraint_excess(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
     """Ct_Lam . S - Gamma per row of S: every entry <= 0 iff the row meets
     the terminal constraint.  The one place the product is formed; the
     sampler, the X_f test and the planner's terminal slack all read it."""
-    return matvec_rows(cert.ct_lam, s) - cert.gamma_vec
+    excess = matvec_rows(cert.ct_lam, s)
+    excess -= cert.gamma_vec
+    return excess
 
 
 def _constraint_margin(s: np.ndarray, cert: CertificateParams) -> np.ndarray:
-    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma.
-
-    The max runs column by column, which is exact and, over short rows,
-    much faster than a reduction along the last axis; NaN propagates.
-    """
-    excess = constraint_excess(s, cert)
-    worst = excess[..., 0]
-    for j in range(1, excess.shape[-1]):
-        worst = np.maximum(worst, excess[..., j])
-    return 0.0 - worst  # not -x: 0 stays +0.0
+    """min_j (Gamma - Ct_Lam . S)_j per row: >= 0 iff Ct_Lam . S <= Gamma;
+    NaN propagates."""
+    return 0.0 - _rows(np.maximum, constraint_excess(s, cert))  # not -x: 0 stays +0.0
 
 
 def _terminal_margin(s: np.ndarray, i: np.ndarray, cert: CertificateParams) -> np.ndarray:
     """Signed membership margin per row: >= 0 inside X_f, < 0 outside."""
-    free = XSTAR_ATOL - np.max(np.abs(i), axis=-1)  # >= 0 iff disease_free(i)
+    free = XSTAR_ATOL - _rows(np.maximum, np.abs(i))  # >= 0 iff disease_free(i)
     return np.maximum(_constraint_margin(s, cert), free)
 
 
@@ -245,9 +255,9 @@ def sample_terminal_states(
     s = rng.random((n, n_a))
     s *= susceptible_box(cert, params)
     with np.errstate(divide="ignore"):
-        reach = np.min(cert.gamma_vec / matvec_rows(cert.ct_lam, s), axis=-1)
+        reach = _rows(np.minimum, cert.gamma_vec / matvec_rows(cert.ct_lam, s))
     pop_reach = np.divide(params.population, s, out=np.full_like(s, np.inf), where=s > 0)
-    np.minimum(reach, pop_reach.min(axis=-1), out=reach)
+    np.minimum(reach, _rows(np.minimum, pop_reach), out=reach)
     reach[np.isinf(reach)] = 0.0  # d = 0 has no boundary to reach
     share = rng.random(n)
     share **= 1.0 / n_a
@@ -256,14 +266,17 @@ def sample_terminal_states(
     s *= reach[:, None]
     # where the population cap binds, S_k = d_k * (P_k / d_k) can round above P_k
     np.minimum(s, params.population, out=s)
-    # float rounding can push a scaled point a hair outside; nudge back
+    # float rounding can push a scaled point a hair outside; nudge back,
+    # checking again only the rows nudged, since a row's margin is its own
+    bad = np.flatnonzero(_constraint_margin(s, cert) < 0)
     for _ in range(4):
-        bad = _constraint_margin(s, cert) < 0
-        if not bad.any():
+        if not bad.size:
             break
         s[bad] *= 1.0 - 1e-14
+        bad = bad[_constraint_margin(s[bad], cert) < 0]
 
-    i = rng.uniform(0.0, 1.0, size=(n, n_a)) * (params.population - s)
+    i = rng.uniform(0.0, 1.0, size=(n, n_a))
+    i *= params.population - s
     return s, i
 
 
@@ -295,20 +308,20 @@ def _report(name: str, margin: np.ndarray, seed: int) -> CheckReport:
 
 
 def check_invariance(
-    cert: CertificateParams, params: ModelParams, s: np.ndarray, i: np.ndarray, u: np.ndarray
+    cert: CertificateParams, s_next: np.ndarray, i_next: np.ndarray
 ) -> np.ndarray:
     """Sampled check that X_f is invariant under every admissible input.
 
-    Steps each state (S, I) in X_f once under its control and returns the
-    successor's :func:`_terminal_margin`, one per state: negative outside
-    X_f by the same exact comparisons as :func:`in_terminal_set`.
+    Takes the successors (S+, I+) of states in X_f, each stepped once under
+    its control, and returns their :func:`_terminal_margin`, one per state:
+    negative outside X_f by the same exact comparisons as
+    :func:`in_terminal_set`.
     """
-    s1, i1, _ = si_step(s, i, u, params)
-    return _terminal_margin(s1, i1, cert)
+    return _terminal_margin(s_next, i_next, cert)
 
 
 def check_lyapunov_decrease(
-    cert: CertificateParams, params: ModelParams, s: np.ndarray, i: np.ndarray, u: np.ndarray
+    cert: CertificateParams, params: ModelParams, s: np.ndarray, i: np.ndarray, i_next: np.ndarray
 ) -> np.ndarray:
     """Sampled check of the one-step decrease inequality inside X_f.
 
@@ -321,17 +334,17 @@ def check_lyapunov_decrease(
     terminal-cost decrease V_f(x(n+1)) - V_f(x(n)) <= -gamma_d' I(n) is this
     inequality divided by epsilon, so the one test covers both.  A state
     with no infections (S = P leaves no room for any) meets it with
-    equality and has margin 0.  Also re-steps each state under its control
-    ``u``, with margin -inf unless the infected successor is bitwise
-    identical: the decrease condition must not depend on the input.
+    equality and has margin 0.  ``i_next`` is each state's infected
+    successor under its own control, the one the invariance check reads;
+    the margin is -inf unless the zero-input successor is bitwise
+    identical to it: the decrease condition must not depend on the input.
     """
     cost_now = matvec_rows(params.gamma_d, i)
-    _, i1, _ = si_step(s, i, np.zeros_like(s), params)
+    _, i1, _ = si_step(s, i, np.zeros(params.n_a), params)
     # relative margins are 0 / 1e-300 where there are no infections
     margin = (1.0 - cert.epsilon + LYAPUNOV_RTOL) * cost_now - matvec_rows(params.gamma_d, i1)
     margin /= np.maximum(cost_now, 1e-300)
-    _, i1_u, _ = si_step(s, i, u, params)
-    margin[np.any(i1 != i1_u, axis=-1)] = -np.inf
+    margin[_rows(np.logical_or, i1 != i_next)] = -np.inf
     return margin
 
 
@@ -352,8 +365,10 @@ def check_eta_bound(
     i[0] = rng.uniform(0.0, ETA_I0_FRACTION, size=(rollouts, params.n_a)) * params.population
     u = _sample_controls((days, rollouts), params.n_a, v_bar, rng)
     s = params.population - i[0]
+    s_next, dose = np.empty_like(s), np.empty_like(s)
     for day in range(days):
-        s, i[day + 1], _ = si_step(s, i[day], u[day], params)
+        si_step(s, i[day], u[day], params, out=(s_next, i[day + 1], dose))
+        s, s_next = s_next, s
     cost = matvec_rows(params.gamma_d, i)
     bound = compute_eta(params) * cost[:-1]
     return (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
@@ -364,22 +379,25 @@ def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> lis
     and growth-bound reports, in that order.
 
     ``seed`` spawns two independent streams.  From the first, one
-    ``samples``-state draw in X_f serves the invariance and decrease checks;
-    from the second, the growth-bound check steps ``max(1, samples // 100)``
-    rollouts over ``cfg.strategy_horizon`` days.  Every report names
-    ``seed``.  The sampler and the checks are looked up on this module at
-    call time, so a caller can substitute any of them.
+    ``samples``-state draw in X_f and its controls serve the invariance and
+    decrease checks: each state is stepped once under its control, and
+    both checks read that successor.  From the second, the growth-bound
+    check steps ``max(1, samples // 100)`` rollouts over
+    ``cfg.strategy_horizon`` days.  Every report names ``seed``.  The
+    sampler, the kernel and the checks are looked up on this module at call
+    time, so a caller can substitute any of them.
     """
     cert = CertificateParams.from_model(params, cfg.epsilon)
     # SeedSequence.spawn, not Generator.spawn, which needs numpy 1.25
     states, rollouts = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
     s, i = sample_terminal_states(cert, params, samples, states)
     u = _sample_controls(samples, params.n_a, cfg.v_bar, states)
-    for a in (s, i, u):  # the two state checks share them
+    s_next, i_next, _ = si_step(s, i, u, params)
+    for a in (s, i, s_next, i_next):  # the two state checks share them
         a.setflags(write=False)
     margins = {
-        "terminal_set_invariance": check_invariance(cert, params, s, i, u),
-        "lyapunov_decrease": check_lyapunov_decrease(cert, params, s, i, u),
+        "terminal_set_invariance": check_invariance(cert, s_next, i_next),
+        "lyapunov_decrease": check_lyapunov_decrease(cert, params, s, i, i_next),
         "growth_factor_bound": check_eta_bound(
             params, max(1, samples // 100), cfg.strategy_horizon, rollouts, v_bar=cfg.v_bar
         ),

@@ -222,13 +222,16 @@ def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (a @ x[..., None])[..., 0]
 
 
-def new_infections(s: np.ndarray, i: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Daily new infections lam_k * S_k * sum_j C_kj I_j, per row of (S, I)."""
-    return params.lam * s * matvec_rows(params.contact, i)
+def new_infections(s: np.ndarray, i: np.ndarray, params: ModelParams, out=None) -> np.ndarray:
+    """Daily new infections lam_k * S_k * sum_j C_kj I_j, per row of (S, I),
+    written into ``out`` when one is given."""
+    out = np.multiply(params.lam, s, out=out)
+    out *= matvec_rows(params.contact, i)
+    return out
 
 
 def si_step(
-    s: np.ndarray, i: np.ndarray, u: np.ndarray, params: ModelParams, out=(None,) * 3
+    s: np.ndarray, i: np.ndarray, u: np.ndarray, params: ModelParams, out=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance the (S, I) block one day; returns (s_next, i_next, u_applied).
 
@@ -237,17 +240,23 @@ def si_step(
     certificates, so predicted and realized trajectories agree bitwise.  The
     removal rate gamma_r + gamma_d is read precomputed from
     ``params.removal``.  Inputs may carry leading batch axes.  ``out`` may
-    name three float arrays of the result's shape, none of them an input,
-    that receive the results in place of new arrays.
+    name three float arrays of the result's shape that receive the results
+    in place of new arrays.  They must share no memory with ``s``, ``i`` or
+    ``u``: the step writes ``i_next`` and ``u_applied`` before it last
+    reads ``i`` and ``u``, so an aliased output changes the bits.
     """
-    new_inf = new_infections(s, i, params)
-    room = s - new_inf
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(params.lam), s.shape, i.shape, u.shape)
+        out = (np.empty(shape), np.empty(shape), np.empty(shape))
     s_next, i_next, u_eff = out
-    u_eff = np.minimum(u, np.maximum(0.0, room), out=u_eff)
-    s_next = np.subtract(room, u_eff, out=s_next)
-    # add, then subtract in place: no third temporary on wide batches
-    i_next = np.add(i, new_inf, out=i_next)
-    i_next -= params.removal * i
+    new_inf = new_infections(s, i, params, out=i_next)
+    room = np.subtract(s, new_inf, out=s_next)
+    # u_eff holds removal * I until I' is formed: no temporary on wide batches
+    np.add(i, new_inf, out=i_next)
+    i_next -= np.multiply(params.removal, i, out=u_eff)
+    np.maximum(0.0, room, out=u_eff)
+    np.minimum(u, u_eff, out=u_eff)
+    room -= u_eff
     return s_next, i_next, u_eff
 
 

@@ -19,6 +19,7 @@ from vaxmpc.certificates import (
     CheckReport,
     _constraint_margin,
     _report,
+    _rows,
     _sample_controls,
     check_eta_bound,
     check_invariance,
@@ -230,6 +231,33 @@ class TestConstraintMargin:
             assert np.all(np.isnan(_constraint_margin(rows[:50], with_nan)))
 
 
+class TestRows:
+    """The column fold is numpy's reduction along the last axis."""
+
+    @pytest.mark.parametrize("n_a", [1, 2, 6, 9, 16])
+    def test_equals_last_axis_reductions(self, n_a):
+        rng = np.random.default_rng(n_a)
+        values = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5, -2.5])
+        x = rng.choice(values, size=(4000, n_a))
+        x[:500] = rng.normal(size=(500, n_a))
+        zeros = x == 0
+        # a row whose winner is a tie of +0.0 and -0.0 may give either zero
+        mixed = (zeros & np.signbit(x)).any(axis=-1) & (zeros & ~np.signbit(x)).any(axis=-1)
+        for op, reduce, data in [
+            (np.maximum, np.max, x), (np.minimum, np.min, x), (np.logical_or, np.any, x > 0)
+        ]:
+            got, want = _rows(op, data), reduce(data, axis=-1)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)  # NaN where numpy has NaN
+            assert got[~mixed].tobytes() == want[~mixed].tobytes()
+            # n_a = 1 included: a new array, never a view a caller could write
+            assert not np.shares_memory(got, data)
+            for rows in (data[:12].reshape(3, 4, n_a), data[0]):
+                got, want = _rows(op, rows), reduce(rows, axis=-1)
+                assert np.shape(got) == np.shape(want)
+                np.testing.assert_array_equal(got, want)
+
+
 def certify_streams(seed):
     """The two generators ``certify`` spawns from ``seed``: terminal states
     and their controls, then growth-bound rollouts."""
@@ -241,6 +269,14 @@ def terminal_draw(cert, params, samples, rng, v_bar):
     X_f, then one admissible control each."""
     s, i = sample_terminal_states(cert, params, samples, rng)
     return s, i, _sample_controls(samples, params.n_a, v_bar, rng)
+
+
+def state_margins(cert, params, s, i, u):
+    """The invariance and decrease margins as ``certify`` composes them:
+    each state stepped once under its control, both checks reading that
+    successor."""
+    s1, i1, _ = si_step(s, i, u, params)
+    return check_invariance(cert, s1, i1), check_lyapunov_decrease(cert, params, s, i, i1)
 
 
 def reference_invariance(cert, params, samples, rng_seed, v_bar):
@@ -352,13 +388,13 @@ class TestBatchedChecks:
         v_bar = 55191.0 if instance == "preset" else 1200.0
         cert = CertificateParams.from_model(params, 0.1)
         for seed in (0, 5):
-            s, i, u = terminal_draw(cert, params, 3000, np.random.default_rng(seed), v_bar)
-            inv = _report("terminal_set_invariance", check_invariance(cert, params, s, i, u), seed)
+            draw = terminal_draw(cert, params, 3000, np.random.default_rng(seed), v_bar)
+            invariance, decrease = state_margins(cert, params, *draw)
+            inv = _report("terminal_set_invariance", invariance, seed)
             assert (inv.n_violations, inv.worst_margin) == reference_invariance(
                 cert, params, 3000, seed, v_bar
             )
-            margin = check_lyapunov_decrease(cert, params, s, i, u)
-            lyap = _report("lyapunov_decrease", margin, seed)
+            lyap = _report("lyapunov_decrease", decrease, seed)
             assert (lyap.n_violations, lyap.worst_margin) == reference_lyapunov(
                 cert, params, 3000, seed, v_bar
             )
@@ -384,10 +420,12 @@ class TestCertify:
             )
         cert = CertificateParams.from_model(params, cfg.epsilon)
         states, growth = certify_streams(0)
-        s, i, u = terminal_draw(cert, params, samples, states, cfg.v_bar)
+        invariance, decrease = state_margins(
+            cert, params, *terminal_draw(cert, params, samples, states, cfg.v_bar)
+        )
         want = [
-            _report("terminal_set_invariance", check_invariance(cert, params, s, i, u), 0),
-            _report("lyapunov_decrease", check_lyapunov_decrease(cert, params, s, i, u), 0),
+            _report("terminal_set_invariance", invariance, 0),
+            _report("lyapunov_decrease", decrease, 0),
             _report(
                 "growth_factor_bound",
                 check_eta_bound(params, rollouts, cfg.strategy_horizon, growth, v_bar=cfg.v_bar),
@@ -431,10 +469,10 @@ class TestCertify:
             directions.append(copy.deepcopy(rng).random((rollouts, params.n_a)))
             return sampler(cert, params, n, rng)
 
-        def stepping(s, i, u, params):
+        def stepping(s, i, u, params, out=None):
             if i.shape[0] == rollouts and not first_i:
                 first_i.append(i.copy())
-            return kernel(s, i, u, params)
+            return kernel(s, i, u, params, out=out)
 
         monkeypatch.setattr(certificates, "sample_terminal_states", sampling)
         monkeypatch.setattr(certificates, "si_step", stepping)
@@ -443,10 +481,27 @@ class TestCertify:
         assert not np.allclose(first_i[0], rescaled)
 
 
+def test_certify_steps_each_sample_once(preset_config, monkeypatch):
+    """The shared draw is stepped twice in all, under its controls and under
+    zero input, and the growth bound once a day."""
+    params, cfg = preset_config.params, preset_config.mpc
+    rows, kernel = [], certificates.si_step
+
+    def counting(s, i, u, params, out=None):
+        rows.append(len(s))
+        return kernel(s, i, u, params, out=out)
+
+    monkeypatch.setattr(certificates, "si_step", counting)
+    vaxmpc.certify(params, cfg, 20_000, 0)
+    assert rows.count(20_000) == 2
+    assert rows.count(200) == cfg.strategy_horizon == 140
+    assert len(rows) == 142
+
+
 def mutated_si_step(mutation):
     """``si_step`` with one deliberate defect."""
 
-    def step(s, i, u, params):
+    def step(s, i, u, params, out=None):
         new_inf = new_infections(s, i, params)
         if mutation == "infection sign":
             new_inf = -new_inf
@@ -458,7 +513,12 @@ def mutated_si_step(mutation):
         i_next = i + new_inf - removal * i
         if mutation == "input leak":
             i_next = i_next + 1e-9 * u_eff
-        return room - u_eff, i_next, u_eff
+        results = room - u_eff, i_next, u_eff
+        if out is None:
+            return results
+        for target, result in zip(out, results):
+            target[...] = result
+        return out
 
     return step
 
@@ -477,7 +537,8 @@ def test_suite_catches_kernel_mutations(preset_config, monkeypatch, mutation, vi
     """Each defect in the kernel shows as violations of the checks that read
     it: invariance, decrease and growth bound, in that order, on the preset
     at 20 000 samples and seed 0.  Dropping the clamp is caught by the
-    growth bound alone, and only the input-independence re-step catches a
+    growth bound alone, and only the decrease check's guard, which compares
+    the zero-input I' with the I' stepped under each control, catches a
     control leaking into I'.
 
     Blind spots at epsilon = 0.1: a halved removal rate, or a zero
@@ -555,7 +616,7 @@ class TestInvariance:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         draw = terminal_draw(cert, preset_params, 2000, np.random.default_rng(11), 55191.0)
-        margin = check_invariance(cert, preset_params, *draw)
+        margin, _ = state_margins(cert, preset_params, *draw)
         assert np.all(margin >= 0)
         assert margin.shape == (2000,)
 
@@ -568,7 +629,7 @@ class TestInvariance:
     def test_report_round_trips_to_json(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         draw = terminal_draw(cert, preset_params, 50, np.random.default_rng(2), 55191.0)
-        margin = check_invariance(cert, preset_params, *draw)
+        margin, _ = state_margins(cert, preset_params, *draw)
         report = _report("terminal_set_invariance", margin, 2)
         payload = json.loads(report.to_json())
         assert set(payload) >= {"n_samples", "n_violations", "worst_margin", "seed"}
@@ -579,7 +640,7 @@ class TestLyapunovDecrease:
     def test_no_violations_on_preset(self, preset_params):
         cert = CertificateParams.from_model(preset_params, 0.1)
         draw = terminal_draw(cert, preset_params, 2000, np.random.default_rng(4), 55191.0)
-        assert np.all(check_lyapunov_decrease(cert, preset_params, *draw) >= 0)
+        assert np.all(state_margins(cert, preset_params, *draw)[1] >= 0)
 
     def test_scalar_threshold_example(self):
         params = scalar_params()
@@ -712,12 +773,13 @@ class TestRandomInstances:
                 assert susceptible_box(cert, params)[0] == params.population[0]
             v_bar = float(rng.uniform(0.01, 0.1) * params.population.sum())
             draw = terminal_draw(cert, params, 500, np.random.default_rng(k), v_bar)
+            margins = state_margins(cert, params, *draw)
             checks = [
                 (check_invariance, reference_invariance),
                 (check_lyapunov_decrease, reference_lyapunov),
             ]
-            for check, reference in checks:
-                report = _report(check.__name__, check(cert, params, *draw), k)
+            for (check, reference), margin in zip(checks, margins):
+                report = _report(check.__name__, margin, k)
                 assert np.isfinite(report.worst_margin), (k, report)
                 assert report.n_violations == 0, (k, report)
                 # each reference draws on its own, from the shared draw's stream
@@ -740,8 +802,9 @@ class TestRandomInstances:
         assert np.all(s[:, 2] == 0.0)
         assert np.all(np.delete(s, 2, axis=1).any(axis=1))
         draw = terminal_draw(cert, params, 2000, np.random.default_rng(0), 0.05 * population.sum())
-        for check in (check_invariance, check_lyapunov_decrease):
-            report = _report(check.__name__, check(cert, params, *draw), 0)
+        margins = state_margins(cert, params, *draw)
+        for check, margin in zip((check_invariance, check_lyapunov_decrease), margins):
+            report = _report(check.__name__, margin, 0)
             assert np.isfinite(report.worst_margin) and report.passed, report
 
 

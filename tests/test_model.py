@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -515,3 +517,74 @@ class TestValidateControl:
     def test_capacity_ignored_when_absent(self):
         u = vaxmpc.validate_control(np.array([60.0, 50.0]), 2)
         assert u.sum() == 110.0
+
+
+def legacy_si_step(s, i, u, params, out=(None,) * 3):
+    """The kernel as it was before it formed its results in place, kept
+    verbatim (with its ``new_infections``) as a bitwise oracle."""
+    new_inf = params.lam * s * matvec_rows(params.contact, i)
+    room = s - new_inf
+    s_next, i_next, u_eff = out
+    u_eff = np.minimum(u, np.maximum(0.0, room), out=u_eff)
+    s_next = np.subtract(room, u_eff, out=s_next)
+    # add, then subtract in place: no third temporary on wide batches
+    i_next = np.add(i, new_inf, out=i_next)
+    i_next -= params.removal * i
+    return s_next, i_next, u_eff
+
+
+class TestInPlaceKernel:
+    """``si_step`` writing into ``out`` gives the bytes it gives without,
+    and the bytes of the kernel before it formed its results in place."""
+
+    @staticmethod
+    def inputs(rng, params, rows):
+        """(S, I, u) with -0.0 entries and controls that often exceed the
+        room the clamp leaves them."""
+        n_a = params.n_a
+        s = rng.uniform(0, 1, (rows, n_a)) * params.population
+        i = rng.uniform(0, 1, s.shape) * (params.population - s)
+        u = rng.uniform(0, 2, s.shape) * s
+        for a in (s, i, u):
+            a[rng.random(a.shape) < 0.1] = -0.0
+        s[rng.random(s.shape) < 0.1] = 0.0
+        s[-1, -1] = i[-1, -1] = -0.0
+        u[0] = s[0] + 1.0  # more than the room left
+        return s, i, u
+
+    @staticmethod
+    def assert_same_bytes(s, i, u, params):
+        want = legacy_si_step(s, i, u, params)
+        alone = si_step(s, i, u, params)
+        # strided rows, as the closed loop's run-first blocks give them
+        out = tuple(np.full(s.shape[:-1] + (3, s.shape[-1]), np.nan)[..., 1, :] for _ in range(3))
+        got = si_step(s, i, u, params, out=out)
+        assert all(g is o for g, o in zip(got, out))
+        for w, a, g in zip(want, alone, got):
+            assert w.tobytes() == a.tobytes() == np.ascontiguousarray(g).tobytes()
+
+    @pytest.mark.parametrize("n_a", [1, 6, 16])
+    @pytest.mark.parametrize("rows", [1, 200, 20_000])
+    def test_equals_the_legacy_kernel(self, n_a, rows):
+        rng = np.random.default_rng(100 * n_a + rows)
+        params = _random_valid_params(rng, n_a)
+        s, i, u = self.inputs(rng, params, rows)
+        assert np.any(legacy_si_step(s, i, u, params)[2] < u)  # the clamp binds
+        assert np.any(np.signbit(s) & (s == 0))
+        self.assert_same_bytes(s, i, u, params)
+        self.assert_same_bytes(s[0], i[0], u[0], params)  # one unbatched row
+
+    @pytest.mark.parametrize("n_a", [1, 6, 16])
+    def test_equals_the_legacy_kernel_with_per_row_rates(self, n_a):
+        """Rates as the closed loop passes them: (K, n_a) rows of ``lam``
+        and ``removal`` and one (n_a, n_a) contact matrix per row."""
+        rng = np.random.default_rng(n_a)
+        models = [_random_valid_params(rng, n_a) for _ in range(200)]
+        rates = SimpleNamespace(**{name: np.array([getattr(p, name) for p in models])
+                                   for name in ("lam", "contact", "removal")})
+        population = np.array([p.population for p in models])
+        s = rng.uniform(0, 1, population.shape) * population
+        i = rng.uniform(0, 1, s.shape) * (population - s)
+        u = rng.uniform(0, 2, s.shape) * s
+        s[::7] = -0.0
+        self.assert_same_bytes(s, i, u, rates)

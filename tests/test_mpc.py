@@ -1407,3 +1407,26 @@ class TestMpcConfigValidation:
     def test_epsilon_checked_against_rates(self, preset_params, preset_state0):
         with pytest.raises(ValidationError, match="^epsilon=0.7 outside"):
             mpc.check_loop_inputs(preset_state0, vaxmpc.MpcConfig(epsilon=0.7), preset_params, "mpc")
+
+
+def test_kernel_outputs_never_alias_its_inputs(preset_config, monkeypatch):
+    """``si_step`` forms its results in place, so an ``out`` array that
+    shares memory with S, I or u would change bits.  None does, in the
+    planner's rollout, the closed loop's plant step or the certificates."""
+    params, state0, cfg = preset_config.params, preset_config.state0, preset_config.mpc
+    kernel, callers = si_step, collections.Counter()
+
+    def checking(s, i, u, params, out=None):
+        callers[out is None] += 1
+        for target in out or ():
+            assert not any(np.shares_memory(target, a) for a in (s, i, u))
+        return kernel(s, i, u, params, out=out)
+
+    for module in (vaxmpc.model, mpc, vaxmpc.certificates):
+        monkeypatch.setattr(module, "si_step", checking)
+    day61 = vaxmpc.rollout(state0, np.zeros((60, 6)), params).state(60)
+    solve_ocp(build_ocp(day61, cfg, params))
+    configs = [dataclasses.replace(cfg, v_bar=5000.0 * k) for k in range(1, 11)]
+    vaxmpc.run_policy_loop([state0] * 10, configs, [params] * 10, ["national"] * 10)
+    vaxmpc.certify(params, cfg, 2000, 0)
+    assert callers[False] > 60 + 140 + 140 and callers[True] == 2
