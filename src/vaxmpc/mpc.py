@@ -283,15 +283,16 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
 
     Rows are the last axis of a (..., n_a) array (a 1-D input is one row
     and comes back as shape (1, n_a)); each row is projected on its own.
+    Once any row is over capacity, every row is projected, and a row under
+    it keeps its clip: a select costs less than gathering the rows over.
     """
     controls = np.atleast_2d(np.asarray(controls, dtype=float))
     shape = controls.shape
-    controls = controls.reshape(-1, shape[-1])
-    clipped = np.maximum(controls, 0.0)
+    rows = controls.reshape(-1, shape[-1])
+    clipped = np.maximum(rows, 0.0)
     over = clipped.sum(axis=1) > v_bar
     if not np.any(over):
         return clipped.reshape(shape)
-    rows = controls[over]
     n = rows.shape[1]
     # column j of the rows sorted in descending order is ordered[j]; the
     # running sums are cumsum's adds in cumsum's order, one per column
@@ -306,9 +307,8 @@ def project_capacity(controls: np.ndarray, v_bar: float) -> np.ndarray:
     # takes the first: its threshold leaves no dose rather than excess / 0
     rho = np.maximum((ordered > excess / np.arange(1, n + 1)[:, None]).sum(axis=0), 1)
     theta = excess[rho - 1, np.arange(rows.shape[0])] / rho
-    out = clipped
-    out[over] = np.maximum(rows - theta[:, None], 0.0)
-    return out.reshape(shape)
+    projected = np.maximum(rows - theta[:, None], 0.0)
+    return np.where(over[:, None], projected, clipped).reshape(shape)
 
 
 def _gradient(
