@@ -133,7 +133,8 @@ def compute_eta(params: ModelParams) -> float:
     gamma_d' (Id + P_d diag(lam) C - diag(gamma_r + gamma_d)) <= eta gamma_d'
     componentwise, which guarantees gamma_d' I(n+1) <= eta * gamma_d' I(n)
     for every state with 0 <= S <= P.  Every gamma_d_k is positive, as
-    :class:`ModelParams` requires.
+    :class:`ModelParams` requires.  gamma_d' times the growth matrix is
+    :func:`matvec_rows` of its transpose, so it calls no BLAS.
     """
     n = params.n_a
     growth = (
@@ -141,7 +142,7 @@ def compute_eta(params: ModelParams) -> float:
         + (params.population * params.lam)[:, None] * params.contact
         - np.diag(params.removal)
     )
-    return float(np.max(params.gamma_d @ growth / params.gamma_d))
+    return float(np.max(matvec_rows(growth.T, params.gamma_d) / params.gamma_d))
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +167,16 @@ class CertificateParams:
 
 
 def _rows(op, x: np.ndarray) -> np.ndarray:
-    """``op`` (``np.maximum``, ``np.minimum`` or ``np.logical_or``) folded
-    over the last axis, column by column, into a new array.
+    """``op`` (``np.maximum``, ``np.minimum``, ``np.logical_or`` or
+    ``np.add``) folded over the last axis, column by column, into a new
+    array; over short rows this is much faster than numpy's reduction.
 
-    Each is an exact selection, so this equals numpy's max, min or any
-    along the last axis, NaN propagating, and over short rows it is much
-    faster.  (Which zero a row mixing +0.0 and -0.0 returns may differ from
-    numpy's reduction, whose order depends on its SIMD width.)
+    The first three are exact selections, so this equals numpy's max, min
+    or any along the last axis, NaN propagating.  (Which zero a row mixing
+    +0.0 and -0.0 returns may differ from numpy's reduction, whose order
+    depends on its SIMD width.)  ``np.add`` is not a selection: it is a
+    fixed left-to-right order, the same for a row alone or in any batch,
+    and its sum may differ in the last bits from ``np.sum``'s pairwise one.
     """
     out = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
@@ -286,7 +290,7 @@ def _sample_controls(
     """Admissible controls, one per index of the leading ``shape``: a random
     simplex direction times a random budget."""
     w = rng.exponential(1.0, size=np.append(shape, n_a))
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= _rows(np.add, w)[..., None]
     w *= rng.uniform(0.0, v_bar, size=np.append(shape, 1))
     return w
 

@@ -24,6 +24,9 @@ dR = gr I + u, dD = gd I); the continuous form is documented here for
 reference but never integrated, and the step size is fixed at one day.
 All functions are pure; states and parameters are immutable value objects.
 The (S, I) dynamics take (..., n_a) batches; each row's bits match it alone.
+Every matrix product of the program goes through :data:`contract`, numpy's
+C einsum, mostly as :func:`matvec_rows`: no BLAS is called, so the bits are
+the same on any BLAS build, and only a numpy upgrade can move them.
 """
 
 from __future__ import annotations
@@ -212,14 +215,26 @@ def validate_control(u: np.ndarray, n_a: int) -> np.ndarray:
     return u
 
 
-def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a`` (m, n) or (n,) times each row of ``x`` (..., n), over any batch axes.
+try:  # numpy's C einsum, the call np.einsum(..., optimize=False) makes
+    from numpy._core.multiarray import c_einsum as contract
+except ImportError:  # a numpy that does not expose it under this name
+    contract = np.einsum
 
-    A row's result is bitwise the same alone or in a batch of any shape:
-    each row goes to the same gemv (or dot), where a gemm such as
-    ``x @ a.T`` may sum some rows in another order.
+
+def matvec_rows(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a`` (..., m, n) or (n,) times each row of ``x`` (..., n), over any
+    batch axes; a matrix per row broadcasts against ``x``'s batch axes.
+
+    The product is :data:`contract`, numpy's C einsum, which calls no
+    BLAS: a row's result is bitwise the same alone or in a batch of any
+    shape, and on any BLAS kernel.  The summation
+    order is numpy's einsum loop for this numpy build, so a numpy upgrade
+    may move the last bits.  That order depends on the stride along a row,
+    so a row that is not contiguous is copied into one that is.
     """
-    return (a @ x[..., None])[..., 0]
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return contract("...ij,...j->...i" if a.ndim > 1 else "j,...j->...", a, x)
 
 
 def new_infections(s: np.ndarray, i: np.ndarray, params: ModelParams, out=None) -> np.ndarray:

@@ -48,7 +48,7 @@ from .errors import ContractViolation, SolverFailure, ValidationError
 # step is not called here, but perfbench/tracing.py patches vaxmpc.mpc.step
 # by name, and every traced run would raise AttributeError without it
 from .model import (EpidemicState, ModelParams, Trajectory, advance, compartment_fault,
-                    matvec_rows, si_step, step, validate_control)  # noqa: F401
+                    contract, matvec_rows, si_step, step, validate_control)  # noqa: F401
 from .results import DayRecord, ScenarioResult
 
 #: Weight of the terminal hinge penalty in penalty mode.
@@ -268,9 +268,11 @@ def predict(problem: OcpProblem, controls: np.ndarray) -> SiTrajectory:
                             removal=np.full(shape, params.removal))
     for s_t, i_t, plan_t, *rows in zip(s, i, controls, s[1:], i[1:], u):
         si_step(s_t, i_t, plan_t, rates, out=rows)
-    # one gemv per plan and a pairwise sum along its row of day costs keep the
-    # bits of V_N0 (per-day gemvs, and a sum over the day axis, round otherwise)
-    cost = (np.moveaxis(i[:big_n], 0, -2) @ params.gamma_d).sum(axis=-1)
+    # each plan's day costs land in one contiguous row, which a pairwise sum
+    # adds as it adds the plan's costs alone (a strided row sums otherwise)
+    day_cost = np.empty(shape[:-1] + (big_n,))
+    contract("j,n...j->...n", params.gamma_d, i[:big_n], out=day_cost)
+    cost = day_cost.sum(axis=-1)
     cost += matvec_rows(params.gamma_d, i[big_n]) / problem.cfg.epsilon
     excess = constraint_excess(s[big_n], problem.cert)
     overshoot = np.where(disease_free(i[big_n])[..., None], 0.0, np.maximum(0.0, excess))
@@ -366,13 +368,15 @@ def _gradient(
 def _norms(plans: np.ndarray) -> np.ndarray:
     """The Euclidean norm of each plan in an (N, K, n_a) batch.
 
-    Each is one dot product of the plan, copied to one contiguous row, with
-    itself, as ``np.linalg.norm`` takes it, so a plan gets the bits it gets
-    alone (a strided row can sum in another order).
+    Each is the square root of the plan's sum of squares, contracted by
+    :data:`~vaxmpc.model.contract` over the plan copied to one contiguous
+    row, so a plan gets the bits it gets alone (a strided row can sum in
+    another order).  This is ``np.linalg.norm``'s value to a few ulps, not
+    its bits, which depend on the BLAS kernel.
     """
     big_n, count, n = plans.shape
     flat = np.ascontiguousarray(plans.transpose(1, 0, 2)).reshape(count, big_n * n)
-    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
+    return np.sqrt(contract("kx,kx->k", flat, flat))
 
 
 def _descend(

@@ -453,8 +453,40 @@ class TestBatchInvariance:
         for n_a in range(1, 17):
             gd = rng.uniform(1e-4, 0.2, n_a)
             x = rng.uniform(0, 1e5, (64, n_a))
-            alone = np.array([gd @ row for row in x])
+            alone = np.array([matvec_rows(gd, row) for row in x])
             assert matvec_rows(gd, x).tobytes() == alone.tobytes()
+
+    def test_strided_row_gets_its_contiguous_copys_bits(self):
+        """The contraction sums a row with a stride other than its item size
+        in another order, so :func:`matvec_rows` copies such a row first."""
+        rng = np.random.default_rng(78)
+        for n_a in range(1, 17):
+            a = rng.uniform(0, 1, (n_a, n_a))
+            gd = rng.uniform(1e-4, 0.2, n_a)
+            wide = rng.uniform(0, 1e5, (40, 3 * n_a))
+            for x in (wide[:, ::3], np.asfortranarray(wide[:5, ::3]), wide[0, ::3]):
+                assert x.strides[-1] != x.itemsize
+                dense = np.ascontiguousarray(x)
+                for m in (a, gd):
+                    assert matvec_rows(m, x).tobytes() == matvec_rows(m, dense).tobytes()
+
+    @pytest.mark.parametrize(
+        "subscripts, shapes",
+        [
+            ("...ij,...j->...i", [(6, 6), (64, 6)]),
+            ("...ij,...j->...i", [(5, 6, 6), (5, 6)]),
+            ("j,...j->...", [(6,), (40, 11, 6)]),
+            ("j,n...j->...n", [(6,), (40, 11, 6)]),
+            ("kx,kx->k", [(11, 240), (11, 240)]),
+        ],
+    )
+    def test_bound_contraction_is_einsums(self, subscripts, shapes):
+        """The bound entry gives ``np.einsum(..., optimize=False)``'s bits on
+        every subscript the program contracts with."""
+        rng = np.random.default_rng(79)
+        operands = [rng.uniform(0, 1e5, shape) for shape in shapes]
+        got = model.contract(subscripts, *operands)
+        assert got.tobytes() == np.einsum(subscripts, *operands, optimize=False).tobytes()
 
 
 class TestModelParamsValidation:

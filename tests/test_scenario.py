@@ -39,17 +39,17 @@ DEATHS_DAY_140_MPC = 2123.11862987758
 # sha256 of every file write_run writes for the three preset closed loops.
 PRESET_OUTPUT_SHA256 = {
     "none": {
-        "trajectory.csv": "1324856caecfe6d006636369bb0a5471339667dd3e9154f95fd2c3e2f5c30e00",
-        "metrics.json": "125c8eacf31f02f2f434298ae02221a965805c00209d6f55f4ff3208685c5dda",
+        "trajectory.csv": "5f5534817a815a3962438d34b0b2d92b788336b189f1236fccddae4eebe05300",
+        "metrics.json": "eb3abd94145506ce2e50752755441408c26b71e0c1c6fe2bfce8360705d0d2b5",
     },
     "national": {
-        "trajectory.csv": "beeb88ebda60c558498a4a767895cca4c9178483ac6af5fa3828b934be7e5ad8",
-        "metrics.json": "c5473fbed9e84fffe7cbf88edc28fe91f8aebc2684e453c99036e055a78e0175",
+        "trajectory.csv": "790a4f3f5469a5387219f8514c87833519820aec206d8533d5d30557f6b82755",
+        "metrics.json": "20a44d25513a7d915db4d1c9dc9deb274ac5fa52946bcaddf4f0a9ab7cce1e30",
     },
     "mpc": {
-        "trajectory.csv": "0f828d0035767c3d08732f714317c6a0b464b8e82074820c770149d526023881",
-        "metrics.json": "2bffdf13feaedabf07847cfb10dfab2285221b35f417795199d094e72af76800",
-        "diagnostics.jsonl": "1dd0714149c1654c25efdcbbe6bc324eff68f6b1bcb064860cc3ffccaf0c83f4",
+        "trajectory.csv": "0c484dca9f6e27a26f5161748d3f70ad44b0d51c8ae5142a8736f6bbab284149",
+        "metrics.json": "efacd21e262dcd6fb36299cd3435de03e82590626219507cf999656f4270fc10",
+        "diagnostics.jsonl": "72cbb5a4ab47af7fff58202b6e85989f2d2521988b1fa10f1ff53cd0b0e66bc3",
     },
 }
 
