@@ -73,12 +73,19 @@ ETA_I0_FRACTION = 0.02
 #: terminal-set sample and its controls are (samples, n_a) arrays each, and
 #: the growth-bound check steps samples // 100 rollouts over every day of
 #: the strategy horizon.
-#: At this cap a preset certify call takes ~2-3 s and peaks at ~560 MiB on a
-#: 2-core host, and both grow linearly past it.
+#: At this cap one preset certify call in a fresh process took 0.8-1.0 s
+#: and peaked at ~230 MiB resident on a 2-core host, and both grow
+#: linearly past it.
 MAX_SAMPLES = 1_000_000
 
 #: Share of the terminal-set samples drawn on the boundary of X_f.
 BOUNDARY_FRACTION = 0.1
+
+#: Rows the sampled checks process at a time.  A block's (rows, n_a)
+#: temporaries stay in cache, and memory past the draw itself does not grow
+#: with the sample count.  Every row's arithmetic is row-wise, so no report
+#: depends on this value.
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,12 @@ def _rows(op, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most :data:`BLOCK_ROWS` rows covering
+    ``range(n)`` in order; one empty slice when ``n`` is 0."""
+    return [slice(start, start + BLOCK_ROWS) for start in range(0, max(n, 1), BLOCK_ROWS)]
+
+
 def disease_free(i: np.ndarray) -> np.ndarray:
     """Per row of I: True iff every |I_k| <= XSTAR_ATOL, so the state counts
     as X* = {I = 0}."""
@@ -253,19 +266,39 @@ def sample_terminal_states(
     group count; a zero direction stays at S = 0.  Rows that rounding puts
     above P are clipped to it, and those a hair outside the constraint are
     nudged back.  Infected are uniform on [0, P - S], so every sample has
-    0 <= S, 0 <= I and S + I <= P.
+    0 <= S, 0 <= I and S + I <= P.  Every uniform is drawn first
+    (directions, shares, then infected), and the rows are then placed one
+    block of :data:`BLOCK_ROWS` at a time, in place.
     """
     n_a = params.n_a
     s = rng.random((n, n_a))
-    s *= susceptible_box(cert, params)
+    share = rng.random(n)
+    i = rng.uniform(0.0, 1.0, size=(n, n_a))
+    share **= 1.0 / n_a
+    share[: int(round(BOUNDARY_FRACTION * n))] = 1.0
+    box = susceptible_box(cert, params)
+    for rows in _blocks(n):
+        _place(s[rows], i[rows], share[rows], box, cert, params)
+    return s, i
+
+
+def _place(
+    s: np.ndarray,
+    i: np.ndarray,
+    share: np.ndarray,
+    box: np.ndarray,
+    cert: CertificateParams,
+    params: ModelParams,
+) -> None:
+    """Turn one block of :func:`sample_terminal_states`' uniforms into its
+    (S, I) rows, in place: directions ``s`` and infected uniforms ``i``,
+    with ``share`` the share of each direction's reach."""
+    s *= box
     with np.errstate(divide="ignore"):
         reach = _rows(np.minimum, cert.gamma_vec / matvec_rows(cert.ct_lam, s))
     pop_reach = np.divide(params.population, s, out=np.full_like(s, np.inf), where=s > 0)
     np.minimum(reach, _rows(np.minimum, pop_reach), out=reach)
     reach[np.isinf(reach)] = 0.0  # d = 0 has no boundary to reach
-    share = rng.random(n)
-    share **= 1.0 / n_a
-    share[: int(round(BOUNDARY_FRACTION * n))] = 1.0
     reach *= share
     s *= reach[:, None]
     # where the population cap binds, S_k = d_k * (P_k / d_k) can round above P_k
@@ -278,20 +311,22 @@ def sample_terminal_states(
             break
         s[bad] *= 1.0 - 1e-14
         bad = bad[_constraint_margin(s[bad], cert) < 0]
-
-    i = rng.uniform(0.0, 1.0, size=(n, n_a))
     i *= params.population - s
-    return s, i
 
 
 def _sample_controls(
     shape: int | tuple[int, ...], n_a: int, v_bar: float, rng: np.random.Generator
 ) -> np.ndarray:
     """Admissible controls, one per index of the leading ``shape``: a random
-    simplex direction times a random budget."""
+    simplex direction times a random budget.  Every direction is drawn, then
+    every budget; each block of rows is then normalised and scaled."""
     w = rng.exponential(1.0, size=np.append(shape, n_a))
-    w /= _rows(np.add, w)[..., None]
-    w *= rng.uniform(0.0, v_bar, size=np.append(shape, 1))
+    budget = rng.uniform(0.0, v_bar, size=np.append(shape, 1))
+    rows, budget = w.reshape(-1, n_a), budget.reshape(-1, 1)
+    for block in _blocks(len(rows)):
+        w_block = rows[block]
+        w_block /= _rows(np.add, w_block)[:, None]
+        w_block *= budget[block]
     return w
 
 
@@ -378,6 +413,32 @@ def check_eta_bound(
     return (bound * (1.0 + ETA_RTOL) - cost[1:]) / np.maximum(bound, 1e-300)
 
 
+def _state_margins(
+    cert: CertificateParams,
+    params: ModelParams,
+    samples: int,
+    v_bar: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The invariance and decrease margins of one ``samples``-state draw in
+    X_f and its controls from ``rng``, one block of :data:`BLOCK_ROWS` rows
+    at a time: each state is stepped once under its control, and both
+    checks read that successor."""
+    s, i = sample_terminal_states(cert, params, samples, rng)
+    u = _sample_controls(samples, params.n_a, v_bar, rng)
+    invariance, decrease = [], []
+    for a in (s, i):  # the two state checks share them, and their successors
+        a.setflags(write=False)
+    for rows in _blocks(samples):
+        s_now, i_now = s[rows], i[rows]
+        s_next, i_next, _ = si_step(s_now, i_now, u[rows], params)
+        s_next.setflags(write=False)
+        i_next.setflags(write=False)
+        invariance.append(check_invariance(cert, s_next, i_next))
+        decrease.append(check_lyapunov_decrease(cert, params, s_now, i_now, i_next))
+    return np.concatenate(invariance), np.concatenate(decrease)
+
+
 def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> list[CheckReport]:
     """The sampled certificate suite for one instance: invariance, decrease
     and growth-bound reports, in that order.
@@ -385,23 +446,22 @@ def certify(params: ModelParams, cfg: MpcConfig, samples: int, seed: int) -> lis
     ``seed`` spawns two independent streams.  From the first, one
     ``samples``-state draw in X_f and its controls serve the invariance and
     decrease checks: each state is stepped once under its control, and
-    both checks read that successor.  From the second, the growth-bound
-    check steps ``max(1, samples // 100)`` rollouts over
-    ``cfg.strategy_horizon`` days.  Every report names ``seed``.  The
-    sampler, the kernel and the checks are looked up on this module at call
-    time, so a caller can substitute any of them.
+    both checks read that successor.  The draw is processed in blocks of
+    :data:`BLOCK_ROWS` rows, and every row gets the same bits in any block,
+    so no report depends on the block size.  From the second stream, once
+    the draw is released, the growth-bound check steps
+    ``max(1, samples // 100)`` rollouts over ``cfg.strategy_horizon`` days.
+    Every report names ``seed``.  The sampler, the kernel and the checks
+    are looked up on this module at call time, so a caller can substitute
+    any of them.
     """
     cert = CertificateParams.from_model(params, cfg.epsilon)
     # SeedSequence.spawn, not Generator.spawn, which needs numpy 1.25
     states, rollouts = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
-    s, i = sample_terminal_states(cert, params, samples, states)
-    u = _sample_controls(samples, params.n_a, cfg.v_bar, states)
-    s_next, i_next, _ = si_step(s, i, u, params)
-    for a in (s, i, s_next, i_next):  # the two state checks share them
-        a.setflags(write=False)
+    invariance, decrease = _state_margins(cert, params, samples, cfg.v_bar, states)
     margins = {
-        "terminal_set_invariance": check_invariance(cert, s_next, i_next),
-        "lyapunov_decrease": check_lyapunov_decrease(cert, params, s, i, i_next),
+        "terminal_set_invariance": invariance,
+        "lyapunov_decrease": decrease,
         "growth_factor_bound": check_eta_bound(
             params, max(1, samples // 100), cfg.strategy_horizon, rollouts, v_bar=cfg.v_bar
         ),

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import vaxmpc
 from vaxmpc import certificates, cli
 from vaxmpc.certificates import (
+    BLOCK_ROWS,
     BOUNDARY_FRACTION,
     BOUND_RTOL,
     ETA_I0_FRACTION,
@@ -398,6 +401,18 @@ class TestBatchedChecks:
             )
 
 
+def certify_instance(instance, preset_config):
+    """(params, cfg) of the preset, or of the seeded 12-group instance."""
+    if instance == "preset":
+        return preset_config.params, preset_config.mpc
+    params = random_params(12, np.random.default_rng(12))
+    cfg = vaxmpc.MpcConfig(
+        epsilon=0.5 * float(np.min(params.removal)),
+        v_bar=0.05 * float(params.population.sum()),
+    )
+    return params, cfg
+
+
 class TestCertify:
     """``certify`` is the shared draw and the three checks, nothing more,
     with the draw and the growth-bound rollouts on separate streams."""
@@ -408,19 +423,13 @@ class TestCertify:
     def test_equals_the_calls_it_composes(
         self, preset_config, monkeypatch, instance, samples, rollouts
     ):
-        if instance == "preset":
-            params, cfg = preset_config.params, preset_config.mpc
-        else:
-            params = random_params(12, np.random.default_rng(12))
-            cfg = vaxmpc.MpcConfig(
-                epsilon=0.5 * float(np.min(params.removal)),
-                v_bar=0.05 * float(params.population.sum()),
-            )
+        """One draw, one growth-bound check, and each state check once per
+        block, the blocks covering every drawn row once, in order."""
+        params, cfg = certify_instance(instance, preset_config)
         cert = CertificateParams.from_model(params, cfg.epsilon)
         states, growth = certify_streams(0)
-        invariance, decrease = state_margins(
-            cert, params, *terminal_draw(cert, params, samples, states, cfg.v_bar)
-        )
+        s, i, u = terminal_draw(cert, params, samples, states, cfg.v_bar)
+        invariance, decrease = state_margins(cert, params, s, i, u)
         want = [
             _report("terminal_set_invariance", invariance, 0),
             _report("lyapunov_decrease", decrease, 0),
@@ -436,21 +445,35 @@ class TestCertify:
             "check_lyapunov_decrease",
             "check_eta_bound",
         )
-        calls = []
+        calls = {name: [] for name in names}
 
-        def counting(name, fn):
+        def recording(name, fn):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                # copied, so that a block reusing memory cannot change them
+                calls[name].append([np.copy(a) for a in args if isinstance(a, np.ndarray)])
                 return fn(*args, **kwargs)
 
             return wrapper
 
         for name in names:
-            monkeypatch.setattr(certificates, name, counting(name, getattr(certificates, name)))
+            monkeypatch.setattr(certificates, name, recording(name, getattr(certificates, name)))
         got = vaxmpc.certify(params, cfg, samples, 0)
         assert [r.to_json() for r in got] == [r.to_json() for r in want]
-        assert sorted(calls) == sorted(names)  # one draw serves both state checks
         assert [r.seed for r in got] == [0, 0, 0]
+        assert len(calls["sample_terminal_states"]) == len(calls["check_eta_bound"]) == 1
+        blocks = math.ceil(samples / BLOCK_ROWS)
+        for name in ("check_invariance", "check_lyapunov_decrease"):
+            assert len(calls[name]) == blocks
+            assert all(len(args[0]) <= BLOCK_ROWS for args in calls[name])
+        s_next, i_next, _ = si_step(s, i, u, params)
+        rows = {
+            "check_invariance": (s_next, i_next),
+            "check_lyapunov_decrease": (s, i, i_next),
+        }
+        for name, whole in rows.items():
+            for k, column in enumerate(whole):
+                joined = np.concatenate([args[k] for args in calls[name]])
+                assert joined.tobytes() == column.tobytes()
 
     def test_growth_bound_draws_apart_from_the_terminal_states(
         self, preset_config, monkeypatch
@@ -481,7 +504,7 @@ class TestCertify:
 
 def test_certify_steps_each_sample_once(preset_config, monkeypatch):
     """The shared draw is stepped twice in all, under its controls and under
-    zero input, and the growth bound once a day."""
+    zero input, a block at a time; then the growth bound once a day."""
     params, cfg = preset_config.params, preset_config.mpc
     rows, kernel = [], certificates.si_step
 
@@ -491,9 +514,75 @@ def test_certify_steps_each_sample_once(preset_config, monkeypatch):
 
     monkeypatch.setattr(certificates, "si_step", counting)
     vaxmpc.certify(params, cfg, 20_000, 0)
-    assert rows.count(20_000) == 2
-    assert rows.count(200) == cfg.strategy_horizon == 140
-    assert len(rows) == 142
+    draw, growth = rows[: -cfg.strategy_horizon], rows[-cfg.strategy_horizon :]
+    assert sum(draw) == 2 * 20_000
+    assert len(draw) == 2 * math.ceil(20_000 / BLOCK_ROWS)
+    assert max(draw) <= BLOCK_ROWS
+    assert growth == [200] * 140
+
+
+class TestBlockSize:
+    """The reports do not depend on how many rows a block holds."""
+
+    @pytest.mark.parametrize("instance", ["preset", "groups-12"])
+    def test_every_block_size_gives_the_same_reports(
+        self, preset_config, monkeypatch, instance
+    ):
+        """Counts 1 to 1,000 under blocks of 1, 7 and the whole draw.  At 50
+        samples the 5 boundary rows end inside the first 7-row block, and at
+        1,000 samples the nudge moves rows in more than one 7-row block."""
+        params, cfg = certify_instance(instance, preset_config)
+        draws, negative = [], []
+        sampler, margin = certificates.sample_terminal_states, certificates._constraint_margin
+
+        def sampling(*args):
+            draws.append(sampler(*args))
+            return draws[-1]
+
+        def recording(s, cert):
+            result = margin(s, cert)
+            if np.any(result < 0):
+                negative.append(s)
+            return result
+
+        monkeypatch.setattr(certificates, "sample_terminal_states", sampling)
+        monkeypatch.setattr(certificates, "_constraint_margin", recording)
+        for samples in (1, 7, 8, 50, 1000):
+            reports = []
+            for block in (1, 7, samples):
+                monkeypatch.setattr(certificates, "BLOCK_ROWS", block)
+                negative.clear()
+                reports.append([r.to_json() for r in vaxmpc.certify(params, cfg, samples, 0)])
+                if samples == 1000 and block == 7:
+                    # the sampler's own blocks are views of its S; the nudge's
+                    # rechecks and the checks' successors are not
+                    s = draws[-1][0]
+                    start = s.__array_interface__["data"][0]
+                    nudged = {
+                        (a.__array_interface__["data"][0] - start) // (block * s.strides[0])
+                        for a in negative
+                        if np.shares_memory(a, s)
+                    }
+                    assert len(nudged) >= 2
+            assert reports[0] == reports[1] == reports[2], samples
+
+    def test_memory_stays_near_the_draw(self, preset_config):
+        """Past the draw itself, samples * (3 n_a + 2) float64 for the
+        states, controls, shares and budgets, a certify call holds little
+        more than a few blocks and the margins: 1.4 MiB at 40,000 preset
+        samples, where whole-array checks took 12.8 MiB."""
+        params, cfg = preset_config.params, preset_config.mpc
+        samples = 40_000
+        draw = samples * (3 * params.n_a + 2) * 8
+        vaxmpc.certify(params, cfg, 100, 0)  # lazy set-up outside the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vaxmpc.certify(params, cfg, samples, 0)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= draw + 3 * 2**20
 
 
 def mutated_si_step(mutation):
